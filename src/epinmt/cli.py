@@ -111,7 +111,7 @@ def cmd_eval(args) -> int:
 
 def cmd_experiment(args) -> int:
     cfg = _load(args)
-    result = P.experiment(cfg, build_deps=args.build_deps)
+    result = P.experiment(cfg)
     print(result["report_dir"])
     return EXIT_OK
 

@@ -90,7 +90,11 @@ class RunConfig:
     eval: EvalConfig = field(default_factory=EvalConfig)
 
     def canonical_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, default=list)
+        """Every field except `output_dir`, which says where results go, not
+        what they are."""
+        payload = asdict(self)
+        del payload["output_dir"]
+        return json.dumps(payload, sort_keys=True, default=list)
 
     def config_hash(self) -> str:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()[:12]

@@ -15,7 +15,6 @@ from collections import Counter
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
-from scipy.stats import spearmanr
 
 from . import model as M
 from . import tensor as T
@@ -277,10 +276,33 @@ class BinReport:
     bin_sizes: list[int] = field(default_factory=list)
 
     def spearman(self, method: str) -> float:
+        """Spearman rho of BLEU against bin index; NaN (empty) bins are skipped.
+
+        NaN when fewer than two bins remain or the scores are constant.
+        """
         scores = self.bleu_by_bin[method]
         idx = [i for i, s in enumerate(scores) if not math.isnan(s)]
-        rho = spearmanr([i for i in idx], [scores[i] for i in idx]).statistic
-        return float(rho)
+        return _spearman(np.array(idx, dtype=np.float64),
+                         np.array([scores[i] for i in idx], dtype=np.float64))
+
+
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks; tied values share the mean of the ranks they span."""
+    _, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
+    upper = np.cumsum(counts)
+    return (upper - (counts - 1) / 2.0)[inverse]
+
+
+def _spearman(x: np.ndarray, y: np.ndarray) -> float:
+    """Pearson correlation of average ranks (scipy.stats.spearmanr's statistic)."""
+    if len(x) < 2:
+        return float("nan")
+    rx = _average_ranks(x) - (len(x) + 1) / 2.0
+    ry = _average_ranks(y) - (len(y) + 1) / 2.0
+    den = math.sqrt(float(rx @ rx) * float(ry @ ry))
+    if den == 0.0:
+        return float("nan")
+    return float(np.clip((rx @ ry) / den, -1.0, 1.0))
 
 
 def bin_report(models: dict[str, M.EncoderDecoderModel], thresholds: list[float],

@@ -15,6 +15,7 @@ Conventions:
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from dataclasses import dataclass, field, asdict
@@ -178,8 +179,10 @@ class EncoderDecoderModel:
     def copy(self) -> "EncoderDecoderModel":
         return EncoderDecoderModel(self.config, self.encoder.copy(), self.decoder.copy())
 
-    def checksum(self) -> int:
-        return self.encoder.checksum() ^ self.decoder.checksum()
+    def checksum(self) -> str:
+        """sha256 over the encoder's checksum, then the decoder's."""
+        both = self.encoder.checksum() + self.decoder.checksum()
+        return hashlib.sha256(both.encode()).hexdigest()
 
 
 @dataclass
@@ -509,10 +512,6 @@ def beam_decode(model, source, beam_width=5, max_steps=32) -> DecodeResult:
 
 def greedy_decode(model, source, max_steps=32) -> DecodeResult:
     return beam_decode(model, source, beam_width=1, max_steps=max_steps)
-
-
-def greedy_decode_batch(model, sources, max_steps=32) -> list[DecodeResult]:
-    return beam_decode_batch(model, sources, beam_width=1, max_steps=max_steps)
 
 
 # ---------------------------------------------------------------------------

@@ -153,14 +153,18 @@ def train_method(cfg: RunConfig, method: str, seed: int, dataset, vanilla,
 
 
 def train(cfg: RunConfig, method: str, seed: int, build_deps: bool = True) -> str:
-    """Train one method end to end and write its checkpoint; returns the path."""
+    """Train one method end to end and write its checkpoint; returns the path.
+
+    Curriculum methods read `score/plan.json`; with `build_deps` a missing
+    plan is built (an existing one is reused, never re-scored).
+    """
     vocab, dataset, _ = gen_data(cfg, seed)
     mcfg = _model_cfg(cfg, vocab)
     vanilla, curve = _vanilla(cfg, dataset, mcfg, seed)
     plan = None
     if method in ("agg_curriculum", "epi_curriculum"):
         plan_path = os.path.join(run_dir(cfg, seed), "score", "plan.json")
-        if os.path.exists(plan_path) and not build_deps:
+        if os.path.exists(plan_path):
             plan = CU.load_plan(plan_path)
         elif build_deps:
             plan, _ = score(cfg, seed, dataset, vocab, vanilla)
@@ -183,7 +187,7 @@ def train(cfg: RunConfig, method: str, seed: int, build_deps: bool = True) -> st
 # full experiment
 
 
-def experiment(cfg: RunConfig, build_deps: bool = True) -> dict:
+def experiment(cfg: RunConfig) -> dict:
     """Train every configured method per eval seed, then run all protocols."""
     methods = list(cfg.training.methods)
     models_by_seed: dict[int, dict[str, M.EncoderDecoderModel]] = {}

@@ -12,6 +12,7 @@ inputs are reduced back to the input shape by summing the expanded axes.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from collections import OrderedDict
@@ -448,11 +449,14 @@ class ParameterSet:
         for v in self._params.values():
             v.grad = None
 
-    def checksum(self) -> int:
-        h = 0
+    def checksum(self) -> str:
+        """sha256 over each entry's name, dtype, shape and bytes, in order;
+        equal across processes."""
+        h = hashlib.sha256()
         for k, v in self._params.items():
-            h ^= hash((k, v.data.tobytes()))
-        return h
+            h.update(f"{k}\0{v.data.dtype.str}{v.shape}\0".encode())
+            h.update(np.ascontiguousarray(v.data).tobytes())
+        return h.hexdigest()
 
     def structurally_compatible(self, other: "ParameterSet") -> bool:
         if list(self) != list(other):

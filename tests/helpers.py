@@ -1,5 +1,6 @@
 """Shared test utilities: finite-difference oracle and tiny model builders."""
 
+import os
 import sys
 
 import numpy as np
@@ -21,6 +22,13 @@ def record_criterion(number: int, name: str, passed: bool, detail: str = "") -> 
         line += f" ({detail})"
     ACCEPTANCE_RESULTS.append(line)
     print(line, file=sys.stderr, flush=True)
+
+
+def child_env(**extra) -> dict:
+    """Environment for a child interpreter that imports this checkout's epinmt."""
+    src = os.path.dirname(os.path.dirname(M.__file__))
+    path = [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(path), **extra}
 
 
 def finite_diff(loss_fn, param: T.Tensor, step: float = FD_STEP) -> np.ndarray:

@@ -2,11 +2,16 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
 from epinmt import cli
 from epinmt import config as cfgmod
+from epinmt import pipeline as P
+
+from helpers import child_env
 
 
 TINY = {
@@ -95,6 +100,21 @@ class TestConfig:
         assert a.config_hash() != c.config_hash()
         assert len(a.config_hash()) == 12
 
+    def test_output_dir_does_not_change_hash(self):
+        a = cfgmod.config_from_dict({"output_dir": "runs"})
+        b = cfgmod.config_from_dict({"output_dir": "elsewhere/runs"})
+        assert a.config_hash() == b.config_hash()
+        assert P.run_dir(a, 0) != P.run_dir(b, 0)
+        assert os.path.basename(P.run_dir(a, 0)) == os.path.basename(P.run_dir(b, 0))
+
+
+def test_cli_import_does_not_load_scipy_stats():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import epinmt.cli, sys; print('scipy.stats' in sys.modules)"],
+        env=child_env(), capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"
+
 
 class TestCliUsage:
     def test_no_arguments(self):
@@ -165,6 +185,31 @@ class TestCliPipeline:
                        "--method", "epi_curriculum", "--build-deps"])
         assert rc == cli.EXIT_OK
         assert os.path.isfile(capsys.readouterr().out.strip())
+
+    def test_build_deps_reuses_existing_plan(self, tiny_config_file, tmp_path,
+                                              monkeypatch, capsys):
+        train = ["train", "--config", tiny_config_file, "--method", "epi_curriculum",
+                 "--build-deps"]
+        # reference: a fresh directory where train builds the plan itself
+        assert cli.main(train + ["--out", str(tmp_path / "fresh")]) == cli.EXIT_OK
+        fresh_ckpt = capsys.readouterr().out.strip()
+
+        assert cli.main(["gen-data", "--config", tiny_config_file]) == cli.EXIT_OK
+        assert cli.main(["score", "--config", tiny_config_file]) == cli.EXIT_OK
+        capsys.readouterr()
+        score_dir = tmp_path / "runs" / os.path.basename(
+            P.run_dir(cfgmod.load_config(tiny_config_file), 0)) / "score"
+        before = {p.name: p.read_bytes() for p in sorted(score_dir.iterdir())}
+
+        def no_scoring(*args, **kwargs):
+            raise RuntimeError("train re-scored an existing plan")
+
+        monkeypatch.setattr(P, "build_scorers", no_scoring)
+        assert cli.main(train) == cli.EXIT_OK
+        ckpt = capsys.readouterr().out.strip()
+        assert {p.name: p.read_bytes() for p in sorted(score_dir.iterdir())} == before
+        with open(ckpt, "rb") as a, open(fresh_ckpt, "rb") as b:
+            assert a.read() == b.read()
 
     def test_finetune_requires_checkpoint(self, tiny_config_file, capsys):
         rc = cli.main(["finetune", "--config", tiny_config_file,

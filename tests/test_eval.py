@@ -246,6 +246,42 @@ class TestBins:
                              [5, 0, 5, 5, 0])
         assert report.spearman("m") == pytest.approx(-1.0)
 
+    def test_ties_get_average_ranks(self):
+        # ranks of y: 1, 2.5, 2.5, 4, 5 against x ranks 1..5
+        report = E.BinReport({"m": [1.0, 2.0, 2.0, 4.0, 5.0]}, [5] * 5)
+        rx = np.arange(5.0) - 2.0
+        ry = np.array([1.0, 2.5, 2.5, 4.0, 5.0]) - 3.0
+        want = float(rx @ ry / math.sqrt((rx @ rx) * (ry @ ry)))
+        assert report.spearman("m") == pytest.approx(want, abs=1e-15)
+        assert want == pytest.approx(0.9746794344808963, abs=1e-12)
+
+    def test_fewer_than_two_bins_is_nan(self):
+        report = E.BinReport({"one": [float("nan"), 7.0, float("nan")],
+                              "none": [float("nan")] * 5}, [0, 5, 0])
+        assert math.isnan(report.spearman("one"))
+        assert math.isnan(report.spearman("none"))
+
+    def test_constant_scores_are_nan(self):
+        report = E.BinReport({"m": [3.0, 3.0, float("nan"), 3.0, 3.0]}, [5] * 5)
+        assert math.isnan(report.spearman("m"))
+
+    def test_matches_scipy_on_random_scores(self):
+        from scipy import stats
+        rng = np.random.default_rng(0)
+        for _ in range(300):
+            n = int(rng.integers(2, 9))
+            # coarse values make ties common; NaN marks empty bins
+            scores = rng.integers(0, 4, size=n).astype(float)
+            scores[rng.random(n) < 0.2] = float("nan")
+            report = E.BinReport({"m": list(scores)}, [1] * n)
+            idx = [i for i in range(n) if not math.isnan(scores[i])]
+            vals = scores[idx]
+            if len(idx) < 2 or np.all(vals == vals[0]):
+                assert math.isnan(report.spearman("m"))
+                continue
+            want = stats.spearmanr(idx, vals).statistic
+            assert report.spearman("m") == pytest.approx(want, abs=1e-12)
+
     def test_bin_report_shape(self, world):
         _, ds, _, _, vanilla, agg = world
         pairs = [C.SentencePair(list(p.source), list(p.target), p.domain_id,

@@ -1,12 +1,15 @@
 """Transformer seq2seq: tokenization, likelihoods, decoding, composition."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from epinmt import model as M
 from epinmt import tensor as T
 
-from helpers import tiny_config, tiny_model, random_pair
+from helpers import child_env, tiny_config, tiny_model, random_pair
 
 
 def _rng(seed=0):
@@ -284,3 +287,26 @@ class TestCheckpoint:
         M.save_model(model, tmp_path / "m.json")
         loaded = M.load_model(tmp_path / "m.json")
         assert M.nll(loaded, src, tgt).item() == before
+
+
+class TestChecksum:
+    def test_equal_across_processes(self):
+        """Two interpreters with different hash seeds give the same digests."""
+        code = ("import numpy as np; from epinmt import model as M; "
+                "m = M.init_model(M.ModelConfig(vocab_size=12, d_model=16, n_layers=1, "
+                "n_heads=2, d_ff=24, max_len=16), np.random.default_rng(0)); "
+                "print(m.checksum(), m.encoder.checksum(), m.decoder.checksum())")
+        outs = []
+        for hash_seed in ("1", "2"):
+            proc = subprocess.run([sys.executable, "-c", code],
+                                  env=child_env(PYTHONHASHSEED=hash_seed),
+                                  capture_output=True, text=True, check=True)
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1]
+        assert outs[0].split()[0] == tiny_model(seed=0).checksum()
+
+    def test_model_digest_orders_encoder_before_decoder(self):
+        a = tiny_model(seed=0)
+        swapped = M.EncoderDecoderModel(a.config, a.decoder, a.encoder)
+        assert a.checksum() != swapped.checksum()
+        assert a.checksum() == a.copy().checksum()

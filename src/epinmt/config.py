@@ -14,9 +14,9 @@ from dataclasses import dataclass, field, asdict, fields
 from .corpus import DatasetConfig
 from .curriculum import SchedulerPolicy
 from .model import ModelConfig
-from .trainers import Hyperparams
+from .trainers import TRAINERS, Hyperparams
 
-METHODS = ("vanilla", "agg", "agg_curriculum", "meta_mt", "epi_nmt", "epi_curriculum")
+METHODS = tuple(TRAINERS)
 
 
 class UsageError(ValueError):
@@ -63,6 +63,10 @@ class TrainingConfig:
                 raise UsageError(
                     f"unknown key(s) in training.overrides.{m}: "
                     f"{', '.join(sorted(unknown))}")
+            try:
+                self.method_hp(m, 0)
+            except (TypeError, ValueError) as e:
+                raise UsageError(f"training.overrides.{m}: {e}") from None
 
     def method_hp(self, method: str, seed: int) -> Hyperparams:
         from dataclasses import replace
@@ -143,7 +147,11 @@ def config_from_dict(raw: dict) -> RunConfig:
         t = dict(raw["training"])
         methods = tuple(t.pop("methods", METHODS))
         overrides = {m: dict(ov) for m, ov in t.pop("overrides", {}).items()}
-        hp = Hyperparams(**_build(Hyperparams, t, "training"))
+        hp_fields = _build(Hyperparams, t, "training")
+        try:
+            hp = Hyperparams(**hp_fields)
+        except (TypeError, ValueError) as e:
+            raise UsageError(f"training: {e}") from None
         cfg.training = TrainingConfig(hp, methods, overrides)
     cfg.training.validate()
     if "eval" in raw:

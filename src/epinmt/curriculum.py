@@ -15,6 +15,7 @@ import json
 import logging
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -100,51 +101,23 @@ class DivergenceScorer:
     provenance: dict = field(default_factory=dict)
 
 
-def _finetune_nmt(base: M.EncoderDecoderModel, pairs: list[SentencePair],
-                  steps: int, lr: float, batch_size: int, rng) -> M.EncoderDecoderModel:
-    adapted = base.copy()
+def _random_batches(items: list, steps: int, batch_size: int, rng):
+    """`steps` batches, each drawn without replacement, independently of the others."""
     for _ in range(steps):
-        idx = rng.choice(len(pairs), size=min(batch_size, len(pairs)), replace=False)
-        batch = [pairs[i] for i in idx]
-        loss = M.nll_batch(adapted, [p.source for p in batch], [p.target for p in batch])
-        T.backward(loss)
-        T.sgd_step(adapted.encoder, lr)
-        T.sgd_step(adapted.decoder, lr)
-    return adapted
+        idx = rng.choice(len(items), size=min(batch_size, len(items)), replace=False)
+        yield [items[i] for i in idx]
 
 
-def _finetune_lm(base: M.LanguageModel, sentences: list[list[int]],
-                 steps: int, lr: float, batch_size: int, rng) -> M.LanguageModel:
-    adapted = base.copy()
-    for _ in range(steps):
-        idx = rng.choice(len(sentences), size=min(batch_size, len(sentences)),
-                         replace=False)
-        loss = lm_nll_batch(adapted, [sentences[i] for i in idx])
-        T.backward(loss)
-        T.sgd_step(adapted.params, lr)
-    return adapted
-
-
-def lm_nll_batch(lm: M.LanguageModel, sentences: list[list[int]]) -> T.Tensor:
-    """Mean per-token next-token nll; the LM training objective."""
-    cfg = lm.config
-    dec_in = M._pad_batch([[M.BOS] + s for s in sentences])
-    tgt = M._pad_batch([s + [M.EOS] for s in sentences])
-    logits = M.lm_logits(lm.params, cfg, dec_in)
-    flat = T.reshape(logits, (logits.shape[0] * logits.shape[1], cfg.vocab_size))
-    idx = np.flatnonzero((tgt != M.PAD).reshape(-1))
-    return T.softmax_cross_entropy(T.gather_rows(flat, idx), tgt.reshape(-1)[idx])
+def pairs_nll(model: M.EncoderDecoderModel, pairs: list[SentencePair]) -> T.Tensor:
+    """Mean per-token nll of a batch of pairs; the translation training objective."""
+    return M.nll_batch(model, [p.source for p in pairs], [p.target for p in pairs])
 
 
 def train_base_lm(cfg: M.ModelConfig, sentences: list[list[int]], steps: int,
                   lr: float, batch_size: int, rng) -> M.LanguageModel:
     lm = M.init_lm(cfg, rng)
-    for _ in range(steps):
-        idx = rng.choice(len(sentences), size=min(batch_size, len(sentences)),
-                         replace=False)
-        loss = lm_nll_batch(lm, [sentences[i] for i in idx])
-        T.backward(loss)
-        T.sgd_step(lm.params, lr)
+    T.sgd_loop([lm.params], partial(M.lm_nll_batch, lm),
+               _random_batches(sentences, steps, batch_size, rng), lr)
     return lm
 
 
@@ -154,8 +127,9 @@ def build_denoise_scorer(base_model, dataset: MultiDomainDataset, steps: int,
     models = {}
     for d in dataset.seen_ids:
         rng = np.random.default_rng(np.random.SeedSequence([seed, 21, d]))
-        models[d] = _finetune_nmt(base_model, dataset.trusted[d], steps, lr,
-                                  batch_size, rng)
+        adapted = models[d] = base_model.copy()
+        T.sgd_loop([adapted.encoder, adapted.decoder], partial(pairs_nll, adapted),
+                   _random_batches(dataset.trusted[d], steps, batch_size, rng), lr)
     return DenoiseScorer(base_model, models,
                          {"steps": steps, "lr": lr, "seed": seed})
 
@@ -167,13 +141,10 @@ def build_divergence_scorer(base_lm, dataset: MultiDomainDataset, steps: int,
     for d in dataset.seen_ids:
         rng = np.random.default_rng(np.random.SeedSequence([seed, 22, d]))
         sentences = [p.source for p in dataset.splits[d].training]
-        lms[d] = _finetune_lm(base_lm, sentences, steps, lr, batch_size, rng)
+        adapted = lms[d] = base_lm.copy()
+        T.sgd_loop([adapted.params], partial(M.lm_nll_batch, adapted),
+                   _random_batches(sentences, steps, batch_size, rng), lr)
     return DivergenceScorer(base_lm, lms, {"steps": steps, "lr": lr, "seed": seed})
-
-
-def denoise_q(logp_z: float, logp_base: float, target_len: int) -> float:
-    """Per-target-token log-probability gap; positive favors the adapted model."""
-    return (logp_z - logp_base) / target_len
 
 
 def divergence_d(logp_z: float, logp_base: float, source_len: int) -> float:

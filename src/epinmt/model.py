@@ -3,7 +3,9 @@
 The encoder and decoder each own an independent ParameterSet built from one
 ModelConfig, so any encoder composes with any decoder of the same config.
 A decoder-only variant (causal self-attention, no cross-attention) serves as
-the language model used for divergence scoring.
+the language model used for divergence scoring. All three are one pre-LN
+transformer stack (`_init_stack`, `_stack`) that differ only in the sublayers
+of a layer (ENCODER, DECODER, LM) and in the output projection.
 
 Conventions:
   * sources are fed as `tokens + [EOS]`, targets are teacher-forced as
@@ -105,14 +107,9 @@ class ModelConfig:
 # parameter construction
 
 
-def _init_matrix(rng, n_in, n_out, scale=None):
-    s = scale if scale is not None else 1.0 / math.sqrt(n_in)
-    return Tensor(rng.normal(0.0, s, size=(n_in, n_out)), grad_enabled=True)
-
-
-def _add_attn(params: ParameterSet, prefix: str, d: int, rng) -> None:
-    for w in ("wq", "wk", "wv", "wo"):
-        params[f"{prefix}.{w}"] = _init_matrix(rng, d, d)
+def _init_matrix(rng, n_in, n_out):
+    return Tensor(rng.normal(0.0, 1.0 / math.sqrt(n_in), size=(n_in, n_out)),
+                  grad_enabled=True)
 
 
 def _add_ln(params: ParameterSet, prefix: str, d: int) -> None:
@@ -120,53 +117,35 @@ def _add_ln(params: ParameterSet, prefix: str, d: int) -> None:
     params[f"{prefix}.b"] = Tensor(np.zeros(d), grad_enabled=True)
 
 
-def _add_ff(params: ParameterSet, prefix: str, d: int, d_ff: int, rng) -> None:
-    params[f"{prefix}.w1"] = _init_matrix(rng, d, d_ff)
-    params[f"{prefix}.b1"] = Tensor(np.zeros(d_ff), grad_enabled=True)
-    params[f"{prefix}.w2"] = _init_matrix(rng, d_ff, d)
-    params[f"{prefix}.b2"] = Tensor(np.zeros(d), grad_enabled=True)
+# The sublayers of one layer, per module kind. Sublayer j (from 1) of layer i
+# is pre-normed by `l{i}.ln{j}`; "ff" is the feed-forward block, "cross"
+# attends over the encoder memory and any other name is self-attention.
+ENCODER = ("attn", "ff")
+DECODER = ("self", "cross", "ff")
+LM = ("self", "ff")
 
 
-def init_encoder(cfg: ModelConfig, rng) -> ParameterSet:
+def _init_stack(cfg: ModelConfig, rng, sublayers: tuple[str, ...],
+                head: bool) -> ParameterSet:
+    """Embedding, n_layers of `sublayers`, final norm and, with `head`, the
+    output projection; parameters are named and drawn in that order."""
+    d, d_ff = cfg.d_model, cfg.d_ff
     p = ParameterSet()
-    p["emb"] = Tensor(rng.normal(0.0, 0.02, size=(cfg.vocab_size, cfg.d_model)),
-                      grad_enabled=True)
+    p["emb"] = Tensor(rng.normal(0.0, 0.02, size=(cfg.vocab_size, d)), grad_enabled=True)
     for i in range(cfg.n_layers):
-        _add_ln(p, f"l{i}.ln1", cfg.d_model)
-        _add_attn(p, f"l{i}.attn", cfg.d_model, rng)
-        _add_ln(p, f"l{i}.ln2", cfg.d_model)
-        _add_ff(p, f"l{i}.ff", cfg.d_model, cfg.d_ff, rng)
-    _add_ln(p, "ln", cfg.d_model)
-    return p
-
-
-def init_decoder(cfg: ModelConfig, rng) -> ParameterSet:
-    p = ParameterSet()
-    p["emb"] = Tensor(rng.normal(0.0, 0.02, size=(cfg.vocab_size, cfg.d_model)),
-                      grad_enabled=True)
-    for i in range(cfg.n_layers):
-        _add_ln(p, f"l{i}.ln1", cfg.d_model)
-        _add_attn(p, f"l{i}.self", cfg.d_model, rng)
-        _add_ln(p, f"l{i}.ln2", cfg.d_model)
-        _add_attn(p, f"l{i}.cross", cfg.d_model, rng)
-        _add_ln(p, f"l{i}.ln3", cfg.d_model)
-        _add_ff(p, f"l{i}.ff", cfg.d_model, cfg.d_ff, rng)
-    _add_ln(p, "ln", cfg.d_model)
-    p["out.w"] = _init_matrix(rng, cfg.d_model, cfg.vocab_size)
-    return p
-
-
-def init_lm_params(cfg: ModelConfig, rng) -> ParameterSet:
-    p = ParameterSet()
-    p["emb"] = Tensor(rng.normal(0.0, 0.02, size=(cfg.vocab_size, cfg.d_model)),
-                      grad_enabled=True)
-    for i in range(cfg.n_layers):
-        _add_ln(p, f"l{i}.ln1", cfg.d_model)
-        _add_attn(p, f"l{i}.self", cfg.d_model, rng)
-        _add_ln(p, f"l{i}.ln2", cfg.d_model)
-        _add_ff(p, f"l{i}.ff", cfg.d_model, cfg.d_ff, rng)
-    _add_ln(p, "ln", cfg.d_model)
-    p["out.w"] = _init_matrix(rng, cfg.d_model, cfg.vocab_size)
+        for j, kind in enumerate(sublayers, 1):
+            _add_ln(p, f"l{i}.ln{j}", d)
+            if kind == "ff":
+                p[f"l{i}.ff.w1"] = _init_matrix(rng, d, d_ff)
+                p[f"l{i}.ff.b1"] = Tensor(np.zeros(d_ff), grad_enabled=True)
+                p[f"l{i}.ff.w2"] = _init_matrix(rng, d_ff, d)
+                p[f"l{i}.ff.b2"] = Tensor(np.zeros(d), grad_enabled=True)
+            else:
+                for w in ("wq", "wk", "wv", "wo"):
+                    p[f"l{i}.{kind}.{w}"] = _init_matrix(rng, d, d)
+    _add_ln(p, "ln", d)
+    if head:
+        p["out.w"] = _init_matrix(rng, d, cfg.vocab_size)
     return p
 
 
@@ -195,11 +174,12 @@ class LanguageModel:
 
 
 def init_model(cfg: ModelConfig, rng) -> EncoderDecoderModel:
-    return EncoderDecoderModel(cfg, init_encoder(cfg, rng), init_decoder(cfg, rng))
+    return EncoderDecoderModel(cfg, _init_stack(cfg, rng, ENCODER, head=False),
+                               _init_stack(cfg, rng, DECODER, head=True))
 
 
 def init_lm(cfg: ModelConfig, rng) -> LanguageModel:
-    return LanguageModel(cfg, init_lm_params(cfg, rng))
+    return LanguageModel(cfg, _init_stack(cfg, rng, LM, head=True))
 
 
 def compose(theta: ParameterSet, phi: ParameterSet, cfg: ModelConfig) -> EncoderDecoderModel:
@@ -276,18 +256,28 @@ def _causal_mask(length: int) -> np.ndarray:
     return m[None, None, :, :]
 
 
+def _stack(p: ParameterSet, cfg: ModelConfig, ids: np.ndarray, self_mask: np.ndarray,
+           sublayers: tuple[str, ...], memory: Tensor | None = None,
+           mem_mask: np.ndarray | None = None) -> Tensor:
+    """Pre-LN transformer body over `ids`: [B, L, d_model] after the final norm."""
+    if ids.shape[-1] > cfg.max_len:
+        raise LengthError(f"sequence length {ids.shape[-1]} > max_len {cfg.max_len}")
+    x = _embed(p, ids, cfg)
+    for i in range(cfg.n_layers):
+        for j, kind in enumerate(sublayers, 1):
+            nx = T.layer_norm(x, p[f"l{i}.ln{j}.g"], p[f"l{i}.ln{j}.b"])
+            if kind == "ff":
+                x = T.add(x, _ff(p, f"l{i}.ff", nx))
+            elif kind == "cross":
+                x = T.add(x, _mha(p, f"l{i}.cross", nx, memory, mem_mask, cfg))
+            else:
+                x = T.add(x, _mha(p, f"l{i}.{kind}", nx, nx, self_mask, cfg))
+    return T.layer_norm(x, p["ln.g"], p["ln.b"])
+
+
 def encode_batch(theta: ParameterSet, cfg: ModelConfig, src_ids: np.ndarray) -> Tensor:
     """Per-token memory features [B, Ls, d_model] for padded source ids."""
-    if src_ids.shape[-1] > cfg.max_len:
-        raise LengthError(f"source length {src_ids.shape[-1]} > max_len {cfg.max_len}")
-    mask = _pad_mask(src_ids)
-    x = _embed(theta, src_ids, cfg)
-    for i in range(cfg.n_layers):
-        nx = T.layer_norm(x, theta[f"l{i}.ln1.g"], theta[f"l{i}.ln1.b"])
-        x = T.add(x, _mha(theta, f"l{i}.attn", nx, nx, mask, cfg))
-        x = T.add(x, _ff(theta, f"l{i}.ff",
-                         T.layer_norm(x, theta[f"l{i}.ln2.g"], theta[f"l{i}.ln2.b"])))
-    return T.layer_norm(x, theta["ln.g"], theta["ln.b"])
+    return _stack(theta, cfg, src_ids, _pad_mask(src_ids), ENCODER)
 
 
 def encode(theta: ParameterSet, cfg: ModelConfig, source: list[int]) -> Tensor:
@@ -299,36 +289,14 @@ def encode(theta: ParameterSet, cfg: ModelConfig, source: list[int]) -> Tensor:
 def decoder_logits(phi: ParameterSet, cfg: ModelConfig, memory: Tensor,
                    src_ids: np.ndarray, dec_in: np.ndarray) -> Tensor:
     """Teacher-forced decoder logits [B, Lt, V]."""
-    lt = dec_in.shape[-1]
-    if lt > cfg.max_len:
-        raise LengthError(f"target length {lt} > max_len {cfg.max_len}")
-    causal = _causal_mask(lt)
-    mem_mask = _pad_mask(src_ids)
-    x = _embed(phi, dec_in, cfg)
-    for i in range(cfg.n_layers):
-        nx = T.layer_norm(x, phi[f"l{i}.ln1.g"], phi[f"l{i}.ln1.b"])
-        x = T.add(x, _mha(phi, f"l{i}.self", nx, nx, causal, cfg))
-        nx = T.layer_norm(x, phi[f"l{i}.ln2.g"], phi[f"l{i}.ln2.b"])
-        x = T.add(x, _mha(phi, f"l{i}.cross", nx, memory, mem_mask, cfg))
-        nx = T.layer_norm(x, phi[f"l{i}.ln3.g"], phi[f"l{i}.ln3.b"])
-        x = T.add(x, _ff(phi, f"l{i}.ff", nx))
-    x = T.layer_norm(x, phi["ln.g"], phi["ln.b"])
+    x = _stack(phi, cfg, dec_in, _causal_mask(dec_in.shape[-1]), DECODER, memory,
+               _pad_mask(src_ids))
     return T.matmul(x, phi["out.w"])
 
 
 def lm_logits(params: ParameterSet, cfg: ModelConfig, dec_in: np.ndarray) -> Tensor:
     """Causal next-token logits [B, L, V] for the decoder-only language model."""
-    lt = dec_in.shape[-1]
-    if lt > cfg.max_len:
-        raise LengthError(f"sequence length {lt} > max_len {cfg.max_len}")
-    causal = _causal_mask(lt)
-    x = _embed(params, dec_in, cfg)
-    for i in range(cfg.n_layers):
-        nx = T.layer_norm(x, params[f"l{i}.ln1.g"], params[f"l{i}.ln1.b"])
-        x = T.add(x, _mha(params, f"l{i}.self", nx, nx, causal, cfg))
-        nx = T.layer_norm(x, params[f"l{i}.ln2.g"], params[f"l{i}.ln2.b"])
-        x = T.add(x, _ff(params, f"l{i}.ff", nx))
-    x = T.layer_norm(x, params["ln.g"], params["ln.b"])
+    x = _stack(params, cfg, dec_in, _causal_mask(dec_in.shape[-1]), LM)
     return T.matmul(x, params["out.w"])
 
 
@@ -344,13 +312,33 @@ def _pad_batch(seqs: list[list[int]]) -> np.ndarray:
     return out
 
 
+def _teacher_force(seqs: list[list[int]]):
+    """Padded (input, output) ids: `[BOS] + s` predicts `s + [EOS]`."""
+    return _pad_batch([[BOS] + s for s in seqs]), _pad_batch([s + [EOS] for s in seqs])
+
+
 def prepare_batch(sources: list[list[int]], targets: list[list[int]]):
     """Pad and teacher-force: returns (src_ids, dec_in, tgt_out, valid_mask)."""
-    src = _pad_batch([s + [EOS] for s in sources])
-    dec_in = _pad_batch([[BOS] + t for t in targets])
-    tgt_out = _pad_batch([t + [EOS] for t in targets])
-    valid = tgt_out != PAD
-    return src, dec_in, tgt_out, valid
+    dec_in, tgt_out = _teacher_force(targets)
+    return _pad_batch([s + [EOS] for s in sources]), dec_in, tgt_out, tgt_out != PAD
+
+
+def _masked_xent(logits: Tensor, targets: np.ndarray) -> Tensor:
+    """Mean cross-entropy of logits [B, L, V] against the non-PAD targets [B, L]."""
+    flat = T.reshape(logits, (logits.shape[0] * logits.shape[1], logits.shape[2]))
+    idx = np.flatnonzero((targets != PAD).reshape(-1))
+    return T.softmax_cross_entropy(T.gather_rows(flat, idx), targets.reshape(-1)[idx])
+
+
+def _log_softmax(logits: np.ndarray) -> np.ndarray:
+    z = logits - logits.max(axis=-1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+
+
+def _target_logprobs(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """log P(target) at each position of [B, L]; 0 where the target is PAD."""
+    rows = np.take_along_axis(_log_softmax(logits), targets[..., None], axis=-1)[..., 0]
+    return np.where(targets != PAD, rows, 0.0)
 
 
 def nll_batch(model: EncoderDecoderModel, sources: list[list[int]],
@@ -359,13 +347,9 @@ def nll_batch(model: EncoderDecoderModel, sources: list[list[int]],
     if not sources or any(len(s) == 0 for s in sources) or any(len(t) == 0 for t in targets):
         raise T.ContractError("nll: empty batch or empty sequence")
     cfg = model.config
-    src, dec_in, tgt_out, valid = prepare_batch(sources, targets)
+    src, dec_in, tgt_out, _ = prepare_batch(sources, targets)
     memory = encode_batch(model.encoder, cfg, src)
-    logits = decoder_logits(model.decoder, cfg, memory, src, dec_in)
-    flat = T.reshape(logits, (logits.shape[0] * logits.shape[1], cfg.vocab_size))
-    idx = np.flatnonzero(valid.reshape(-1))
-    picked = T.gather_rows(flat, idx)
-    return T.softmax_cross_entropy(picked, tgt_out.reshape(-1)[idx])
+    return _masked_xent(decoder_logits(model.decoder, cfg, memory, src, dec_in), tgt_out)
 
 
 def nll(model: EncoderDecoderModel, source: list[int], target: list[int]) -> Tensor:
@@ -376,30 +360,25 @@ def nll_per_pair(model: EncoderDecoderModel, sources: list[list[int]],
                  targets: list[list[int]]) -> np.ndarray:
     """Per-pair mean-per-token nll (EOS included), computed without gradients."""
     cfg = model.config
-    frozen = EncoderDecoderModel(cfg, model.encoder.frozen_view(),
-                                 model.decoder.frozen_view())
     src, dec_in, tgt_out, valid = prepare_batch(sources, targets)
-    memory = encode_batch(frozen.encoder, cfg, src)
-    logits = decoder_logits(frozen.decoder, cfg, memory, src, dec_in).data
-    z = logits - logits.max(axis=-1, keepdims=True)
-    logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
-    rows = np.take_along_axis(logp, tgt_out[..., None], axis=-1)[..., 0]
-    rows = np.where(valid, rows, 0.0)
-    return -rows.sum(axis=-1) / valid.sum(axis=-1)
+    memory = encode_batch(model.encoder.frozen_view(), cfg, src)
+    logits = decoder_logits(model.decoder.frozen_view(), cfg, memory, src, dec_in).data
+    return -_target_logprobs(logits, tgt_out).sum(axis=-1) / valid.sum(axis=-1)
+
+
+def lm_nll_batch(lm: LanguageModel, sentences: list[list[int]]) -> Tensor:
+    """Mean per-token next-token nll; the LM training objective."""
+    dec_in, tgt = _teacher_force(sentences)
+    return _masked_xent(lm_logits(lm.params, lm.config, dec_in), tgt)
 
 
 def lm_logprob_batch(lm: LanguageModel, sentences: list[list[int]]) -> np.ndarray:
     """log P(sentence) per sentence: BOS-conditioned, EOS included. No grads."""
     if any(len(s) == 0 for s in sentences):
         raise T.ContractError("lm_logprob: empty sentence")
-    cfg = lm.config
-    dec_in = _pad_batch([[BOS] + s for s in sentences])
-    tgt = _pad_batch([s + [EOS] for s in sentences])
-    logits = lm_logits(lm.params.frozen_view(), cfg, dec_in).data
-    z = logits - logits.max(axis=-1, keepdims=True)
-    logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
-    rows = np.take_along_axis(logp, tgt[..., None], axis=-1)[..., 0]
-    return np.where(tgt != PAD, rows, 0.0).sum(axis=-1)
+    dec_in, tgt = _teacher_force(sentences)
+    logits = lm_logits(lm.params.frozen_view(), lm.config, dec_in).data
+    return _target_logprobs(logits, tgt).sum(axis=-1)
 
 
 def lm_logprob(lm: LanguageModel, sentence: list[int]) -> float:
@@ -419,9 +398,7 @@ class DecodeResult:
 
 def _step_logprobs(model, src, memory, prefixes) -> np.ndarray:
     logits = decoder_logits(model.decoder, model.config, memory, src, prefixes).data
-    last = logits[:, -1, :]
-    z = last - last.max(axis=-1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    return _log_softmax(logits[:, -1, :])
 
 
 def beam_decode_batch(model: EncoderDecoderModel, sources: list[list[int]],
@@ -519,44 +496,42 @@ def greedy_decode(model, source, max_steps=32) -> DecodeResult:
 
 
 def save_model(model: EncoderDecoderModel, path) -> None:
-    payload = {
-        "config": model.config.to_dict(),
-        "encoder": _params_payload(model.encoder),
-        "decoder": _params_payload(model.decoder),
-    }
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(payload, f)
+    _save(path, model.config, encoder=model.encoder, decoder=model.decoder)
 
 
 def load_model(path) -> EncoderDecoderModel:
-    with open(path, "r", encoding="utf-8") as f:
-        payload = json.load(f)
-    cfg = ModelConfig.from_dict(payload["config"])
-    return EncoderDecoderModel(cfg, _params_from_payload(payload["encoder"]),
-                               _params_from_payload(payload["decoder"]))
+    cfg, modules = _load(path)
+    return EncoderDecoderModel(cfg, modules["encoder"], modules["decoder"])
 
 
 def save_lm(lm: LanguageModel, path) -> None:
-    payload = {"config": lm.config.to_dict(), "params": _params_payload(lm.params)}
+    _save(path, lm.config, params=lm.params)
+
+
+def load_lm(path) -> LanguageModel:
+    cfg, modules = _load(path)
+    return LanguageModel(cfg, modules["params"])
+
+
+def _save(path, config: ModelConfig, **modules: ParameterSet) -> None:
+    """The checkpoint format: one JSON object holding the config, then each
+    module as ordered (name, shape, values) entries. float64 values survive
+    the round trip exactly (repr-based JSON floats)."""
+    payload = {"config": config.to_dict()}
+    for key, ps in modules.items():
+        payload[key] = [{"name": k, "shape": list(v.shape),
+                         "values": v.data.reshape(-1).tolist()} for k, v in ps.items()]
     with open(path, "w", encoding="utf-8") as f:
         json.dump(payload, f)
 
 
-def load_lm(path) -> LanguageModel:
+def _load(path) -> tuple[ModelConfig, dict[str, ParameterSet]]:
     with open(path, "r", encoding="utf-8") as f:
         payload = json.load(f)
-    return LanguageModel(ModelConfig.from_dict(payload["config"]),
-                         _params_from_payload(payload["params"]))
-
-
-def _params_payload(ps: ParameterSet):
-    return [{"name": k, "shape": list(v.shape), "values": v.data.reshape(-1).tolist()}
-            for k, v in ps.items()]
-
-
-def _params_from_payload(entries) -> ParameterSet:
-    out = ParameterSet()
-    for e in entries:
-        out[e["name"]] = Tensor(np.array(e["values"]).reshape(e["shape"]),
-                                grad_enabled=True)
-    return out
+    modules = {}
+    for key, entries in payload.items():
+        if key != "config":
+            modules[key] = ParameterSet({
+                e["name"]: Tensor(np.array(e["values"]).reshape(e["shape"]), grad_enabled=True)
+                for e in entries})
+    return ModelConfig.from_dict(payload["config"]), modules

@@ -124,32 +124,19 @@ def score(cfg: RunConfig, seed: int, dataset=None, vocab=None, vanilla=None,
 # training
 
 
+def _trainer(method: str):
+    """(needs a plan, trainer) for a method name."""
+    if method not in TR.TRAINERS:
+        raise DependencyError(f"unknown method '{method}'")
+    return TR.TRAINERS[method]
+
+
 def train_method(cfg: RunConfig, method: str, seed: int, dataset, vanilla,
-                 plan: CU.CurriculumPlan | None, mcfg) -> M.EncoderDecoderModel:
-    hp = cfg.training.method_hp(method, seed)
-    seen_pairs = dataset.all_seen_training()
-    if method == "vanilla":
-        return vanilla
-    if method == "agg":
-        model, _ = TR.train_agg(vanilla, seen_pairs, hp)
-        return model
-    if method == "agg_curriculum":
-        if plan is None:
-            raise DependencyError("agg_curriculum requires a curriculum plan")
-        model, _ = TR.train_agg_curriculum(vanilla, plan, hp)
-        return model
-    if method == "meta_mt":
-        by_domain = {d: dataset.splits[d].training for d in dataset.seen_ids}
-        return TR.maml_train(vanilla, by_domain, hp)
-    if method == "epi_nmt":
-        state = TR.train_epi_nmt(vanilla, seen_pairs, dataset.seen_ids, hp)
-        return state.agg
-    if method == "epi_curriculum":
-        if plan is None:
-            raise DependencyError("epi_curriculum requires a curriculum plan")
-        state = TR.train_epi(vanilla, plan, dataset.seen_ids, hp)
-        return state.agg
-    raise DependencyError(f"unknown method '{method}'")
+                 plan: CU.CurriculumPlan | None) -> M.EncoderDecoderModel:
+    needs_plan, trainer = _trainer(method)
+    if needs_plan and plan is None:
+        raise DependencyError(f"{method} requires a curriculum plan")
+    return trainer(vanilla, dataset, plan, cfg.training.method_hp(method, seed))
 
 
 def train(cfg: RunConfig, method: str, seed: int, build_deps: bool = True) -> str:
@@ -162,7 +149,7 @@ def train(cfg: RunConfig, method: str, seed: int, build_deps: bool = True) -> st
     mcfg = _model_cfg(cfg, vocab)
     vanilla, curve = _vanilla(cfg, dataset, mcfg, seed)
     plan = None
-    if method in ("agg_curriculum", "epi_curriculum"):
+    if _trainer(method)[0]:
         plan_path = os.path.join(run_dir(cfg, seed), "score", "plan.json")
         if os.path.exists(plan_path):
             plan = CU.load_plan(plan_path)
@@ -171,7 +158,7 @@ def train(cfg: RunConfig, method: str, seed: int, build_deps: bool = True) -> st
         else:
             raise DependencyError(
                 f"{method} requires a plan; run 'score' first or pass --build-deps")
-    model = train_method(cfg, method, seed, dataset, vanilla, plan, mcfg)
+    model = train_method(cfg, method, seed, dataset, vanilla, plan)
     out = _ensure(os.path.join(run_dir(cfg, seed), "train"))
     path = os.path.join(out, f"{method}.model.json")
     M.save_model(model, path)
@@ -205,7 +192,7 @@ def experiment(cfg: RunConfig) -> dict:
         trained = {}
         for m in methods:
             log.info("training %s (seed %d)", m, seed)
-            trained[m] = train_method(cfg, m, seed, dataset, vanilla, plan, mcfg)
+            trained[m] = train_method(cfg, m, seed, dataset, vanilla, plan)
         models_by_seed[seed] = trained
         # standalone domain-specific models for the swap experiment
         hp = replace(cfg.training.hp, seed=seed)

@@ -13,10 +13,9 @@ inputs are reduced back to the input shape by summing the expanded axes.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from collections import OrderedDict
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 from scipy.special import erf
@@ -47,8 +46,7 @@ __all__ = [
     "softmax_cross_entropy",
     "backward",
     "sgd_step",
-    "save_checkpoint",
-    "load_checkpoint",
+    "sgd_loop",
 ]
 
 
@@ -85,10 +83,6 @@ class Tensor:
 
     def zero_grad(self) -> None:
         self.grad = None
-
-    def detach(self) -> "Tensor":
-        """Same data, outside the graph, gradients off."""
-        return Tensor(self.data)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Tensor(shape={self.shape}, grad_enabled={self.grad_enabled})"
@@ -479,29 +473,21 @@ def sgd_step(params: ParameterSet, lr: float) -> None:
         p.grad = None
 
 
-# ---------------------------------------------------------------------------
-# checkpoints
+def sgd_loop(modules: list[ParameterSet], loss_of: Callable[[object], Tensor],
+             batches: Iterable, lr: float) -> list[float]:
+    """Per batch: one loss, one reverse pass, one `sgd_step` per module.
 
-
-def save_checkpoint(params: ParameterSet, path) -> None:
-    """JSON checkpoint of ordered (name, shape, values) triples.
-
-    float64 values survive the round trip exactly (repr-based JSON floats).
+    Returns the per-step loss curve. A non-finite loss raises ContractError
+    before it can reach the parameters.
     """
-    payload = [
-        {"name": k, "shape": list(v.shape), "values": v.data.reshape(-1).tolist(),
-         "grad_enabled": v.grad_enabled}
-        for k, v in params.items()
-    ]
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(payload, f)
-
-
-def load_checkpoint(path) -> ParameterSet:
-    with open(path, "r", encoding="utf-8") as f:
-        payload = json.load(f)
-    out = ParameterSet()
-    for entry in payload:
-        data = np.array(entry["values"], dtype=np.float64).reshape(entry["shape"])
-        out[entry["name"]] = Tensor(data, grad_enabled=entry.get("grad_enabled", True))
-    return out
+    curve = []
+    for step, batch in enumerate(batches):
+        loss = loss_of(batch)
+        value = loss.item()
+        if not math.isfinite(value):
+            raise ContractError(f"non-finite loss {value} at step {step}")
+        backward(loss)
+        for params in modules:
+            sgd_step(params, lr)
+        curve.append(value)
+    return curve

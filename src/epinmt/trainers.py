@@ -10,14 +10,16 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 from dataclasses import dataclass, field, asdict
+from functools import partial
 
 import numpy as np
 
 from . import model as M
 from . import tensor as T
 from .corpus import SentencePair, MultiDomainDataset
-from .curriculum import CurriculumPlan, sample_batch, stage_of, uniform_plan
+from .curriculum import CurriculumPlan, pairs_nll, sample_batch, stage_of, uniform_plan
 
 log = logging.getLogger(__name__)
 
@@ -36,6 +38,12 @@ class Hyperparams:
     def __post_init__(self):
         if self.alpha < 0 or self.beta < 0:
             raise ValueError("alpha and beta must be nonnegative")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.epochs < 0 or self.finetune_epochs < 0:
+            raise ValueError("epochs and finetune_epochs must be >= 0")
+        if self.episodes is not None and self.episodes < 1:
+            raise ValueError(f"episodes must be None or >= 1, got {self.episodes}")
 
     @property
     def ft_lr(self) -> float:
@@ -68,28 +76,28 @@ def _rng(seed: int, *keys: int):
     return np.random.default_rng(np.random.SeedSequence([seed, *keys]))
 
 
-def _batch_loss(model: M.EncoderDecoderModel, batch: list[SentencePair]) -> T.Tensor:
-    return M.nll_batch(model, [p.source for p in batch], [p.target for p in batch])
-
-
 def _sgd_model(model: M.EncoderDecoderModel, lr: float) -> None:
     T.sgd_step(model.encoder, lr)
     T.sgd_step(model.decoder, lr)
 
 
-def _train_plain(model: M.EncoderDecoderModel, pairs: list[SentencePair],
-                 epochs: int, lr: float, batch_size: int, rng) -> list[float]:
-    """Shuffled minibatch nll training; returns the per-step loss curve."""
-    curve = []
+def _fit(model: M.EncoderDecoderModel, batches, lr: float) -> list[float]:
+    """Plain nll training of both modules; returns the per-step loss curve."""
+    return T.sgd_loop([model.encoder, model.decoder], partial(pairs_nll, model), batches, lr)
+
+
+def _epoch_batches(pairs: list[SentencePair], epochs: int, batch_size: int, rng):
+    """Shuffled minibatches, one fresh permutation per epoch."""
     for _ in range(epochs):
         order = rng.permutation(len(pairs))
         for start in range(0, len(pairs), batch_size):
-            batch = [pairs[i] for i in order[start:start + batch_size]]
-            loss = _batch_loss(model, batch)
-            T.backward(loss)
-            _sgd_model(model, lr)
-            curve.append(loss.item())
-    return curve
+            yield [pairs[i] for i in order[start:start + batch_size]]
+
+
+def _curriculum_batches(plan: CurriculumPlan, total: int, batch_size: int, rng):
+    """`total` batches from the scheduler, at the stage of each step's progress."""
+    for step in range(total):
+        yield sample_batch(plan, stage_of(step / total, plan.policy), batch_size, rng)
 
 
 def pretrain_vanilla(generic_pairs: list[SentencePair], cfg: M.ModelConfig,
@@ -98,8 +106,8 @@ def pretrain_vanilla(generic_pairs: list[SentencePair], cfg: M.ModelConfig,
     if not generic_pairs:
         raise ValueError("empty generic corpus")
     model = M.init_model(cfg, _rng(hp.seed, 1))
-    curve = _train_plain(model, generic_pairs, hp.epochs, hp.alpha,
-                         hp.batch_size, _rng(hp.seed, 2))
+    curve = _fit(model, _epoch_batches(generic_pairs, hp.epochs, hp.batch_size,
+                                       _rng(hp.seed, 2)), hp.alpha)
     return model, curve
 
 
@@ -107,8 +115,8 @@ def train_agg(vanilla: M.EncoderDecoderModel, pairs: list[SentencePair],
               hp: Hyperparams) -> tuple[M.EncoderDecoderModel, list[float]]:
     """Continue Vanilla on the union of all seen training corpora."""
     model = vanilla.copy()
-    curve = _train_plain(model, pairs, hp.epochs, hp.alpha, hp.batch_size,
-                         _rng(hp.seed, 3))
+    curve = _fit(model, _epoch_batches(pairs, hp.epochs, hp.batch_size, _rng(hp.seed, 3)),
+                 hp.alpha)
     return model, curve
 
 
@@ -116,24 +124,17 @@ def train_agg_curriculum(vanilla: M.EncoderDecoderModel, plan: CurriculumPlan,
                          hp: Hyperparams) -> tuple[M.EncoderDecoderModel, list[float]]:
     """AGG trained through the curriculum scheduler instead of shuffling."""
     model = vanilla.copy()
-    rng = _rng(hp.seed, 4)
-    total = _total_steps(plan, hp)
-    curve = []
-    for step in range(total):
-        stage = stage_of(step / total, plan.policy)
-        batch = sample_batch(plan, stage, hp.batch_size, rng)
-        loss = _batch_loss(model, batch)
-        T.backward(loss)
-        _sgd_model(model, hp.alpha)
-        curve.append(loss.item())
+    total = _total_steps(sum(len(s) for s in plan.shards), hp)
+    curve = _fit(model, _curriculum_batches(plan, total, hp.batch_size, _rng(hp.seed, 4)),
+                 hp.alpha)
     return model, curve
 
 
-def _total_steps(plan: CurriculumPlan, hp: Hyperparams) -> int:
+def _total_steps(n_pairs: int, hp: Hyperparams) -> int:
+    """`episodes` when set, else `epochs` passes over n_pairs (at least 1 step)."""
     if hp.episodes is not None:
         return hp.episodes
-    n = sum(len(s) for s in plan.shards)
-    return max(1, hp.epochs * max(1, n // hp.batch_size))
+    return max(1, hp.epochs * max(1, n_pairs // hp.batch_size))
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +156,7 @@ def specialist_step(state: EpisodicState, i: int, batch: list[SentencePair]) -> 
         raise T.ContractError(f"specialist_step: batch contains foreign domain pairs "
                               f"(expected domain {i})")
     spec = state.specialists[i]
-    loss = _batch_loss(spec, batch)
+    loss = pairs_nll(spec, batch)
     T.backward(loss)
     _sgd_model(spec, state.hp.beta)
     return loss.item()
@@ -168,25 +169,20 @@ def _pick_partner(state: EpisodicState, i: int, rng) -> int:
     return int(others[rng.integers(0, len(others))])
 
 
-def _episodic_encoder_backward(state: EpisodicState, i: int,
-                               batch: list[SentencePair], k: int) -> float:
-    """Accumulate grad of the episodic encoder loss into the agg encoder.
+def _episodic_backward(state: EpisodicState, part: str, batch: list[SentencePair],
+                       k: int) -> float:
+    """Accumulate grad of the episodic loss of the agg `part` ("encoder" or
+    "decoder") into it, paired with partner k's other module.
 
-    The partner decoder runs frozen: gradient flows through it into theta
-    but its own parameters receive none.
+    The partner module runs frozen: gradient flows through it into the agg
+    module but its own parameters receive none.
     """
-    frozen_dec = state.specialists[k].decoder.frozen_view()
-    hybrid = M.EncoderDecoderModel(state.agg.config, state.agg.encoder, frozen_dec)
-    loss = _batch_loss(hybrid, batch)
-    T.backward(loss)
-    return loss.item()
-
-
-def _episodic_decoder_backward(state: EpisodicState, i: int,
-                               batch: list[SentencePair], k: int) -> float:
-    frozen_enc = state.specialists[k].encoder.frozen_view()
-    hybrid = M.EncoderDecoderModel(state.agg.config, frozen_enc, state.agg.decoder)
-    loss = _batch_loss(hybrid, batch)
+    agg, partner = state.agg, state.specialists[k]
+    if part == "encoder":
+        hybrid = M.EncoderDecoderModel(agg.config, agg.encoder, partner.decoder.frozen_view())
+    else:
+        hybrid = M.EncoderDecoderModel(agg.config, partner.encoder.frozen_view(), agg.decoder)
+    loss = pairs_nll(hybrid, batch)
     T.backward(loss)
     return loss.item()
 
@@ -194,8 +190,7 @@ def _episodic_decoder_backward(state: EpisodicState, i: int,
 def episodic_encoder_step(state: EpisodicState, i: int, batch: list[SentencePair],
                           rng) -> float:
     """Standalone episodic encoder update: theta <- theta - alpha * grad(L_enc)."""
-    k = _pick_partner(state, i, rng)
-    loss = _episodic_encoder_backward(state, i, batch, k)
+    loss = _episodic_backward(state, "encoder", batch, _pick_partner(state, i, rng))
     T.sgd_step(state.agg.encoder, state.hp.alpha)
     return loss
 
@@ -203,8 +198,7 @@ def episodic_encoder_step(state: EpisodicState, i: int, batch: list[SentencePair
 def episodic_decoder_step(state: EpisodicState, i: int, batch: list[SentencePair],
                           rng) -> float:
     """Standalone episodic decoder update: phi <- phi - alpha * grad(L_dec)."""
-    k = _pick_partner(state, i, rng)
-    loss = _episodic_decoder_backward(state, i, batch, k)
+    loss = _episodic_backward(state, "decoder", batch, _pick_partner(state, i, rng))
     T.sgd_step(state.agg.decoder, state.hp.alpha)
     return loss
 
@@ -221,7 +215,7 @@ def epi_train(state: EpisodicState) -> tuple[M.EncoderDecoderModel, list[Episode
     hp = state.hp
     seen = sorted(state.specialists)
     rng = _rng(hp.seed, 5)
-    total = _total_steps(state.plan, hp)
+    total = _total_steps(sum(len(s) for s in state.plan.shards), hp)
     for ep in range(total):
         stage = stage_of(ep / total, state.plan.policy)
         i = seen[ep % len(seen)]
@@ -233,14 +227,17 @@ def epi_train(state: EpisodicState) -> tuple[M.EncoderDecoderModel, list[Episode
                 spec_loss = lj
         k = _pick_partner(state, i, rng)
         batch_i = sample_batch(state.plan, stage, hp.batch_size, rng, domain_id=i)
-        loss_agg = _batch_loss(state.agg, batch_i)
+        loss_agg = pairs_nll(state.agg, batch_i)
         T.backward(loss_agg)
-        l_enc = _episodic_encoder_backward(state, i, batch_i, k)
-        l_dec = _episodic_decoder_backward(state, i, batch_i, k)
+        l_enc = _episodic_backward(state, "encoder", batch_i, k)
+        l_dec = _episodic_backward(state, "decoder", batch_i, k)
+        losses = (loss_agg.item(), spec_loss, l_enc, l_dec)
+        if not all(math.isfinite(v) for v in losses):
+            raise T.ContractError(
+                f"non-finite loss at episode {ep}: L_agg, L_i, L_enc, L_dec = {losses}")
         T.sgd_step(state.agg.encoder, hp.alpha)
         T.sgd_step(state.agg.decoder, hp.alpha)
-        state.episode_log.append(EpisodeRecord(ep, stage, i, k, loss_agg.item(),
-                                               spec_loss, l_enc, l_dec))
+        state.episode_log.append(EpisodeRecord(ep, stage, i, k, *losses))
         state.progress = ep + 1
     return state.agg, state.episode_log
 
@@ -276,19 +273,16 @@ def maml_train(vanilla: M.EncoderDecoderModel,
     model = vanilla.copy()
     rng = _rng(hp.seed, 6)
     domains = sorted(domain_pairs)
-    total = hp.episodes
-    if total is None:
-        n = sum(len(v) for v in domain_pairs.values())
-        total = max(1, hp.epochs * max(1, n // hp.batch_size))
+    total = _total_steps(sum(len(v) for v in domain_pairs.values()), hp)
     for _ in range(total):
         d = domains[int(rng.integers(0, len(domains)))]
         pool = domain_pairs[d]
         support = [pool[int(rng.integers(0, len(pool)))] for _ in range(hp.batch_size)]
         query = [pool[int(rng.integers(0, len(pool)))] for _ in range(hp.batch_size)]
         adapted = model.copy()
-        T.backward(_batch_loss(adapted, support))
+        T.backward(pairs_nll(adapted, support))
         _sgd_model(adapted, hp.beta)
-        T.backward(_batch_loss(adapted, query))
+        T.backward(pairs_nll(adapted, query))
         for ps, aps in ((model.encoder, adapted.encoder), (model.decoder, adapted.decoder)):
             for name, p in ps.items():
                 g = aps[name].grad
@@ -308,8 +302,8 @@ def finetune(model: M.EncoderDecoderModel, pairs: list[SentencePair],
     if not pairs:
         raise ValueError("empty fine-tuning split")
     adapted = model.copy()
-    _train_plain(adapted, pairs, hp.finetune_epochs, hp.ft_lr, hp.batch_size,
-                 _rng(hp.seed, 8))
+    _fit(adapted, _epoch_batches(pairs, hp.finetune_epochs, hp.batch_size, _rng(hp.seed, 8)),
+         hp.ft_lr)
     return adapted
 
 
@@ -321,3 +315,23 @@ def write_episode_log(records: list[EpisodeRecord], path) -> None:
         for r in records:
             w.writerow([r.episode, r.stage, r.domain_i, r.partner_k,
                         r.loss_agg, r.loss_spec, r.loss_enc, r.loss_dec])
+
+
+# ---------------------------------------------------------------------------
+# method registry
+
+# method -> (needs a curriculum plan, trainer(vanilla, dataset, plan, hp) -> model);
+# the order is the default method order of a run
+TRAINERS = {
+    "vanilla": (False, lambda vanilla, ds, plan, hp: vanilla),
+    "agg": (False, lambda vanilla, ds, plan, hp:
+            train_agg(vanilla, ds.all_seen_training(), hp)[0]),
+    "agg_curriculum": (True, lambda vanilla, ds, plan, hp:
+                       train_agg_curriculum(vanilla, plan, hp)[0]),
+    "meta_mt": (False, lambda vanilla, ds, plan, hp: maml_train(
+        vanilla, {d: ds.splits[d].training for d in ds.seen_ids}, hp)),
+    "epi_nmt": (False, lambda vanilla, ds, plan, hp:
+                train_epi_nmt(vanilla, ds.all_seen_training(), ds.seen_ids, hp).agg),
+    "epi_curriculum": (True, lambda vanilla, ds, plan, hp:
+                       train_epi(vanilla, plan, ds.seen_ids, hp).agg),
+}

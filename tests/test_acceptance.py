@@ -456,6 +456,7 @@ def _lab_mean(lab, value):
     return float(np.mean([value(lab[s]) for s in LAB_SEEDS]))
 
 
+@pytest.mark.lab
 def test_criterion_06_noise_filter(lab):
     removed = _lab_mean(lab, lambda L: L["filter10"][0])
     clean_loss = _lab_mean(lab, lambda L: L["filter10"][1])
@@ -467,6 +468,7 @@ def test_criterion_06_noise_filter(lab):
     assert clean_loss <= 0.20, f"{clean_loss:.3f} of the clean pairs were lost"
 
 
+@pytest.mark.lab
 def test_criterion_07_before_ft_ordering(lab):
     seen = {m: _lab_mean(lab, lambda L, m=m: L["protocol"].mean(
         m, "bleu_before", seen=True)) for m in LAB_METHODS}
@@ -485,6 +487,7 @@ def test_criterion_07_before_ft_ordering(lab):
     assert unseen_ok, f"unseen-domain ordering violated: {unseen}"
 
 
+@pytest.mark.lab
 def test_criterion_08_finetune_gain(lab):
     gain = {m: _lab_mean(lab, lambda L, m=m: L["protocol"].mean(
         m, "delta_ft", seen=False)) for m in ("meta_mt", "agg")}
@@ -494,6 +497,7 @@ def test_criterion_08_finetune_gain(lab):
     assert ok, f"fine-tuning gains: {gain}"
 
 
+@pytest.mark.lab
 def test_criterion_09_module_swap(lab):
     means = {(part, m): _lab_mean(
         lab, lambda L, part=part, m=m: L["swaps"][(part, m)].overall_mean())
@@ -511,6 +515,7 @@ def test_criterion_09_module_swap(lab):
     assert dec_ok, f"decoder swap: {means}"
 
 
+@pytest.mark.lab
 def test_criterion_10_perturbation_robustness(lab):
     deg = {m: _lab_mean(lab, lambda L, m=m: L["perturb"].degradation(
         m, 0.03, L["ds"].seen_ids))
@@ -522,6 +527,7 @@ def test_criterion_10_perturbation_robustness(lab):
     assert ok, f"relative degradations: {deg}"
 
 
+@pytest.mark.lab
 def test_criterion_11_divergence_bins(lab):
     rho = {m: _lab_mean(lab, lambda L, m=m: L["bins"].spearman(m))
            for m in TRAINED_METHODS}

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from epinmt import cli
@@ -30,6 +31,15 @@ TINY = {
     "eval": {"seeds": [0], "sigmas": [0.05], "noise_seeds": [0],
              "beam_width": 1, "experiment_beam_width": 1, "max_steps": 6},
 }
+
+
+def _tiny_with_training(tmp_path, **training) -> str:
+    """TINY with some training fields replaced, written as a config file."""
+    cfg = {**TINY, "output_dir": str(tmp_path / "runs"),
+           "training": {**TINY["training"], **training}}
+    path = tmp_path / "tweaked.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
 
 
 @pytest.fixture()
@@ -80,6 +90,14 @@ class TestConfig:
         with pytest.raises(cfgmod.UsageError, match="warp_drive"):
             cfgmod.config_from_dict(
                 {"training": {"overrides": {"warp_drive": {"alpha": 0.1}}}})
+
+    @pytest.mark.parametrize("training", [
+        {"batch_size": 0}, {"batch_size": "8"}, {"epochs": -1}, {"episodes": -3},
+        {"overrides": {"epi_nmt": {"episodes": -3}}},
+        {"overrides": {"agg": {"batch_size": 0}}}])
+    def test_invalid_hyperparams_rejected(self, training):
+        with pytest.raises(cfgmod.UsageError):
+            cfgmod.config_from_dict({"training": training})
 
     def test_override_unknown_field_rejected(self):
         with pytest.raises(cfgmod.UsageError, match="typo_field"):
@@ -137,6 +155,11 @@ class TestCliUsage:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"not_a_key": 1}))
         assert cli.main(["gen-data", "--config", str(path)]) == cli.EXIT_USAGE
+
+    def test_invalid_hyperparams_are_usage_errors(self, tmp_path, capsys):
+        path = _tiny_with_training(tmp_path, batch_size=0)
+        assert cli.main(["gen-data", "--config", path]) == cli.EXIT_USAGE
+        assert "batch_size" in capsys.readouterr().err
 
 
 class TestCliPipeline:
@@ -210,6 +233,13 @@ class TestCliPipeline:
         assert {p.name: p.read_bytes() for p in sorted(score_dir.iterdir())} == before
         with open(ckpt, "rb") as a, open(fresh_ckpt, "rb") as b:
             assert a.read() == b.read()
+
+    def test_nonfinite_loss_is_internal_error(self, tmp_path, capsys):
+        path = _tiny_with_training(tmp_path, overrides={"agg": {"alpha": 1e100}})
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = cli.main(["train", "--config", path, "--method", "agg"])
+        assert rc == cli.EXIT_INTERNAL
+        assert "non-finite loss" in capsys.readouterr().err
 
     def test_finetune_requires_checkpoint(self, tiny_config_file, capsys):
         rc = cli.main(["finetune", "--config", tiny_config_file,

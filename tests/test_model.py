@@ -279,6 +279,13 @@ class TestTraining:
         assert final <= 0.5 * np.log(cfg.vocab_size)
 
 
+def _assert_same_params(loaded: T.ParameterSet, ps: T.ParameterSet):
+    assert list(loaded) == list(ps)
+    for k in ps:
+        assert loaded[k].data.dtype == np.float64
+        assert np.array_equal(loaded[k].data, ps[k].data)
+
+
 class TestCheckpoint:
     def test_roundtrip_reproduces_nll_bitwise(self, tmp_path):
         model = tiny_model(31)
@@ -287,6 +294,57 @@ class TestCheckpoint:
         M.save_model(model, tmp_path / "m.json")
         loaded = M.load_model(tmp_path / "m.json")
         assert M.nll(loaded, src, tgt).item() == before
+        assert loaded.config == model.config
+        _assert_same_params(loaded.encoder, model.encoder)
+        _assert_same_params(loaded.decoder, model.decoder)
+        lm = M.init_lm(tiny_config(), _rng(32))
+        M.save_lm(lm, tmp_path / "lm.json")
+        loaded_lm = M.load_lm(tmp_path / "lm.json")
+        assert loaded_lm.config == lm.config
+        _assert_same_params(loaded_lm.params, lm.params)
+
+
+def _layer(i, *sublayers):
+    """Parameter names of layer i, in init order, for the given sublayers."""
+    names = []
+    for j, kind in enumerate(sublayers, 1):
+        names += [f"l{i}.ln{j}.g", f"l{i}.ln{j}.b"]
+        if kind == "ff":
+            names += [f"l{i}.ff.w1", f"l{i}.ff.b1", f"l{i}.ff.w2", f"l{i}.ff.b2"]
+        else:
+            names += [f"l{i}.{kind}.{w}" for w in ("wq", "wk", "wv", "wo")]
+    return names
+
+
+class TestInit:
+    def test_parameter_layout_and_checksums_pinned(self):
+        """Names, order, shapes and seed-0 values of the three module kinds.
+
+        Init draws only from numpy's seeded generator, with no BLAS, so the
+        digests hold on every machine.
+        """
+        cfg = tiny_config(n_layers=2)          # V 12, d 16, d_ff 24
+        model = M.init_model(cfg, _rng(0))
+        lm = M.init_lm(cfg, _rng(0))
+        enc = ["emb"] + _layer(0, "attn", "ff") + _layer(1, "attn", "ff") + ["ln.g", "ln.b"]
+        dec = (["emb"] + _layer(0, "self", "cross", "ff") + _layer(1, "self", "cross", "ff")
+               + ["ln.g", "ln.b", "out.w"])
+        lm_names = (["emb"] + _layer(0, "self", "ff") + _layer(1, "self", "ff")
+                    + ["ln.g", "ln.b", "out.w"])
+        # by full name, else by last name part; norms and b2 are (16,)
+        shapes = {"emb": (12, 16), "out.w": (16, 12), "w1": (16, 24), "b1": (24,),
+                  "w2": (24, 16), "wq": (16, 16), "wk": (16, 16), "wv": (16, 16),
+                  "wo": (16, 16)}
+        for ps, names in ((model.encoder, enc), (model.decoder, dec), (lm.params, lm_names)):
+            assert list(ps) == names
+            for k, v in ps.items():
+                assert v.shape == shapes.get(k, shapes.get(k.rsplit(".", 1)[-1], (16,))), k
+        assert model.encoder.checksum() == (
+            "588a8f420057fef26652be322ed6efdf40fbb1117989c3e9af2e6ee23ef2e019")
+        assert model.decoder.checksum() == (
+            "86a6173099f4e5030ed227ccade12b0bc3aa61c126b672a9075c782a17f43675")
+        assert lm.params.checksum() == (
+            "bbffa15f20ce88c1ed75f55ba0c23bb0d1853fe523727826248cae557a83a55e")
 
 
 class TestChecksum:

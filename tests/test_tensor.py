@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from epinmt import model as M
 from epinmt import tensor as T
 
-from helpers import check_grad, finite_diff, max_rel_err, FD_TOL
+from helpers import check_grad, finite_diff, max_rel_err, FD_TOL, tiny_config
 
 
 def _rng(seed=0):
@@ -217,6 +218,24 @@ class TestSgdStep:
         with pytest.raises(T.ContractError, match="layer.weight"):
             T.sgd_step(ps, 0.1)
 
+    def test_sgd_loop_steps_every_module(self):
+        a = T.ParameterSet({"w": T.Tensor([1.0], grad_enabled=True)})
+        b = T.ParameterSet({"w": T.Tensor([2.0], grad_enabled=True)})
+
+        def loss_of(c):          # c * (a + b): both gradients are c
+            return T.reduce_sum(T.scale(T.add(a["w"], b["w"]), c))
+
+        curve = T.sgd_loop([a, b], loss_of, iter([1.0, 2.0]), 0.1)
+        assert curve == pytest.approx([3.0, 5.6], abs=1e-12)
+        assert (a["w"].data[0], b["w"].data[0]) == pytest.approx((0.7, 1.7), abs=1e-12)
+
+    def test_sgd_loop_stops_before_a_nonfinite_step(self):
+        ps = T.ParameterSet({"w": T.Tensor([1.0], grad_enabled=True)})
+        with pytest.raises(T.ContractError, match="non-finite loss inf at step 1"):
+            T.sgd_loop([ps], lambda c: T.reduce_sum(T.scale(ps["w"], c)),
+                       [1.0, float("inf")], 0.1)
+        assert ps["w"].data[0] == pytest.approx(0.9, abs=1e-12)
+
     def test_quadratic_loss_decreases(self):
         rng = _rng(11)
         w = T.Tensor(rng.uniform(-1, 1, (4,)), grad_enabled=True)
@@ -260,14 +279,15 @@ class TestParameterSet:
         assert not a.structurally_compatible(c)
 
     def test_checkpoint_roundtrip_lossless(self, tmp_path):
+        """Any ordered ParameterSet survives the checkpoint format exactly."""
         rng = _rng(12)
         ps = T.ParameterSet({
             "a.w": T.Tensor(rng.uniform(-1, 1, (3, 4)), grad_enabled=True),
             "a.b": T.Tensor(rng.uniform(-1, 1, (4,)), grad_enabled=True),
         })
         path = tmp_path / "ckpt.json"
-        T.save_checkpoint(ps, path)
-        loaded = T.load_checkpoint(path)
+        M.save_lm(M.LanguageModel(tiny_config(), ps), path)
+        loaded = M.load_lm(path).params
         assert list(loaded) == list(ps)
         for k in ps:
             assert np.array_equal(loaded[k].data, ps[k].data)

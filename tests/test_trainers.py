@@ -43,6 +43,17 @@ class TestHyperparams:
         with pytest.raises(ValueError):
             tr.Hyperparams(alpha=-0.1)
 
+    @pytest.mark.parametrize("kw", [dict(batch_size=0), dict(epochs=-1),
+                                    dict(finetune_epochs=-1), dict(episodes=0),
+                                    dict(episodes=-3)])
+    def test_invalid_counts_rejected(self, kw):
+        with pytest.raises(ValueError):
+            tr.Hyperparams(**kw)
+
+    def test_zero_epochs_allowed(self):
+        hp = tr.Hyperparams(epochs=0, finetune_epochs=0, episodes=1)
+        assert (hp.epochs, hp.finetune_epochs, hp.episodes) == (0, 0, 1)
+
     def test_finetune_lr_defaults_to_alpha(self):
         assert tr.Hyperparams(alpha=0.07).ft_lr == 0.07
         assert tr.Hyperparams(alpha=0.07, finetune_lr=0.01).ft_lr == 0.01
@@ -260,6 +271,22 @@ class TestEpiTrain:
         state = tr.train_epi_nmt(vanilla, ds.all_seen_training(), ds.seen_ids,
                                  _hp(episodes=3))
         assert state.plan.n_shards == 1
+
+
+class TestNonFiniteLoss:
+    """A learning rate that blows the parameters up stops training at once."""
+
+    def test_plain_training_fails_fast(self, world):
+        _, ds, _, vanilla, _ = world
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(T.ContractError, match="non-finite loss .* at step"):
+            tr.train_agg(vanilla, ds.all_seen_training(), _hp(alpha=1e100))
+
+    def test_epi_train_names_the_episode(self, world):
+        _, ds, _, vanilla, plan = world
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(T.ContractError, match="non-finite loss at episode 1"):
+            tr.train_epi(vanilla, plan, ds.seen_ids, _hp(alpha=1e100, episodes=6))
 
 
 class TestMaml:

@@ -63,10 +63,7 @@ class TrainingConfig:
                 raise UsageError(
                     f"unknown key(s) in training.overrides.{m}: "
                     f"{', '.join(sorted(unknown))}")
-            try:
-                self.method_hp(m, 0)
-            except (TypeError, ValueError) as e:
-                raise UsageError(f"training.overrides.{m}: {e}") from None
+            _checked(f"training.overrides.{m}", lambda: self.method_hp(m, 0))
 
     def method_hp(self, method: str, seed: int) -> Hyperparams:
         from dataclasses import replace
@@ -104,6 +101,14 @@ class RunConfig:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()[:12]
 
 
+def _checked(where: str, make):
+    """make(); a TypeError or ValueError it raises is a usage error."""
+    try:
+        return make()
+    except (TypeError, ValueError) as e:
+        raise UsageError(f"{where}: {e}") from None
+
+
 def _build(cls, payload: dict, where: str):
     allowed = {f.name for f in fields(cls)}
     unknown = set(payload) - allowed
@@ -137,21 +142,20 @@ def config_from_dict(raw: dict) -> RunConfig:
             d = {**d, "unseen_like": tuple(d["unseen_like"])}
         cfg.dataset = DatasetConfig(**d)
     if "model" in raw:
-        cfg.model = ModelConfig(**_build(ModelConfig, raw["model"], "model"))
+        m = _build(ModelConfig, raw["model"], "model")
+        cfg.model = _checked("model", lambda: ModelConfig(**m))
     if "curriculum" in raw:
         c = _build(CurriculumConfig, raw["curriculum"], "curriculum")
         if "stage_boundaries" in c:
             c = {**c, "stage_boundaries": tuple(c["stage_boundaries"])}
         cfg.curriculum = CurriculumConfig(**c)
+        _checked("curriculum", cfg.curriculum.policy)
     if "training" in raw:
         t = dict(raw["training"])
         methods = tuple(t.pop("methods", METHODS))
         overrides = {m: dict(ov) for m, ov in t.pop("overrides", {}).items()}
         hp_fields = _build(Hyperparams, t, "training")
-        try:
-            hp = Hyperparams(**hp_fields)
-        except (TypeError, ValueError) as e:
-            raise UsageError(f"training: {e}") from None
+        hp = _checked("training", lambda: Hyperparams(**hp_fields))
         cfg.training = TrainingConfig(hp, methods, overrides)
     cfg.training.validate()
     if "eval" in raw:
@@ -159,5 +163,5 @@ def config_from_dict(raw: dict) -> RunConfig:
         for k in ("seeds", "sigmas", "noise_seeds"):
             if k in e:
                 e = {**e, k: tuple(e[k])}
-        cfg.eval = EvalConfig(**e)
+        cfg.eval = _checked("eval", lambda: EvalConfig(**e))
     return cfg

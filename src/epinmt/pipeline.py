@@ -94,16 +94,15 @@ def build_scorers(cfg: RunConfig, dataset: C.MultiDomainDataset,
     return denoise, divergence
 
 
-def score(cfg: RunConfig, seed: int, dataset=None, vocab=None, vanilla=None,
-          scorers=None):
-    """Score, filter and shard the seen-domain training corpus."""
+def score(cfg: RunConfig, seed: int, dataset=None, vocab=None, vanilla=None):
+    """Score, filter and shard the seen-domain training corpus; returns
+    (plan, denoise scorer or None, divergence scorer)."""
     if dataset is None or vocab is None:
         vocab, dataset, _ = gen_data(cfg, seed)
     mcfg = _model_cfg(cfg, vocab)
     if vanilla is None:
         vanilla, _ = _vanilla(cfg, dataset, mcfg, seed)
-    denoise, divergence = scorers if scorers else build_scorers(
-        cfg, dataset, vanilla, mcfg, seed)
+    denoise, divergence = build_scorers(cfg, dataset, vanilla, mcfg, seed)
     pairs = dataset.all_seen_training()
     CU.score_corpus(pairs, denoise, divergence)
     kept = CU.filter_noise(pairs) if cfg.curriculum.denoise else list(pairs)
@@ -117,7 +116,7 @@ def score(cfg: RunConfig, seed: int, dataset=None, vocab=None, vanilla=None,
                    "filtered_count": plan.filtered_count,
                    "shard_sizes": [len(s) for s in plan.shards]},
                   f, indent=1, sort_keys=True)
-    return plan, divergence
+    return plan, denoise, divergence
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +153,7 @@ def train(cfg: RunConfig, method: str, seed: int, build_deps: bool = True) -> st
         if os.path.exists(plan_path):
             plan = CU.load_plan(plan_path)
         elif build_deps:
-            plan, _ = score(cfg, seed, dataset, vocab, vanilla)
+            plan, _, _ = score(cfg, seed, dataset, vocab, vanilla)
         else:
             raise DependencyError(
                 f"{method} requires a plan; run 'score' first or pass --build-deps")
@@ -175,11 +174,14 @@ def train(cfg: RunConfig, method: str, seed: int, build_deps: bool = True) -> st
 
 
 def experiment(cfg: RunConfig) -> dict:
-    """Train every configured method per eval seed, then run all protocols."""
+    """Train every configured method and run the fine-tuning protocol per eval
+    seed; swap, perturbation and bins (and the returned denoise scorer) cover
+    the first eval seed only."""
     methods = list(cfg.training.methods)
     models_by_seed: dict[int, dict[str, M.EncoderDecoderModel]] = {}
     specialists_by_seed = {}
     plan_by_seed = {}
+    denoise_by_seed = {}
     scored_tests_by_seed = {}
     dataset_by_seed = {}
     for seed in cfg.eval.seeds:
@@ -187,7 +189,8 @@ def experiment(cfg: RunConfig) -> dict:
         mcfg = _model_cfg(cfg, vocab)
         dataset_by_seed[seed] = dataset
         vanilla, _ = _vanilla(cfg, dataset, mcfg, seed)
-        plan, divergence = score(cfg, seed, dataset, vocab, vanilla)
+        plan, denoise_by_seed[seed], divergence = score(cfg, seed, dataset, vocab,
+                                                        vanilla)
         plan_by_seed[seed] = plan
         trained = {}
         for m in methods:
@@ -240,4 +243,4 @@ def experiment(cfg: RunConfig) -> dict:
                                "seeds": list(cfg.eval.seeds)})
     E.report_csv(os.path.join(out, "report.csv"), protocol)
     return {"protocol": protocol, "swaps": swaps, "perturb": perturb, "bins": bins,
-            "report_dir": out}
+            "denoise": denoise_by_seed[first], "report_dir": out}

@@ -274,7 +274,7 @@ def maml_train(vanilla: M.EncoderDecoderModel,
     rng = _rng(hp.seed, 6)
     domains = sorted(domain_pairs)
     total = _total_steps(sum(len(v) for v in domain_pairs.values()), hp)
-    for _ in range(total):
+    for ep in range(total):
         d = domains[int(rng.integers(0, len(domains)))]
         pool = domain_pairs[d]
         support = [pool[int(rng.integers(0, len(pool)))] for _ in range(hp.batch_size)]
@@ -282,7 +282,10 @@ def maml_train(vanilla: M.EncoderDecoderModel,
         adapted = model.copy()
         T.backward(pairs_nll(adapted, support))
         _sgd_model(adapted, hp.beta)
-        T.backward(pairs_nll(adapted, query))
+        loss = pairs_nll(adapted, query)
+        if not math.isfinite(loss.item()):
+            raise T.ContractError(f"non-finite loss {loss.item()} at episode {ep}")
+        T.backward(loss)
         for ps, aps in ((model.encoder, adapted.encoder), (model.decoder, adapted.decoder)):
             for name, p in ps.items():
                 g = aps[name].grad

@@ -1,4 +1,5 @@
-"""Shared test utilities: finite-difference oracle and tiny model builders."""
+"""Shared test utilities: finite-difference oracle, tiny model builders and a
+tiny run config."""
 
 import os
 import sys
@@ -10,6 +11,24 @@ from epinmt import tensor as T
 
 FD_STEP = 1e-4
 FD_TOL = 1e-4
+
+# a run config small enough for CLI tests that run every stage
+TINY = {
+    "master_seed": 0,
+    "dataset": {"n_content": 12, "n_seen": 2, "n_unseen": 1,
+                "train_tokens": 200, "finetune_tokens": 60, "test_tokens": 60,
+                "generic_train_tokens": 200, "noise_fraction": 0.1,
+                "trusted_count": 5},
+    "model": {"d_model": 16, "n_layers": 1, "n_heads": 2, "d_ff": 24,
+              "max_len": 16},
+    "curriculum": {"scorer_steps": 2, "scorer_lr": 0.1, "lm_steps": 2,
+                   "lm_lr": 0.1},
+    "training": {"alpha": 0.1, "beta": 0.1, "epochs": 1, "batch_size": 4,
+                 "episodes": 2, "finetune_epochs": 1,
+                 "methods": ["vanilla", "agg", "epi_curriculum"]},
+    "eval": {"seeds": [0], "sigmas": [0.05], "noise_seeds": [0],
+             "beam_width": 1, "experiment_beam_width": 1, "max_steps": 6},
+}
 
 # one line per acceptance criterion, replayed in the pytest terminal summary
 ACCEPTANCE_RESULTS: list[str] = []

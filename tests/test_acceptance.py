@@ -6,19 +6,23 @@ terminal summary) and then asserts, so a red run still shows the scoreboard.
 
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from epinmt import cli
+from epinmt import config as cfgmod
 from epinmt import corpus as C
 from epinmt import curriculum as cur
 from epinmt import evaluate as E
 from epinmt import model as M
+from epinmt import pipeline as P
 from epinmt import tensor as T
 from epinmt import trainers as tr
 
-from helpers import FD_TOL, finite_diff, max_rel_err, record_criterion, tiny_config
+from helpers import (FD_TOL, TINY, finite_diff, max_rel_err, record_criterion,
+                     tiny_config)
 
 
 # ---------------------------------------------------------------------------
@@ -356,100 +360,99 @@ def test_criterion_05_scheduler_suite():
 # ---------------------------------------------------------------------------
 # criteria 6-11: the experiment lab — full method lineup over three seeds
 #
-# One shared fixture trains everything; the criterion tests only read from it.
-# Hyperparameters were calibrated by seed sweeps (see the repository notes);
-# every number below is part of the frozen recipe.
+# One shared fixture runs `pipeline.experiment`, the path `epinmt experiment`
+# ships, once per lab seed with that seed as the only eval seed, so the swap,
+# perturbation and bin experiments (first eval seed only) cover every lab
+# seed. The criterion tests only read from it. Hyperparameters were calibrated
+# by seed sweeps; every number in LAB_CONFIG is part of the frozen recipe.
 
 LAB_SEEDS = (0, 1, 2)
-LAB_DATASET = dict(n_content=24, n_seen=3, n_unseen=2, train_tokens=900,
-                   finetune_tokens=150, test_tokens=250,
-                   generic_train_tokens=1500, noise_fraction=0.20,
-                   trusted_count=60,
-                   rules=("identity", "swap", "reverse", "swap", "reverse"),
-                   windows=((0, 16), (10, 10), (18, 6)), unseen_like=(0, 1))
-LAB_MODEL = dict(d_model=24, n_layers=1, n_heads=4, d_ff=48, max_len=16)
-LAB_BEAM, LAB_XBEAM, LAB_MAX_STEPS = 5, 1, 12
 LAB_METHODS = ("vanilla", "agg", "meta_mt", "epi_nmt", "epi_curriculum")
 TRAINED_METHODS = tuple(m for m in LAB_METHODS if m != "vanilla")
+LAB_CONFIG = {
+    "dataset": {"n_content": 24, "n_seen": 3, "n_unseen": 2, "train_tokens": 900,
+                "finetune_tokens": 150, "test_tokens": 250,
+                "generic_train_tokens": 1500, "noise_fraction": 0.20,
+                "trusted_count": 60,
+                "rules": ["identity", "swap", "reverse", "swap", "reverse"],
+                "windows": [[0, 16], [10, 10], [18, 6]], "unseen_like": [0, 1]},
+    "model": {"d_model": 24, "n_layers": 1, "n_heads": 4, "d_ff": 48, "max_len": 16},
+    "curriculum": {"scorer_steps": 600, "scorer_lr": 0.25, "lm_steps": 600,
+                   "lm_lr": 0.2, "div_steps": 150, "div_lr": 0.1},
+    # the base set also trains the swap specialists and drives fine-tuning
+    "training": {"alpha": 0.25, "beta": 0.25, "epochs": 25, "batch_size": 8,
+                 "finetune_epochs": 6, "finetune_lr": 0.05,
+                 "methods": list(LAB_METHODS),
+                 "overrides": {
+                     "vanilla": {"epochs": 10},
+                     "agg": {"alpha": 0.15, "epochs": 300, "batch_size": 64},
+                     "meta_mt": {"alpha": 0.05, "beta": 0.05, "episodes": 600},
+                     "epi_nmt": {"alpha": 0.08, "beta": 0.02, "episodes": 2400},
+                     "epi_curriculum": {"alpha": 0.08, "beta": 0.05, "episodes": 2400}}},
+    "eval": {"beam_width": 5, "experiment_beam_width": 1, "max_steps": 12,
+             "sigmas": [0.03], "noise_seeds": [0, 1, 2]},
+}
 
 
-def _lab_hp(seed, **overrides):
+def _lab_config(seed, output_dir="runs"):
+    return cfgmod.config_from_dict({**LAB_CONFIG, "output_dir": str(output_dir),
+                                    "eval": {**LAB_CONFIG["eval"], "seeds": [seed]}})
+
+
+def test_lab_config_is_the_frozen_recipe():
+    seed = 2
+    cfg = _lab_config(seed)
     base = dict(alpha=0.25, beta=0.25, epochs=10, batch_size=8, seed=seed,
                 finetune_epochs=6, finetune_lr=0.05)
-    base.update(overrides)
-    return tr.Hyperparams(**base)
+    for m, ov in {"vanilla": {}, "agg": dict(alpha=0.15, epochs=300, batch_size=64),
+                  "meta_mt": dict(alpha=0.05, beta=0.05, episodes=600),
+                  "epi_nmt": dict(alpha=0.08, beta=0.02, episodes=2400),
+                  "epi_curriculum": dict(alpha=0.08, beta=0.05, episodes=2400)}.items():
+        hp = cfg.training.method_hp(m, seed)
+        if hp.episodes is not None:  # `episodes` replaces `epochs`
+            hp = replace(hp, epochs=base["epochs"])
+        assert hp == tr.Hyperparams(**{**base, **ov}), m
+    for d in range(1, 4):  # the swap specialists
+        assert replace(cfg.training.hp, seed=seed * 100 + d) == tr.Hyperparams(
+            **{**base, "epochs": 25, "seed": seed * 100 + d})
+    assert cfg.training.methods == LAB_METHODS
+    cu = cfg.curriculum
+    assert (cu.variant, cu.denoise, cu.scorer_steps, cu.scorer_lr, cu.lm_steps,
+            cu.lm_lr, cu.div_steps, cu.div_lr) == ("default", True, 600, 0.25,
+                                                   600, 0.2, 150, 0.1)
+    assert cfg.model == M.ModelConfig(d_model=24, n_layers=1, n_heads=4, d_ff=48,
+                                      max_len=16)
+    assert cfg.dataset == C.DatasetConfig(
+        n_content=24, n_seen=3, n_unseen=2, train_tokens=900, finetune_tokens=150,
+        test_tokens=250, generic_train_tokens=1500, noise_fraction=0.20,
+        trusted_count=60, rules=("identity", "swap", "reverse", "swap", "reverse"),
+        windows=((0, 16), (10, 10), (18, 6)), unseen_like=(0, 1))
+    ev = cfg.eval
+    assert (ev.seeds, ev.beam_width, ev.experiment_beam_width, ev.max_steps,
+            ev.sigmas, ev.noise_seeds) == ((seed,), 5, 1, 12, (0.03,), (0, 1, 2))
 
 
-def _build_lab(seed):
-    vocab, ds = C.build_dataset(C.DatasetConfig(**LAB_DATASET), seed)
-    mcfg = M.ModelConfig(vocab_size=vocab.size, **LAB_MODEL)
-    vanilla, _ = tr.pretrain_vanilla(ds.splits[ds.generic_id].training, mcfg,
-                                     _lab_hp(seed))
-    denoise = cur.build_denoise_scorer(vanilla, ds, 600, 0.25, 8, seed)
-    generic_sources = [p.source for p in ds.splits[ds.generic_id].training]
-    base_lm = cur.train_base_lm(
-        mcfg, generic_sources, 600, 0.2, 8,
-        np.random.default_rng(np.random.SeedSequence([seed, 41])))
-    divergence = cur.build_divergence_scorer(base_lm, ds, 150, 0.1, 8, seed)
-    pairs = ds.all_seen_training()
-    cur.score_corpus(pairs, denoise, divergence)
-    kept = cur.filter_noise(pairs)
-    plan = cur.build_plan(kept, cur.SchedulerPolicy.from_variant("default"),
-                          len(pairs) - len(kept))
-
+def _lab_seed(seed, output_dir):
+    cfg = _lab_config(seed, output_dir)
+    result = P.experiment(cfg)
     # a 10%-noise realization of the same dataset/seed for the filter check;
     # corpus generation and the trusted pairs do not depend on noise_fraction,
-    # so the scorer built above applies to it unchanged
-    _, ds10 = C.build_dataset(
-        C.DatasetConfig(**{**LAB_DATASET, "noise_fraction": 0.10}), seed)
+    # so the run's denoise scorer applies to it unchanged
+    _, ds10 = C.build_dataset(replace(cfg.dataset, noise_fraction=0.10), seed)
     pairs10 = ds10.all_seen_training()
-    q10 = np.asarray(cur.denoise_score_pairs(pairs10, denoise))
+    dropped = np.asarray(cur.denoise_score_pairs(pairs10, result["denoise"])) < 0
     noisy = np.array([p.is_noise for p in pairs10])
-    dropped = q10 < 0
-    filter10 = (float(np.mean(dropped[noisy])), float(np.mean(dropped[~noisy])))
-
-    models = {"vanilla": vanilla}
-    models["agg"], _ = tr.train_agg(
-        vanilla, pairs, _lab_hp(seed, alpha=0.15, epochs=300, batch_size=64))
-    models["meta_mt"] = tr.maml_train(
-        vanilla, {d: ds.splits[d].training for d in ds.seen_ids},
-        _lab_hp(seed, alpha=0.05, beta=0.05, episodes=600))
-    models["epi_nmt"] = tr.train_epi_nmt(
-        vanilla, pairs, ds.seen_ids,
-        _lab_hp(seed, alpha=0.08, beta=0.02, episodes=2400)).agg
-    models["epi_curriculum"] = tr.train_epi(
-        vanilla, plan, ds.seen_ids,
-        _lab_hp(seed, alpha=0.08, beta=0.05, episodes=2400)).agg
-
-    specialists = {}
-    for d in ds.seen_ids:
-        specialists[d], _ = tr.train_agg(vanilla, ds.splits[d].training,
-                                         _lab_hp(seed * 100 + d, epochs=25))
-    test_pairs = [p for d in ds.seen_ids for p in ds.splits[d].testing]
-    for p, dv in zip(test_pairs, cur.divergence_score_pairs(test_pairs,
-                                                            divergence)):
-        p.d_score = float(dv)
-
-    protocol = E.run_protocol({seed: models}, ds, _lab_hp(seed), LAB_BEAM,
-                              LAB_MAX_STEPS)
-    swaps = {(part, m): E.swap_experiment(models[m], specialists, ds, part,
-                                          LAB_XBEAM, LAB_MAX_STEPS)
-             for part in ("encoder", "decoder")
-             for m in ("epi_curriculum", "agg")}
-    perturb = E.perturb_experiment(
-        {m: models[m] for m in ("agg", "epi_nmt", "epi_curriculum")},
-        ds, sigmas=(0.03,), noise_seeds=(0, 1, 2),
-        beam_width=LAB_XBEAM, max_steps=LAB_MAX_STEPS)
-    bins = E.bin_report({m: models[m] for m in TRAINED_METHODS},
-                        plan.shard_thresholds, test_pairs, LAB_XBEAM,
-                        LAB_MAX_STEPS)
-    return dict(ds=ds, filter10=filter10, protocol=protocol, swaps=swaps,
-                perturb=perturb, bins=bins)
+    return dict(seen_ids=ds10.seen_ids, protocol=result["protocol"],
+                filter10=(float(np.mean(dropped[noisy])),
+                          float(np.mean(dropped[~noisy]))),
+                swaps={tuple(r.part.split(":")): r for r in result["swaps"]},
+                perturb=result["perturb"], bins=result["bins"])
 
 
 @pytest.fixture(scope="module")
-def lab():
-    return {seed: _build_lab(seed) for seed in LAB_SEEDS}
+def lab(tmp_path_factory):
+    out = tmp_path_factory.mktemp("lab")
+    return {seed: _lab_seed(seed, out) for seed in LAB_SEEDS}
 
 
 def _lab_mean(lab, value):
@@ -518,7 +521,7 @@ def test_criterion_09_module_swap(lab):
 @pytest.mark.lab
 def test_criterion_10_perturbation_robustness(lab):
     deg = {m: _lab_mean(lab, lambda L, m=m: L["perturb"].degradation(
-        m, 0.03, L["ds"].seen_ids))
+        m, 0.03, L["seen_ids"]))
         for m in ("agg", "epi_nmt", "epi_curriculum")}
     episodic = (deg["epi_nmt"] + deg["epi_curriculum"]) / 2.0
     ok = episodic < deg["agg"]
@@ -542,28 +545,7 @@ def test_criterion_11_divergence_bins(lab):
 # criterion 12: byte-identical reruns
 
 
-TINY = {
-    "master_seed": 0,
-    "dataset": {"n_content": 12, "n_seen": 2, "n_unseen": 1,
-                "train_tokens": 200, "finetune_tokens": 60, "test_tokens": 60,
-                "generic_train_tokens": 200, "noise_fraction": 0.1,
-                "trusted_count": 5},
-    "model": {"d_model": 16, "n_layers": 1, "n_heads": 2, "d_ff": 24,
-              "max_len": 16},
-    "curriculum": {"scorer_steps": 2, "scorer_lr": 0.1, "lm_steps": 2,
-                   "lm_lr": 0.1},
-    "training": {"alpha": 0.1, "beta": 0.1, "epochs": 1, "batch_size": 4,
-                 "episodes": 2, "finetune_epochs": 1,
-                 "methods": ["vanilla", "agg", "epi_curriculum"]},
-    "eval": {"seeds": [0], "sigmas": [0.05], "noise_seeds": [0],
-             "beam_width": 1, "experiment_beam_width": 1, "max_steps": 6},
-}
-
-
 def test_criterion_12_determinism(tmp_path, capsys):
-    from epinmt import config as cfgmod
-    from epinmt import pipeline as P
-
     cfg = dict(TINY)
     cfg["output_dir"] = str(tmp_path / "runs")
     cfg_path = tmp_path / "config.json"

@@ -12,25 +12,7 @@ from epinmt import cli
 from epinmt import config as cfgmod
 from epinmt import pipeline as P
 
-from helpers import child_env
-
-
-TINY = {
-    "master_seed": 0,
-    "dataset": {"n_content": 12, "n_seen": 2, "n_unseen": 1,
-                "train_tokens": 200, "finetune_tokens": 60, "test_tokens": 60,
-                "generic_train_tokens": 200, "noise_fraction": 0.1,
-                "trusted_count": 5},
-    "model": {"d_model": 16, "n_layers": 1, "n_heads": 2, "d_ff": 24,
-              "max_len": 16},
-    "curriculum": {"scorer_steps": 2, "scorer_lr": 0.1, "lm_steps": 2,
-                   "lm_lr": 0.1},
-    "training": {"alpha": 0.1, "beta": 0.1, "epochs": 1, "batch_size": 4,
-                 "episodes": 2, "finetune_epochs": 1,
-                 "methods": ["vanilla", "agg", "epi_curriculum"]},
-    "eval": {"seeds": [0], "sigmas": [0.05], "noise_seeds": [0],
-             "beam_width": 1, "experiment_beam_width": 1, "max_steps": 6},
-}
+from helpers import TINY, child_env
 
 
 def _tiny_with_training(tmp_path, **training) -> str:
@@ -160,6 +142,18 @@ class TestCliUsage:
         path = _tiny_with_training(tmp_path, batch_size=0)
         assert cli.main(["gen-data", "--config", path]) == cli.EXIT_USAGE
         assert "batch_size" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, section", [
+        ("gen-data", {"model": {"d_model": 10, "n_heads": 4}}),
+        ("score", {"curriculum": {"variant": "bogus"}})])
+    def test_invalid_config_values_are_usage_errors(self, tmp_path, capsys,
+                                                     command, section):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**TINY, **section,
+                                    "output_dir": str(tmp_path / "runs")}))
+        assert cli.main([command, "--config", str(path)]) == cli.EXIT_USAGE
+        assert "usage error" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
 
 
 class TestCliPipeline:

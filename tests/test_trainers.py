@@ -288,6 +288,13 @@ class TestNonFiniteLoss:
                 pytest.raises(T.ContractError, match="non-finite loss at episode 1"):
             tr.train_epi(vanilla, plan, ds.seen_ids, _hp(alpha=1e100, episodes=6))
 
+    def test_maml_train_names_the_episode(self, world):
+        _, ds, _, vanilla, _ = world
+        pools = {d: ds.splits[d].training for d in ds.seen_ids}
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(T.ContractError, match="non-finite loss .* at episode 1"):
+            tr.maml_train(vanilla, pools, _hp(alpha=1e100, episodes=5))
+
 
 class TestMaml:
     def test_zero_alpha_is_identity(self, world):

@@ -79,6 +79,14 @@ class EvalConfig:
     experiment_beam_width: int = 1   # swap/perturb/bin experiments
     max_steps: int = 32
 
+    def __post_init__(self):
+        if not self.seeds:
+            raise ValueError("seeds must not be empty")
+        if self.beam_width < 1 or self.experiment_beam_width < 1:
+            raise ValueError("beam_width and experiment_beam_width must be >= 1")
+        if self.max_steps < 1:
+            raise ValueError("max_steps must be >= 1")
+
 
 @dataclass
 class RunConfig:

@@ -210,40 +210,22 @@ def positional_encoding(length: int, d: int) -> np.ndarray:
     return pe
 
 
-def _split_heads(x: Tensor, n_heads: int) -> Tensor:
-    b, l, d = x.shape
-    dk = d // n_heads
-    return T.transpose(T.reshape(x, (b, l, n_heads, dk)), (0, 2, 1, 3))
-
-
-def _merge_heads(x: Tensor) -> Tensor:
-    b, h, l, dk = x.shape
-    return T.reshape(T.transpose(x, (0, 2, 1, 3)), (b, l, h * dk))
-
-
 def _mha(p: ParameterSet, prefix: str, x_q: Tensor, x_kv: Tensor,
          mask: np.ndarray | None, cfg: ModelConfig) -> Tensor:
-    q = _split_heads(T.matmul(x_q, p[f"{prefix}.wq"]), cfg.n_heads)
-    k = _split_heads(T.matmul(x_kv, p[f"{prefix}.wk"]), cfg.n_heads)
-    v = _split_heads(T.matmul(x_kv, p[f"{prefix}.wv"]), cfg.n_heads)
-    dk = cfg.d_model // cfg.n_heads
-    scores = T.scale(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dk))
-    if mask is not None:
-        scores = T.add(scores, T.constant(mask))
-    attn = T.softmax(scores)
-    out = _merge_heads(T.matmul(attn, v))
-    return T.matmul(out, p[f"{prefix}.wo"])
+    q = T.linear(x_q, p[f"{prefix}.wq"])
+    k = T.linear(x_kv, p[f"{prefix}.wk"])
+    v = T.linear(x_kv, p[f"{prefix}.wv"])
+    return T.linear(T.attention(q, k, v, mask, cfg.n_heads), p[f"{prefix}.wo"])
 
 
 def _ff(p: ParameterSet, prefix: str, x: Tensor) -> Tensor:
-    h = T.gelu(T.add(T.matmul(x, p[f"{prefix}.w1"]), p[f"{prefix}.b1"]))
-    return T.add(T.matmul(h, p[f"{prefix}.w2"]), p[f"{prefix}.b2"])
+    h = T.gelu(T.linear(x, p[f"{prefix}.w1"], p[f"{prefix}.b1"]))
+    return T.linear(h, p[f"{prefix}.w2"], p[f"{prefix}.b2"])
 
 
 def _embed(p: ParameterSet, ids: np.ndarray, cfg: ModelConfig) -> Tensor:
-    x = T.scale(T.embedding(p["emb"], ids), math.sqrt(cfg.d_model))
     pe = positional_encoding(ids.shape[-1], cfg.d_model)
-    return T.add(x, T.constant(pe))
+    return T.embed(p["emb"], ids, math.sqrt(cfg.d_model), pe)
 
 
 def _pad_mask(ids: np.ndarray) -> np.ndarray:
@@ -291,13 +273,13 @@ def decoder_logits(phi: ParameterSet, cfg: ModelConfig, memory: Tensor,
     """Teacher-forced decoder logits [B, Lt, V]."""
     x = _stack(phi, cfg, dec_in, _causal_mask(dec_in.shape[-1]), DECODER, memory,
                _pad_mask(src_ids))
-    return T.matmul(x, phi["out.w"])
+    return T.linear(x, phi["out.w"])
 
 
 def lm_logits(params: ParameterSet, cfg: ModelConfig, dec_in: np.ndarray) -> Tensor:
     """Causal next-token logits [B, L, V] for the decoder-only language model."""
     x = _stack(params, cfg, dec_in, _causal_mask(dec_in.shape[-1]), LM)
-    return T.matmul(x, params["out.w"])
+    return T.linear(x, params["out.w"])
 
 
 # ---------------------------------------------------------------------------
@@ -325,9 +307,7 @@ def prepare_batch(sources: list[list[int]], targets: list[list[int]]):
 
 def _masked_xent(logits: Tensor, targets: np.ndarray) -> Tensor:
     """Mean cross-entropy of logits [B, L, V] against the non-PAD targets [B, L]."""
-    flat = T.reshape(logits, (logits.shape[0] * logits.shape[1], logits.shape[2]))
-    idx = np.flatnonzero((targets != PAD).reshape(-1))
-    return T.softmax_cross_entropy(T.gather_rows(flat, idx), targets.reshape(-1)[idx])
+    return T.masked_cross_entropy(logits, targets, targets != PAD)
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:

@@ -18,7 +18,6 @@ from collections import OrderedDict
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
-from scipy.special import erf
 
 __all__ = [
     "Tensor",
@@ -44,6 +43,10 @@ __all__ = [
     "embedding",
     "gather_rows",
     "softmax_cross_entropy",
+    "linear",
+    "attention",
+    "embed",
+    "masked_cross_entropy",
     "backward",
     "sgd_step",
     "sgd_loop",
@@ -105,11 +108,13 @@ def _needs_grad(*ts: Tensor) -> bool:
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
-    if not t.grad_enabled:
-        return
-    if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+    """Store the first gradient as given and add later ones out of place.
+
+    A stored buffer may be shared (`add` hands one to both parents), so no
+    buffer is ever written to after it is stored.
+    """
+    if t.grad_enabled:
+        t.grad = g if t.grad is None else t.grad + g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -185,6 +190,9 @@ def relu(a: Tensor) -> Tensor:
 
 def gelu(a: Tensor) -> Tensor:
     """Exact (erf-based) GELU."""
+    # imported here so that importing the package does not load scipy
+    from scipy.special import erf
+
     x = a.data
     cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
 
@@ -345,6 +353,127 @@ def softmax_cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
         p = np.exp(z - lse[:, None])
         p[rows, targets] -= 1.0
         _accumulate(logits, g * p / n)
+
+    return _node(loss, (logits,), back)
+
+
+# ---------------------------------------------------------------------------
+# fused layer ops
+#
+# Each is one graph node for what the ops above would build as a chain. Its
+# backward repeats the numpy expressions of that chain in the same order, so
+# values and gradients equal the chain's bit for bit; only the Python
+# overhead per node is saved.
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """x @ w (+ b) for x [..., n_in], w [n_in, n_out], b [n_out]."""
+    if x.data.ndim < 2 or w.data.ndim != 2 or x.shape[-1] != w.shape[0]:
+        raise DimensionError(f"linear: cannot apply {w.shape} weight to {x.shape} input")
+    data = np.matmul(x.data, w.data)
+    if b is not None:
+        data += b.data
+
+    def back(g):
+        if x.grad_enabled:
+            _accumulate(x, np.matmul(g, np.swapaxes(w.data, -1, -2)))
+        if w.grad_enabled:
+            _accumulate(w, _unbroadcast(np.matmul(np.swapaxes(x.data, -1, -2), g), w.shape))
+        if b is not None:
+            _accumulate(b, _unbroadcast(g, b.shape))
+
+    return _node(data, (x, w) if b is None else (x, w, b), back)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None,
+              n_heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention over projected inputs.
+
+    q is [B, Lq, d], k and v are [B, Lk, d]; the additive mask broadcasts
+    against the [B, H, Lq, Lk] scores. Split heads, scale, mask, softmax,
+    both batched matmuls and merge heads form one node. Returns [B, Lq, d].
+    """
+    if (q.data.ndim != 3 or k.data.ndim != 3 or k.shape != v.shape
+            or q.shape[0] != k.shape[0] or q.shape[2] != k.shape[2]):
+        raise DimensionError(f"attention: shapes {q.shape}, {k.shape}, {v.shape}")
+    b, lq, d = q.shape
+    lk = k.shape[1]
+    if d % n_heads:
+        raise DimensionError(f"attention: width {d} not divisible by {n_heads} heads")
+    dk = d // n_heads
+    c = 1.0 / math.sqrt(dk)
+    qh = q.data.reshape(b, lq, n_heads, dk).transpose(0, 2, 1, 3)
+    kh = k.data.reshape(b, lk, n_heads, dk).transpose(0, 2, 1, 3)
+    vh = v.data.reshape(b, lk, n_heads, dk).transpose(0, 2, 1, 3)
+    scores = np.matmul(qh, kh.transpose(0, 1, 3, 2)) * c
+    if mask is not None:
+        scores += mask
+    z = scores - scores.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    s = e / e.sum(axis=-1, keepdims=True)
+    out = np.matmul(s, vh).transpose(0, 2, 1, 3).reshape(b, lq, d)
+
+    def back(g):
+        gh = g.reshape(b, lq, n_heads, dk).transpose(0, 2, 1, 3)
+        if v.grad_enabled:
+            gvh = np.matmul(np.swapaxes(s, -1, -2), gh)
+            _accumulate(v, gvh.transpose(0, 2, 1, 3).reshape(b, lk, d))
+        if not (q.grad_enabled or k.grad_enabled):
+            return
+        gs = np.matmul(gh, np.swapaxes(vh, -1, -2))
+        dot = (gs * s).sum(axis=-1, keepdims=True)
+        gz = s * (gs - dot) * c
+        if q.grad_enabled:
+            _accumulate(q, np.matmul(gz, kh).transpose(0, 2, 1, 3).reshape(b, lq, d))
+        if k.grad_enabled:
+            gkt = np.matmul(np.swapaxes(qh, -1, -2), gz)
+            _accumulate(k, gkt.transpose(0, 3, 1, 2).reshape(b, lk, d))
+
+    return _node(out, (q, k, v), back)
+
+
+def embed(table: Tensor, ids: np.ndarray, c: float, pe: np.ndarray) -> Tensor:
+    """table[ids] * c + pe: token embedding, scale and positions in one node."""
+    ids = np.asarray(ids, dtype=np.int64)
+    if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
+        raise IndexError(f"embed: id out of range for table of {table.shape[0]} rows")
+    c = float(c)
+
+    def back(g):
+        gt = np.zeros_like(table.data)
+        np.add.at(gt, ids.reshape(-1), (g * c).reshape(-1, table.shape[1]))
+        _accumulate(table, gt)
+
+    return _node(table.data[ids] * c + pe, (table,), back)
+
+
+def masked_cross_entropy(logits: Tensor, targets: np.ndarray, valid: np.ndarray) -> Tensor:
+    """Mean of -log softmax(logits)[target] over the positions where `valid`.
+
+    logits is [B, L, V]; targets and valid are [B, L].
+    """
+    if (logits.data.ndim != 3 or np.shape(targets) != logits.shape[:2]
+            or np.shape(valid) != logits.shape[:2]):
+        raise DimensionError(f"masked_cross_entropy: logits {logits.shape}, targets "
+                             f"{np.shape(targets)}, valid {np.shape(valid)}")
+    b, l, v = logits.shape
+    idx = np.flatnonzero(np.asarray(valid).reshape(-1))
+    t = np.asarray(targets, dtype=np.int64).reshape(-1)[idx]
+    if t.size and (t.min() < 0 or t.max() >= v):
+        raise IndexError(f"target id out of range for {v} classes")
+    n = len(idx)
+    rows = logits.data.reshape(b * l, v)[idx]
+    z = rows - rows.max(axis=-1, keepdims=True)
+    lse = np.log(np.exp(z).sum(axis=-1))
+    r = np.arange(n)
+    loss = float((lse - z[r, t]).mean())
+
+    def back(g):
+        p = np.exp(z - lse[:, None])
+        p[r, t] -= 1.0
+        full = np.zeros((b * l, v))
+        np.add.at(full, idx, g * p / n)
+        _accumulate(logits, full.reshape(b, l, v))
 
     return _node(loss, (logits,), back)
 

@@ -66,9 +66,30 @@ def _op_cases(seed):
     logits = _rand(rng, (4, 6))
     targets = rng.integers(0, 6, size=4)
     c = float(rng.uniform(0.5, 2.0))
+    # the fused layer ops: [2, 3, 4] queries, [2, 5, 4] cross keys/values
+    x3 = _rand(rng, (2, 3, 4))
+    lw, lb = _rand(rng, (4, 4)), _rand(rng, (4,))
+    q, k, v = _rand(rng, (2, 3, 4)), _rand(rng, (2, 3, 4)), _rand(rng, (2, 3, 4))
+    kx, vx = _rand(rng, (2, 5, 4)), _rand(rng, (2, 5, 4))
+    causal = np.triu(np.full((3, 3), M.NEG_INF), k=1)[None, None]
+    # key padding: lengths 3 and 2 (self), 4 and 2 (cross)
+    pad_self = np.where(np.arange(3) >= np.array([[3], [2]]), M.NEG_INF, 0.0)[:, None, None]
+    pad_cross = np.where(np.arange(5) >= np.array([[4], [2]]), M.NEG_INF, 0.0)[:, None, None]
+    pe = rng.uniform(-1, 1, (3, 4))
+    ids3 = rng.integers(0, 6, size=(2, 3))
+    logits3 = _rand(rng, (2, 3, 6))
+    targets3 = rng.integers(0, 6, size=(2, 3))
+    valid3 = np.array([[True, True, False], [True, False, False]])
+    w3 = T.constant(rng.uniform(-1, 1, (2, 3, 4)))
 
     def dot(x):
         return T.reduce_sum(T.mul(x, w))
+
+    def dot3(x):
+        return T.reduce_sum(T.mul(x, w3))
+
+    def attn(keys, values, mask):
+        return lambda: dot3(T.attention(q, keys, values, mask, 2))
 
     return [
         ("add", lambda: dot(T.add(a, b)), [a, b]),
@@ -101,6 +122,16 @@ def _op_cases(seed):
          [a, b]),
         ("softmax_cross_entropy",
          lambda: T.softmax_cross_entropy(logits, targets), [logits]),
+        ("linear", lambda: dot3(T.linear(x3, lw)), [x3, lw]),
+        ("linear_bias", lambda: dot3(T.linear(x3, lw, lb)), [x3, lw, lb]),
+        ("attention_self", attn(k, v, None), [q, k, v]),
+        ("attention_self_causal", attn(k, v, causal), [q, k, v]),
+        ("attention_self_pad", attn(k, v, pad_self), [q, k, v]),
+        ("attention_cross", attn(kx, vx, None), [q, kx, vx]),
+        ("attention_cross_pad", attn(kx, vx, pad_cross), [q, kx, vx]),
+        ("embed", lambda: dot3(T.embed(table, ids3, c, pe)), [table]),
+        ("masked_cross_entropy",
+         lambda: T.masked_cross_entropy(logits3, targets3, valid3), [logits3]),
     ]
 
 

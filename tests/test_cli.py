@@ -116,6 +116,16 @@ def test_cli_import_does_not_load_scipy_stats():
     assert proc.stdout.strip() == "False"
 
 
+def test_cli_import_loads_no_scipy_module():
+    """scipy is imported by the first GELU, not by `import epinmt.cli`."""
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import epinmt.cli, sys; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        env=child_env(), capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
 class TestCliUsage:
     def test_no_arguments(self):
         assert cli.main([]) == cli.EXIT_USAGE
@@ -145,7 +155,9 @@ class TestCliUsage:
 
     @pytest.mark.parametrize("command, section", [
         ("gen-data", {"model": {"d_model": 10, "n_heads": 4}}),
-        ("score", {"curriculum": {"variant": "bogus"}})])
+        ("score", {"curriculum": {"variant": "bogus"}}),
+        ("experiment", {"eval": {**TINY["eval"], "seeds": []}}),
+        ("experiment", {"eval": {**TINY["eval"], "beam_width": 0}})])
     def test_invalid_config_values_are_usage_errors(self, tmp_path, capsys,
                                                      command, section):
         path = tmp_path / "bad.json"

@@ -1,5 +1,6 @@
 """Transformer seq2seq: tokenization, likelihoods, decoding, composition."""
 
+import math
 import subprocess
 import sys
 
@@ -277,6 +278,119 @@ class TestTraining:
             T.sgd_step(model.decoder, 0.2)
         final = M.nll_batch(model, srcs, tgts).item()
         assert final <= 0.5 * np.log(cfg.vocab_size)
+
+
+# The fine-grained op chains that the fused layer ops replace: the layers as
+# they were composed before `tensor.linear`, `attention`, `embed` and
+# `masked_cross_entropy` existed.
+
+
+def _chain_linear(x, w, b=None):
+    y = T.matmul(x, w)
+    return y if b is None else T.add(y, b)
+
+
+def _chain_attention(q, k, v, mask, n_heads):
+    def split(t):
+        b, length, d = t.shape
+        return T.transpose(T.reshape(t, (b, length, n_heads, d // n_heads)), (0, 2, 1, 3))
+
+    qh, kh, vh = split(q), split(k), split(v)
+    dk = q.shape[2] // n_heads
+    scores = T.scale(T.matmul(qh, T.transpose(kh, (0, 1, 3, 2))), 1.0 / math.sqrt(dk))
+    if mask is not None:
+        scores = T.add(scores, T.constant(mask))
+    out = T.matmul(T.softmax(scores), vh)
+    b, h, length, _ = out.shape
+    return T.reshape(T.transpose(out, (0, 2, 1, 3)), (b, length, h * dk))
+
+
+def _chain_embed(table, ids, c, pe):
+    return T.add(T.scale(T.embedding(table, ids), c), T.constant(pe))
+
+
+def _chain_masked_xent(logits, targets, valid):
+    b, length, v = logits.shape
+    idx = np.flatnonzero(valid.reshape(-1))
+    flat = T.reshape(logits, (b * length, v))
+    return T.softmax_cross_entropy(T.gather_rows(flat, idx), targets.reshape(-1)[idx])
+
+
+CHAINS = {"linear": _chain_linear, "attention": _chain_attention,
+          "embed": _chain_embed, "masked_cross_entropy": _chain_masked_xent}
+
+
+def _graph_nodes(loss: T.Tensor) -> int:
+    """Op nodes reachable from a loss that has not been back-propagated."""
+    seen, todo = set(), [loss]
+    while todo:
+        t = todo.pop()
+        if t._backward is not None and id(t) not in seen:
+            seen.add(id(t))
+            todo.extend(t._parents)
+    return len(seen)
+
+
+def _ragged_batch(cfg, n=8, seed=40):
+    rng = _rng(seed)
+    srcs = [[int(x) for x in rng.integers(4, cfg.vocab_size, int(m))]
+            for m in rng.integers(1, 9, n)]
+    tgts = [[int(x) for x in rng.integers(4, cfg.vocab_size, int(m))]
+            for m in rng.integers(1, 9, n)]
+    return srcs, tgts
+
+
+class TestFusedLayerOps:
+    def _run(self):
+        """Two SGD steps, then every loss and gradient of one more pass: the
+        full model, the encoder against a frozen decoder, and the LM."""
+        cfg = tiny_config(vocab_size=20, n_layers=2, n_heads=2)
+        srcs, tgts = _ragged_batch(cfg)
+        model = M.init_model(cfg, _rng(41))
+        partner = M.init_model(cfg, _rng(42)).decoder.frozen_view()
+        lm = M.init_lm(cfg, _rng(43))
+        for _ in range(2):
+            T.backward(M.nll_batch(model, srcs, tgts))
+            T.sgd_step(model.encoder, 0.2)
+            T.sgd_step(model.decoder, 0.2)
+            T.backward(M.lm_nll_batch(lm, tgts))
+            T.sgd_step(lm.params, 0.2)
+        out = {}
+        for label, loss_of, modules in (
+                ("nmt", lambda: M.nll_batch(model, srcs, tgts),
+                 {"enc": model.encoder, "dec": model.decoder}),
+                ("hybrid", lambda: M.nll_batch(M.EncoderDecoderModel(
+                    cfg, model.encoder, partner), srcs, tgts), {"enc": model.encoder}),
+                ("lm", lambda: M.lm_nll_batch(lm, tgts), {"lm": lm.params})):
+            loss = loss_of()
+            T.backward(loss)
+            out[label] = loss.item()
+            for kind, ps in modules.items():
+                for name, p in ps.items():
+                    out[f"{label}.{kind}.{name}"] = p.grad
+                ps.zero_grads()
+        beams = [(r.tokens, r.logprob) for r in M.beam_decode_batch(model, srcs, 3, 6)]
+        return out, beams
+
+    def test_bit_identical_to_the_op_chains(self, monkeypatch):
+        fused, fused_beams = self._run()
+        for name, fn in CHAINS.items():
+            monkeypatch.setattr(T, name, fn)
+        chained, chained_beams = self._run()
+        assert fused_beams == chained_beams
+        assert list(fused) == list(chained)
+        for key, value in fused.items():
+            assert np.array_equal(value, chained[key]), key
+
+    def test_nodes_per_loss_on_the_lab_shape(self, monkeypatch):
+        cfg = M.ModelConfig(d_model=24, n_layers=1, n_heads=4, d_ff=48, max_len=16,
+                            vocab_size=28)
+        model = M.init_model(cfg, _rng(0))
+        srcs, tgts = _ragged_batch(cfg)
+        assert _graph_nodes(M.nll_batch(model, srcs, tgts)) <= 40
+        for name, fn in CHAINS.items():
+            monkeypatch.setattr(T, name, fn)
+        assert _graph_nodes(M.nll_batch(model, srcs, tgts)) == 86
 
 
 def _assert_same_params(loaded: T.ParameterSet, ps: T.ParameterSet):

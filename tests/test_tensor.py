@@ -135,6 +135,26 @@ class TestSoftmaxCrossEntropy:
         check_grad(lambda: T.softmax_cross_entropy(logits, targets), [logits])
 
 
+class TestFusedOpContracts:
+    @pytest.mark.parametrize("call", [
+        lambda x: T.linear(x, T.zeros((3, 4))),
+        lambda x: T.attention(x, x, T.zeros((2, 5, 4)), None, 2),
+        lambda x: T.attention(x, T.zeros((1, 3, 4)), T.zeros((1, 3, 4)), None, 2),
+        lambda x: T.attention(x, x, x, None, 3),
+        lambda x: T.masked_cross_entropy(x, np.zeros((2, 2), dtype=int),
+                                         np.ones((2, 3), dtype=bool))])
+    def test_incompatible_shapes_rejected(self, call):
+        with pytest.raises(T.DimensionError):
+            call(T.zeros((2, 3, 4)))
+
+    def test_out_of_range_ids_rejected(self):
+        with pytest.raises(IndexError):
+            T.embed(T.zeros((4, 2)), np.array([[0, 4]]), 1.0, np.zeros((2, 2)))
+        with pytest.raises(IndexError):
+            T.masked_cross_entropy(T.zeros((1, 2, 4)), np.array([[1, 4]]),
+                                   np.array([[True, True]]))
+
+
 class TestBackward:
     def test_square_gradient(self):
         x = T.Tensor(3.0, grad_enabled=True)
@@ -180,6 +200,26 @@ class TestBackward:
         T.backward(T.reduce_sum(T.add(T.mul(x2, x2), T.scale(x2, 2.0))))
         assert np.allclose(x1.grad, 2 * data + 2, atol=1e-12)
         assert np.array_equal(x1.grad, x2.grad)
+
+    def test_same_tensor_twice_in_add_gets_twice_the_gradient(self):
+        rng = _rng(11)
+        a = T.Tensor(rng.uniform(-1, 1, (3, 4)), grad_enabled=True)
+        w = rng.uniform(-1, 1, (3, 4))
+        T.backward(T.reduce_sum(T.mul(T.add(a, a), T.constant(w))))
+        assert np.array_equal(a.grad, 2 * w)
+
+    def test_later_backward_leaves_a_shared_gradient_alone(self):
+        """`add` hands one gradient buffer to both parents; accumulating into
+        one parent afterwards must not change the other's gradient."""
+        rng = _rng(12)
+        a = T.Tensor(rng.uniform(-1, 1, (3, 4)), grad_enabled=True)
+        b = T.Tensor(rng.uniform(-1, 1, (3, 4)), grad_enabled=True)
+        w1, w2 = rng.uniform(-1, 1, (2, 3, 4))
+        T.backward(T.reduce_sum(T.mul(T.add(a, b), T.constant(w1))))
+        before = b.grad.copy()
+        T.backward(T.reduce_sum(T.mul(a, T.constant(w2))))
+        assert np.array_equal(a.grad, w1 + w2)
+        assert np.array_equal(b.grad, before)
 
     def test_determinism_bitwise(self):
         def run():

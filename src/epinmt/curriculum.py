@@ -231,10 +231,19 @@ class CurriculumPlan:
     shard_thresholds: list[float]
     policy: SchedulerPolicy
     filtered_count: int = 0
+    # shards filtered to one domain, built on first use; `save_plan` skips it
+    _by_domain: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_shards(self) -> int:
         return len(self.shards)
+
+    def domain_shards(self, domain_id: int) -> list[list[SentencePair]]:
+        """Each shard's pairs of one domain; filtered once, as shards never change."""
+        if domain_id not in self._by_domain:
+            self._by_domain[domain_id] = [[p for p in s if p.domain_id == domain_id]
+                                          for s in self.shards]
+        return self._by_domain[domain_id]
 
 
 def build_plan(kept_pairs: list[SentencePair], policy: SchedulerPolicy,
@@ -282,14 +291,12 @@ def sample_batch(plan: CurriculumPlan, stage: int, batch_size: int, rng,
     uniform pair within the shard, with replacement.
 
     With a domain restriction, shards are first filtered to that domain;
-    shards left empty get probability 0 and the row is renormalized.
+    shards left empty get probability 0 and the row is renormalized, with
+    one warning per call.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    if domain_id is None:
-        shards = plan.shards
-    else:
-        shards = [[p for p in s if p.domain_id == domain_id] for s in plan.shards]
+    shards = plan.shards if domain_id is None else plan.domain_shards(domain_id)
     probs = np.asarray(plan.policy.stage_matrix[stage - 1], dtype=np.float64).copy()
     empty = np.array([len(s) == 0 for s in shards])
     if (empty & (probs > 0)).any():

@@ -17,6 +17,7 @@ Conventions:
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -200,27 +201,17 @@ def compose(theta: ParameterSet, phi: ParameterSet, cfg: ModelConfig) -> Encoder
 # forward passes
 
 
+@functools.cache
 def positional_encoding(length: int, d: int) -> np.ndarray:
+    """Sinusoidal positions [length, d]; memoized, so read-only."""
     pos = np.arange(length)[:, None]
     i = np.arange(d // 2)[None, :]
     angle = pos / np.power(10000.0, 2.0 * i / d)
     pe = np.zeros((length, d))
     pe[:, 0::2] = np.sin(angle)
     pe[:, 1::2] = np.cos(angle)
+    pe.flags.writeable = False
     return pe
-
-
-def _mha(p: ParameterSet, prefix: str, x_q: Tensor, x_kv: Tensor,
-         mask: np.ndarray | None, cfg: ModelConfig) -> Tensor:
-    q = T.linear(x_q, p[f"{prefix}.wq"])
-    k = T.linear(x_kv, p[f"{prefix}.wk"])
-    v = T.linear(x_kv, p[f"{prefix}.wv"])
-    return T.linear(T.attention(q, k, v, mask, cfg.n_heads), p[f"{prefix}.wo"])
-
-
-def _ff(p: ParameterSet, prefix: str, x: Tensor) -> Tensor:
-    h = T.gelu(T.linear(x, p[f"{prefix}.w1"], p[f"{prefix}.b1"]))
-    return T.linear(h, p[f"{prefix}.w2"], p[f"{prefix}.b2"])
 
 
 def _embed(p: ParameterSet, ids: np.ndarray, cfg: ModelConfig) -> Tensor:
@@ -233,27 +224,34 @@ def _pad_mask(ids: np.ndarray) -> np.ndarray:
     return np.where(ids == PAD, NEG_INF, 0.0)[:, None, None, :]
 
 
+@functools.cache
 def _causal_mask(length: int) -> np.ndarray:
-    m = np.triu(np.full((length, length), NEG_INF), k=1)
-    return m[None, None, :, :]
+    """Additive mask [1, 1, L, L] hiding later positions; memoized, so read-only."""
+    m = np.triu(np.full((length, length), NEG_INF), k=1)[None, None, :, :]
+    m.flags.writeable = False
+    return m
 
 
 def _stack(p: ParameterSet, cfg: ModelConfig, ids: np.ndarray, self_mask: np.ndarray,
            sublayers: tuple[str, ...], memory: Tensor | None = None,
            mem_mask: np.ndarray | None = None) -> Tensor:
-    """Pre-LN transformer body over `ids`: [B, L, d_model] after the final norm."""
+    """Pre-LN transformer body over `ids`: [B, L, d_model] after the final norm,
+    one `attn_block` or `ff_block` node per sublayer."""
     if ids.shape[-1] > cfg.max_len:
         raise LengthError(f"sequence length {ids.shape[-1]} > max_len {cfg.max_len}")
     x = _embed(p, ids, cfg)
     for i in range(cfg.n_layers):
         for j, kind in enumerate(sublayers, 1):
-            nx = T.layer_norm(x, p[f"l{i}.ln{j}.g"], p[f"l{i}.ln{j}.b"])
+            pre, ln = f"l{i}.{kind}", (p[f"l{i}.ln{j}.g"], p[f"l{i}.ln{j}.b"])
             if kind == "ff":
-                x = T.add(x, _ff(p, f"l{i}.ff", nx))
-            elif kind == "cross":
-                x = T.add(x, _mha(p, f"l{i}.cross", nx, memory, mem_mask, cfg))
+                x = T.ff_block(x, *ln, *(p[f"{pre}.{n}"] for n in ("w1", "b1", "w2", "b2")))
+                continue
+            wq, wk, wv, wo = (p[f"{pre}.{n}"] for n in ("wq", "wk", "wv", "wo"))
+            if kind == "cross":
+                kv = (T.linear(memory, wk), T.linear(memory, wv))
+                x = T.attn_block(x, *ln, wq, None, None, wo, mem_mask, cfg.n_heads, kv)
             else:
-                x = T.add(x, _mha(p, f"l{i}.{kind}", nx, nx, self_mask, cfg))
+                x = T.attn_block(x, *ln, wq, wk, wv, wo, self_mask, cfg.n_heads)
     return T.layer_norm(x, p["ln.g"], p["ln.b"])
 
 

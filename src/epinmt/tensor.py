@@ -47,6 +47,8 @@ __all__ = [
     "attention",
     "embed",
     "masked_cross_entropy",
+    "attn_block",
+    "ff_block",
     "backward",
     "sgd_step",
     "sgd_loop",
@@ -107,7 +109,7 @@ def _needs_grad(*ts: Tensor) -> bool:
     return any(t.grad_enabled for t in ts)
 
 
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
+def _accumulate(t: Tensor, g: np.ndarray | None) -> None:
     """Store the first gradient as given and add later ones out of place.
 
     A stored buffer may be shared (`add` hands one to both parents), so no
@@ -119,6 +121,8 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum gradient g down to `shape` after numpy broadcasting."""
+    if g.shape == shape:
+        return g
     extra = g.ndim - len(shape)
     if extra > 0:
         g = g.sum(axis=tuple(range(extra)))
@@ -190,17 +194,23 @@ def relu(a: Tensor) -> Tensor:
 
 def gelu(a: Tensor) -> Tensor:
     """Exact (erf-based) GELU."""
-    # imported here so that importing the package does not load scipy
-    from scipy.special import erf
-
     x = a.data
-    cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
+    cdf = _gelu_cdf(x)
 
     def back(g):
-        pdf = _INV_SQRT2PI * np.exp(-0.5 * x * x)
-        _accumulate(a, g * (cdf + x * pdf))
+        _accumulate(a, _gelu_backward(g, x, cdf))
 
     return _node(x * cdf, (a,), back)
+
+
+def _gelu_cdf(x: np.ndarray) -> np.ndarray:
+    from scipy.special import erf  # here, so that importing the package loads no scipy
+    return 0.5 * (1.0 + erf(x * _INV_SQRT2))
+
+
+def _gelu_backward(g: np.ndarray, x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    pdf = _INV_SQRT2PI * np.exp(-0.5 * x * x)
+    return g * (cdf + x * pdf)
 
 
 # ---------------------------------------------------------------------------
@@ -282,28 +292,41 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     """Normalize the last axis to zero mean / unit variance, then scale+shift."""
     if eps <= 0:
         raise ValueError("layer_norm: eps must be > 0")
-    d = x.shape[-1] if x.data.ndim else 0
-    if d == 0:
+    if (x.shape[-1] if x.data.ndim else 0) == 0:
         raise DimensionError("layer_norm: empty last axis")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
+    out, cache = _ln_forward(x.data, gain.data, bias.data, eps)
 
     def back(g):
+        _ln_backward(g, x, gain, bias, cache)
+
+    return _node(out, (x, gain, bias), back)
+
+
+def _ln_forward(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = 1e-5):
+    """layer_norm's numpy: (output, the cache its backward reads)."""
+    d = x.shape[-1]  # `sum / d` is numpy's `mean`, bit for bit, without its overhead
+    xc = x - x.sum(axis=-1, keepdims=True) / d
+    inv = 1.0 / np.sqrt((xc * xc).sum(axis=-1, keepdims=True) / d + eps)
+    xhat = xc * inv
+    return xhat * gain + bias, (xc, inv, xhat)
+
+
+def _ln_backward(g: np.ndarray, x: Tensor, gain: Tensor, bias: Tensor, cache) -> None:
+    """Accumulate layer_norm's gradients into x, gain and bias."""
+    xc, inv, xhat = cache
+    if x.grad_enabled:
+        d = xc.shape[-1]
         dxhat = g * gain.data
         dvar = (dxhat * xc).sum(axis=-1, keepdims=True) * (-0.5) * inv**3
         dmu = -(dxhat * inv).sum(axis=-1, keepdims=True) + dvar * (-2.0 / d) * xc.sum(
             axis=-1, keepdims=True
         )
-        dx = dxhat * inv + dvar * (2.0 / d) * xc + dmu / d
-        _accumulate(x, dx)
-        red = tuple(range(g.ndim - 1))
+        _accumulate(x, dxhat * inv + dvar * (2.0 / d) * xc + dmu / d)
+    red = tuple(range(g.ndim - 1))
+    if gain.grad_enabled:
         _accumulate(gain, (g * xhat).sum(axis=red))
+    if bias.grad_enabled:
         _accumulate(bias, g.sum(axis=red))
-
-    return _node(xhat * gain.data + bias.data, (x, gain, bias), back)
 
 
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
@@ -360,10 +383,10 @@ def softmax_cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
 # ---------------------------------------------------------------------------
 # fused layer ops
 #
-# Each is one graph node for what the ops above would build as a chain. Its
-# backward repeats the numpy expressions of that chain in the same order, so
-# values and gradients equal the chain's bit for bit; only the Python
-# overhead per node is saved.
+# Each is one graph node for what the ops above (for a sublayer block: the
+# fused ops before it) would build as a chain. Its backward repeats the numpy
+# of that chain in the same order, so values and gradients equal the chain's
+# bit for bit; only the Python overhead per node is saved.
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
@@ -375,14 +398,20 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         data += b.data
 
     def back(g):
-        if x.grad_enabled:
-            _accumulate(x, np.matmul(g, np.swapaxes(w.data, -1, -2)))
-        if w.grad_enabled:
-            _accumulate(w, _unbroadcast(np.matmul(np.swapaxes(x.data, -1, -2), g), w.shape))
-        if b is not None:
-            _accumulate(b, _unbroadcast(g, b.shape))
+        _accumulate(x, _linear_backward(g, x.data, w, b, x.grad_enabled))
 
     return _node(data, (x, w) if b is None else (x, w, b), back)
+
+
+def _linear_backward(g: np.ndarray, x: np.ndarray, w: Tensor, b: Tensor | None,
+                     need_x: bool) -> np.ndarray | None:
+    """Accumulate the gradients of `x @ w (+ b)` into w and b; return the
+    input's gradient, or None unless `need_x`."""
+    if w.grad_enabled:
+        _accumulate(w, _unbroadcast(np.matmul(x.swapaxes(-1, -2), g), w.shape))
+    if b is not None and b.grad_enabled:
+        _accumulate(b, _unbroadcast(g, b.shape))
+    return np.matmul(g, w.data.swapaxes(-1, -2)) if need_x else None
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None,
@@ -394,17 +423,29 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None,
     both batched matmuls and merge heads form one node. Returns [B, Lq, d].
     """
     if (q.data.ndim != 3 or k.data.ndim != 3 or k.shape != v.shape
-            or q.shape[0] != k.shape[0] or q.shape[2] != k.shape[2]):
-        raise DimensionError(f"attention: shapes {q.shape}, {k.shape}, {v.shape}")
+            or q.shape[0] != k.shape[0] or q.shape[2] != k.shape[2] or q.shape[2] % n_heads):
+        raise DimensionError(f"attention: shapes {q.shape}, {k.shape}, {v.shape} "
+                             f"for {n_heads} heads")
+    out, cache = _attn_forward(q.data, k.data, v.data, mask, n_heads)
+
+    def back(g):
+        gq, gk, gv = _attn_backward(g, cache, *(t.grad_enabled for t in (q, k, v)))
+        for t, gt in ((v, gv), (q, gq), (k, gk)):
+            _accumulate(t, gt)
+
+    return _node(out, (q, k, v), back)
+
+
+def _attn_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray, mask: np.ndarray | None,
+                  n_heads: int):
+    """attention's numpy: (output [B, Lq, d], the cache its backward reads)."""
     b, lq, d = q.shape
     lk = k.shape[1]
-    if d % n_heads:
-        raise DimensionError(f"attention: width {d} not divisible by {n_heads} heads")
     dk = d // n_heads
     c = 1.0 / math.sqrt(dk)
-    qh = q.data.reshape(b, lq, n_heads, dk).transpose(0, 2, 1, 3)
-    kh = k.data.reshape(b, lk, n_heads, dk).transpose(0, 2, 1, 3)
-    vh = v.data.reshape(b, lk, n_heads, dk).transpose(0, 2, 1, 3)
+    qh = q.reshape(b, lq, n_heads, dk).transpose(0, 2, 1, 3)
+    kh = k.reshape(b, lk, n_heads, dk).transpose(0, 2, 1, 3)
+    vh = v.reshape(b, lk, n_heads, dk).transpose(0, 2, 1, 3)
     scores = np.matmul(qh, kh.transpose(0, 1, 3, 2)) * c
     if mask is not None:
         scores += mask
@@ -412,24 +453,29 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None,
     e = np.exp(z)
     s = e / e.sum(axis=-1, keepdims=True)
     out = np.matmul(s, vh).transpose(0, 2, 1, 3).reshape(b, lq, d)
+    return out, (qh, kh, vh, s, c)
 
-    def back(g):
-        gh = g.reshape(b, lq, n_heads, dk).transpose(0, 2, 1, 3)
-        if v.grad_enabled:
-            gvh = np.matmul(np.swapaxes(s, -1, -2), gh)
-            _accumulate(v, gvh.transpose(0, 2, 1, 3).reshape(b, lk, d))
-        if not (q.grad_enabled or k.grad_enabled):
-            return
-        gs = np.matmul(gh, np.swapaxes(vh, -1, -2))
+
+def _attn_backward(g: np.ndarray, cache, need_q: bool, need_k: bool, need_v: bool):
+    """The gradients of attention's q, k and v; None where not needed."""
+    qh, kh, vh, s, c = cache
+    b, n_heads, lq, dk = qh.shape
+    lk, d = kh.shape[2], n_heads * dk
+    gq = gk = gv = None
+    gh = g.reshape(b, lq, n_heads, dk).transpose(0, 2, 1, 3)
+    if need_v:
+        gvh = np.matmul(s.swapaxes(-1, -2), gh)
+        gv = gvh.transpose(0, 2, 1, 3).reshape(b, lk, d)
+    if need_q or need_k:
+        gs = np.matmul(gh, vh.swapaxes(-1, -2))
         dot = (gs * s).sum(axis=-1, keepdims=True)
         gz = s * (gs - dot) * c
-        if q.grad_enabled:
-            _accumulate(q, np.matmul(gz, kh).transpose(0, 2, 1, 3).reshape(b, lq, d))
-        if k.grad_enabled:
-            gkt = np.matmul(np.swapaxes(qh, -1, -2), gz)
-            _accumulate(k, gkt.transpose(0, 3, 1, 2).reshape(b, lk, d))
-
-    return _node(out, (q, k, v), back)
+        if need_q:
+            gq = np.matmul(gz, kh).transpose(0, 2, 1, 3).reshape(b, lq, d)
+        if need_k:
+            gkt = np.matmul(qh.swapaxes(-1, -2), gz)
+            gk = gkt.transpose(0, 3, 1, 2).reshape(b, lk, d)
+    return gq, gk, gv
 
 
 def embed(table: Tensor, ids: np.ndarray, c: float, pe: np.ndarray) -> Tensor:
@@ -478,6 +524,74 @@ def masked_cross_entropy(logits: Tensor, targets: np.ndarray, valid: np.ndarray)
     return _node(loss, (logits,), back)
 
 
+def attn_block(x: Tensor, gain: Tensor, bias: Tensor, wq: Tensor, wk: Tensor | None,
+               wv: Tensor | None, wo: Tensor, mask: np.ndarray | None, n_heads: int,
+               kv: tuple[Tensor, Tensor] | None = None) -> Tensor:
+    """x + attention(LN(x) @ wq, K, V) @ wo: one pre-LN attention sublayer.
+
+    Self-attention (kv None) projects K = LN(x) @ wk and V = LN(x) @ wv in the
+    node. Cross-attention passes kv = (K, V), the memory's `linear` projections,
+    and wk = wv = None. Every layer's K and V add into the memory's gradient;
+    as nodes of their own, they add in the op chain's order (layer 0 first).
+    """
+    if x.data.ndim != 3 or x.shape[2] % n_heads or (kv is None) == (wk is None):
+        raise DimensionError(f"attn_block: bad input {x.shape} or K/V for {n_heads} heads")
+    nx, ln_cache = _ln_forward(x.data, gain.data, bias.data)
+    need_nx = _needs_grad(x, gain, bias)
+    ws, kv = ((wq, wk, wv), ()) if kv is None else ((wq,), kv)
+    # the chain's q, k and v nodes, and whether each takes a gradient
+    qkv = [np.matmul(nx, w.data) for w in ws] + [t.data for t in kv]
+    need = [need_nx or w.grad_enabled for w in ws] + [t.grad_enabled for t in kv]
+    a, attn_cache = _attn_forward(*qkv, mask, n_heads)
+
+    def back(g):
+        _accumulate(x, g)
+        ga = _linear_backward(g, a, wo, None, any(need))
+        if ga is None:
+            return
+        grads = _attn_backward(ga, attn_cache, *need)
+        for t, gt in zip(kv, grads[1:]):
+            _accumulate(t, gt)
+        gnx = None
+        for w, gw in zip(ws, grads):
+            if gw is not None:
+                gi = _linear_backward(gw, nx, w, None, need_nx)
+                gnx = gi if gnx is None else gnx + gi
+        if need_nx:
+            _ln_backward(gnx, x, gain, bias, ln_cache)
+
+    # x before K and V, as the chain's q before its k and v: the reverse pass
+    # then reaches the memory's K and V projections in the chain's order
+    return _node(x.data + np.matmul(a, wo.data), (x, gain, bias, wo) + ws + kv, back)
+
+
+def ff_block(x: Tensor, gain: Tensor, bias: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
+             b2: Tensor) -> Tensor:
+    """x + gelu(LN(x) @ w1 + b1) @ w2 + b2: one pre-LN feed-forward sublayer."""
+    if x.data.ndim < 2 or x.shape[-1] != w1.shape[0]:
+        raise DimensionError(f"ff_block: cannot apply {w1.shape} weight to {x.shape} input")
+    nx, ln_cache = _ln_forward(x.data, gain.data, bias.data)
+    a = np.matmul(nx, w1.data)
+    a += b1.data
+    cdf = _gelu_cdf(a)
+    h = a * cdf
+    o = np.matmul(h, w2.data)
+    o += b2.data
+    need_nx = _needs_grad(x, gain, bias)
+    need_a = need_nx or w1.grad_enabled or b1.grad_enabled
+
+    def back(g):
+        _accumulate(x, g)
+        gh = _linear_backward(g, h, w2, b2, need_a)
+        if gh is None:
+            return
+        gnx = _linear_backward(_gelu_backward(gh, a, cdf), nx, w1, b1, need_nx)
+        if need_nx:
+            _ln_backward(gnx, x, gain, bias, ln_cache)
+
+    return _node(x.data + o, (x, gain, bias, w1, b1, w2, b2), back)
+
+
 # ---------------------------------------------------------------------------
 # reverse pass
 
@@ -498,8 +612,9 @@ def backward(loss: Tensor) -> None:
             continue
         seen.add(id(node))
         stack.append((node, True))
+        # leaves have nothing to run; interior nodes keep their order
         for p in node._parents:
-            if p.grad_enabled and id(p) not in seen:
+            if p._backward is not None and id(p) not in seen:
                 stack.append((p, False))
     _accumulate(loss, np.ones_like(loss.data))
     for node in reversed(order):

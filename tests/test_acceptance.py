@@ -81,6 +81,9 @@ def _op_cases(seed):
     targets3 = rng.integers(0, 6, size=(2, 3))
     valid3 = np.array([[True, True, False], [True, False, False]])
     w3 = T.constant(rng.uniform(-1, 1, (2, 3, 4)))
+    # the sublayer blocks on x3: 2 heads, d_ff 5
+    wq, wk, wv, wo = (_rand(rng, (4, 4)) for _ in range(4))
+    w1, b1, w2, b2 = _rand(rng, (4, 5)), _rand(rng, (5,)), _rand(rng, (5, 4)), _rand(rng, (4,))
 
     def dot(x):
         return T.reduce_sum(T.mul(x, w))
@@ -90,6 +93,9 @@ def _op_cases(seed):
 
     def attn(keys, values, mask):
         return lambda: dot3(T.attention(q, keys, values, mask, 2))
+
+    def self_block(mask):
+        return lambda: dot3(T.attn_block(x3, gain, bias, wq, wk, wv, wo, mask, 2))
 
     return [
         ("add", lambda: dot(T.add(a, b)), [a, b]),
@@ -132,6 +138,13 @@ def _op_cases(seed):
         ("embed", lambda: dot3(T.embed(table, ids3, c, pe)), [table]),
         ("masked_cross_entropy",
          lambda: T.masked_cross_entropy(logits3, targets3, valid3), [logits3]),
+        ("attn_block_self_causal", self_block(causal), [x3, gain, bias, wq, wk, wv, wo]),
+        ("attn_block_self_pad", self_block(pad_self), [x3, gain, bias, wq, wk, wv, wo]),
+        ("attn_block_cross_pad",
+         lambda: dot3(T.attn_block(x3, gain, bias, wq, None, None, wo, pad_cross, 2,
+                                   (kx, vx))), [x3, kx, vx, gain, bias, wq, wo]),
+        ("ff_block", lambda: dot3(T.ff_block(x3, gain, bias, w1, b1, w2, b2)),
+         [x3, gain, bias, w1, b1, w2, b2]),
     ]
 
 

@@ -198,6 +198,59 @@ class TestSampling:
         assert any("renormaliz" in str(x.message) for x in w)
         assert all(p.domain_id == 2 for p in batch)
 
+    @staticmethod
+    def _uncached_sample(plan, stage, batch_size, rng, domain_id):
+        """sample_batch as it was before the plan cached its domain shards."""
+        shards = [[p for p in s if p.domain_id == domain_id] for s in plan.shards]
+        probs = np.asarray(plan.policy.stage_matrix[stage - 1], dtype=np.float64).copy()
+        empty = np.array([len(s) == 0 for s in shards])
+        if (empty & (probs > 0)).any():
+            probs[empty] = 0.0
+            probs = probs / probs.sum()
+        return [shards[s][int(rng.integers(0, len(shards[s])))]
+                for s in rng.choice(len(shards), size=batch_size, p=probs)]
+
+    def _mixed_plan(self):
+        """Three domains spread unevenly, so that domain 3 leaves shards empty."""
+        rng = np.random.default_rng(11)
+        pairs = [C.SentencePair([4, 5, 6], [6, 5, 4], int(dom), d_score=float(d))
+                 for dom, d in zip(rng.choice([1, 2, 3], 60, p=[0.5, 0.4, 0.1]),
+                                   rng.normal(size=60))]
+        return cur.build_plan(pairs, cur.SchedulerPolicy.from_variant("default"))
+
+    def test_cached_domain_shards_draw_like_the_uncached_filter(self):
+        plan = self._mixed_plan()
+        assert any(not s for s in plan.domain_shards(3))
+        for domain in (1, 2, 3):
+            for stage in (1, 2, 3):
+                rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+                for _ in range(3):  # the first call fills the cache, later ones read it
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore")
+                        got = cur.sample_batch(plan, stage, 16, rng, domain_id=domain)
+                    want = self._uncached_sample(plan, stage, 16, ref_rng, domain)
+                    assert all(a is b for a, b in zip(got, want)) and len(got) == 16
+
+    def test_every_renormalizing_call_warns(self):
+        plan = self._mixed_plan()
+        rng = np.random.default_rng(6)
+        for _ in range(3):
+            with warnings.catch_warnings(record=True) as w:
+                warnings.simplefilter("always")
+                cur.sample_batch(plan, 1, 4, rng, domain_id=3)
+            assert len(w) == 1
+
+    def test_domain_cache_leaves_the_plan_file_unchanged(self, tmp_path):
+        plan = self._mixed_plan()
+        cur.save_plan(plan, tmp_path / "before.json")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for domain in (1, 2, 3):
+                cur.sample_batch(plan, 2, 8, np.random.default_rng(0), domain_id=domain)
+        cur.save_plan(plan, tmp_path / "after.json")
+        assert (tmp_path / "after.json").read_bytes() == (tmp_path / "before.json").read_bytes()
+        assert cur.load_plan(tmp_path / "after.json") == plan
+
     def test_batch_size_validated(self):
         with pytest.raises(ValueError):
             cur.sample_batch(self._plan(), 1, 0, np.random.default_rng(0))

@@ -142,7 +142,15 @@ class TestFusedOpContracts:
         lambda x: T.attention(x, T.zeros((1, 3, 4)), T.zeros((1, 3, 4)), None, 2),
         lambda x: T.attention(x, x, x, None, 3),
         lambda x: T.masked_cross_entropy(x, np.zeros((2, 2), dtype=int),
-                                         np.ones((2, 3), dtype=bool))])
+                                         np.ones((2, 3), dtype=bool)),
+        # a self-attention block without K/V weights, a cross block with them
+        lambda x: T.attn_block(x, *[T.zeros((4,))] * 2, *[None] * 3, T.zeros((4, 4)),
+                               None, 2),
+        lambda x: T.attn_block(x, *[T.zeros((4,))] * 2, *[T.zeros((4, 4))] * 4, None, 2,
+                               (x, x)),
+        lambda x: T.attn_block(x, *[T.zeros((4,))] * 2, *[T.zeros((4, 4))] * 4, None, 3),
+        lambda x: T.ff_block(x, *[T.zeros((4,))] * 2, T.zeros((3, 5)), T.zeros((5,)),
+                             T.zeros((5, 4)), T.zeros((4,)))])
     def test_incompatible_shapes_rejected(self, call):
         with pytest.raises(T.DimensionError):
             call(T.zeros((2, 3, 4)))

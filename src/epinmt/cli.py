@@ -12,17 +12,11 @@ import json
 import logging
 import os
 import sys
-from dataclasses import replace
 
 from . import corpus as C
-from . import model as M
 from . import pipeline as P
 from . import tensor as T
-from . import trainers as TR
-from . import evaluate as E
-from .config import RunConfig, UsageError, load_config, METHODS
-
-log = logging.getLogger("epinmt")
+from .config import RunConfig, UsageError, load_config
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -49,8 +43,7 @@ def _load(args) -> RunConfig:
 
 def cmd_gen_data(args) -> int:
     cfg = _load(args)
-    _, _, out = P.gen_data(cfg, cfg.master_seed)
-    print(out)
+    print(P.gen_data(cfg, cfg.master_seed)[2])
     return EXIT_OK
 
 
@@ -64,75 +57,41 @@ def cmd_score(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _load(args)
-    if args.method not in METHODS:
-        raise UsageError(
-            f"unknown method '{args.method}'; valid methods: {', '.join(METHODS)}")
-    path = P.train(cfg, args.method, cfg.master_seed, build_deps=args.build_deps)
-    print(path)
+    print(P.train(cfg, args.method, cfg.master_seed, build_deps=args.build_deps))
     return EXIT_OK
 
 
 def cmd_finetune(args) -> int:
     cfg = _load(args)
-    seed = cfg.master_seed
-    ckpt = os.path.join(P.run_dir(cfg, seed), "train", f"{args.method}.model.json")
-    if not os.path.exists(ckpt):
-        raise P.DependencyError(f"missing checkpoint {ckpt}; run 'train' first")
-    vocab, dataset, _ = P.gen_data(cfg, seed)
-    model = M.load_model(ckpt)
-    hp = replace(cfg.training.hp, seed=seed)
-    out = P._ensure(os.path.join(P.run_dir(cfg, seed), "train"))
-    for d in dataset.seen_ids + dataset.unseen_ids:
-        adapted = TR.finetune(model, dataset.splits[d].finetune, hp)
-        M.save_model(adapted, os.path.join(out, f"{args.method}.ft_domain{d}.model.json"))
-    print(out)
+    print(P.finetune(cfg, args.method, cfg.master_seed))
     return EXIT_OK
 
 
 def cmd_eval(args) -> int:
     cfg = _load(args)
-    seed = cfg.master_seed
-    vocab, dataset, _ = P.gen_data(cfg, seed)
-    models = {}
-    for m in cfg.training.methods:
-        ckpt = os.path.join(P.run_dir(cfg, seed), "train", f"{m}.model.json")
-        if not os.path.exists(ckpt):
-            raise P.DependencyError(f"missing checkpoint {ckpt}; run 'train' first")
-        models[m] = M.load_model(ckpt)
-    report = E.run_protocol({seed: models}, dataset, cfg.training.hp,
-                            cfg.eval.beam_width, cfg.eval.max_steps)
-    out = P._ensure(os.path.join(P.run_dir(cfg, seed), "eval"))
-    E.report_bundle_json(os.path.join(out, "report.json"), report,
-                         meta={"config_hash": cfg.config_hash(), "seeds": [seed]})
-    E.report_csv(os.path.join(out, "report.csv"), report)
-    print(out)
+    print(P.evaluate(cfg, cfg.master_seed))
     return EXIT_OK
 
 
 def cmd_experiment(args) -> int:
-    cfg = _load(args)
-    result = P.experiment(cfg)
-    print(result["report_dir"])
+    print(P.experiment(_load(args))["report_dir"])
     return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="epinmt")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn, needs_method in (
-            ("gen-data", cmd_gen_data, False),
-            ("score", cmd_score, False),
-            ("train", cmd_train, True),
-            ("finetune", cmd_finetune, True),
-            ("eval", cmd_eval, False),
-            ("experiment", cmd_experiment, False)):
+    for name, fn in (("gen-data", cmd_gen_data), ("score", cmd_score),
+                     ("train", cmd_train), ("finetune", cmd_finetune),
+                     ("eval", cmd_eval), ("experiment", cmd_experiment)):
         p = sub.add_parser(name)
         p.add_argument("--config", type=str, default=None)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", type=str, default=None)
-        p.add_argument("--build-deps", action="store_true")
-        if needs_method:
+        if name in ("train", "finetune"):
             p.add_argument("--method", type=str, required=True)
+        if name == "train":
+            p.add_argument("--build-deps", action="store_true")
         p.set_defaults(handler=fn)
     return parser
 

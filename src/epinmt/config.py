@@ -35,6 +35,13 @@ class CurriculumConfig:
     div_steps: int = 100         # per-domain divergence LM adaptation
     div_lr: float = 3e-3
 
+    def __post_init__(self):
+        if min(self.scorer_steps, self.lm_steps, self.div_steps) < 0:
+            raise ValueError("scorer_steps, lm_steps and div_steps must be >= 0")
+        if min(self.scorer_lr, self.lm_lr, self.div_lr) < 0:
+            raise ValueError("scorer_lr, lm_lr and div_lr must be nonnegative")
+        self.policy()
+
     def policy(self) -> SchedulerPolicy:
         return SchedulerPolicy.from_variant(self.variant, self.stage_boundaries)
 
@@ -86,6 +93,8 @@ class EvalConfig:
             raise ValueError("beam_width and experiment_beam_width must be >= 1")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
+        if min((*self.seeds, *self.sigmas, *self.noise_seeds)) < 0:
+            raise ValueError("seeds, sigmas and noise_seeds must be nonnegative")
 
 
 @dataclass
@@ -117,12 +126,17 @@ def _checked(where: str, make):
         raise UsageError(f"{where}: {e}") from None
 
 
+def _frozen(value):
+    """A JSON list as a tuple, nested lists too."""
+    return tuple(map(_frozen, value)) if isinstance(value, list) else value
+
+
 def _build(cls, payload: dict, where: str):
-    allowed = {f.name for f in fields(cls)}
-    unknown = set(payload) - allowed
+    """cls(**payload); unknown keys and invalid values are usage errors."""
+    unknown = set(payload) - {f.name for f in fields(cls)}
     if unknown:
         raise UsageError(f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
-    return payload
+    return _checked(where, lambda: cls(**{k: _frozen(v) for k, v in payload.items()}))
 
 
 def load_config(path) -> RunConfig:
@@ -139,37 +153,17 @@ def config_from_dict(raw: dict) -> RunConfig:
         raise UsageError(f"unknown top-level key(s): {', '.join(sorted(unknown))}")
     cfg = RunConfig()
     cfg.output_dir = raw.get("output_dir", cfg.output_dir)
-    cfg.master_seed = int(raw.get("master_seed", cfg.master_seed))
-    if "dataset" in raw:
-        d = _build(DatasetConfig, raw["dataset"], "dataset")
-        if "rules" in d:
-            d = {**d, "rules": tuple(d["rules"])}
-        if d.get("windows") is not None:
-            d = {**d, "windows": tuple(tuple(w) for w in d["windows"])}
-        if d.get("unseen_like") is not None:
-            d = {**d, "unseen_like": tuple(d["unseen_like"])}
-        cfg.dataset = DatasetConfig(**d)
-    if "model" in raw:
-        m = _build(ModelConfig, raw["model"], "model")
-        cfg.model = _checked("model", lambda: ModelConfig(**m))
-    if "curriculum" in raw:
-        c = _build(CurriculumConfig, raw["curriculum"], "curriculum")
-        if "stage_boundaries" in c:
-            c = {**c, "stage_boundaries": tuple(c["stage_boundaries"])}
-        cfg.curriculum = CurriculumConfig(**c)
-        _checked("curriculum", cfg.curriculum.policy)
+    cfg.master_seed = _checked("master_seed", lambda: int(raw.get("master_seed", 0)))
+    for key, cls in (("dataset", DatasetConfig), ("model", ModelConfig),
+                     ("curriculum", CurriculumConfig), ("eval", EvalConfig)):
+        if key in raw:
+            setattr(cfg, key, _build(cls, raw[key], key))
+    _checked("dataset", cfg.dataset.validate)
     if "training" in raw:
         t = dict(raw["training"])
-        methods = tuple(t.pop("methods", METHODS))
+        methods = _checked("training.methods", lambda: tuple(t.pop("methods", METHODS)))
         overrides = {m: dict(ov) for m, ov in t.pop("overrides", {}).items()}
-        hp_fields = _build(Hyperparams, t, "training")
-        hp = _checked("training", lambda: Hyperparams(**hp_fields))
-        cfg.training = TrainingConfig(hp, methods, overrides)
+        cfg.training = TrainingConfig(_build(Hyperparams, t, "training"), methods,
+                                      overrides)
     cfg.training.validate()
-    if "eval" in raw:
-        e = _build(EvalConfig, raw["eval"], "eval")
-        for k in ("seeds", "sigmas", "noise_seeds"):
-            if k in e:
-                e = {**e, k: tuple(e[k])}
-        cfg.eval = _checked("eval", lambda: EvalConfig(**e))
     return cfg

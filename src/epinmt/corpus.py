@@ -212,6 +212,18 @@ class DatasetConfig:
             raise ConfigError("n_content too small")
         if not 0.0 <= self.noise_fraction <= 1.0:
             raise ConfigError("noise_fraction must lie in [0, 1]")
+        if min(self.n_seen, self.train_tokens, self.finetune_tokens, self.test_tokens,
+               self.generic_train_tokens) < 1 or min(self.n_unseen, self.trusted_count) < 0:
+            raise ConfigError("n_seen and the token budgets must be >= 1, "
+                              "n_unseen and trusted_count >= 0")
+        for name in ("rules", "windows", "unseen_like"):  # cycled, so never empty
+            if getattr(self, name) is not None and not getattr(self, name):
+                raise ConfigError(f"{name} must not be empty")
+        for rule in self.rules:  # DomainSpec checks the rule and the length band
+            DomainSpec(0, rule=rule, len_min=self.len_min, len_max=self.len_max)
+        for pos in self.unseen_like or ():
+            if not 0 <= pos < self.n_seen:
+                raise ConfigError(f"unseen_like position {pos} out of range")
         if self.windows is not None:
             for start, size in self.windows:
                 if start < 0 or size < 1 or start + size > self.n_content:
@@ -251,8 +263,6 @@ def build_dataset(cfg: DatasetConfig, seed: int) -> tuple[Vocabulary, MultiDomai
             source_ids = vocab.content_ids[start:start + size]
         if d in unseen_ids and cfg.unseen_like is not None:
             pos = cfg.unseen_like[(d - unseen_ids[0]) % len(cfg.unseen_like)]
-            if not 0 <= pos < len(seen_ids):
-                raise ConfigError(f"unseen_like position {pos} out of range")
             donor = specs[seen_ids[pos]]
             source_ids = donor.source_ids
             substitution = donor.build_substitution(vocab)

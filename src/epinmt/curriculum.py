@@ -60,6 +60,10 @@ class SchedulerPolicy:
             raise ValueError("stage_matrix entries must be nonnegative")
         if not np.allclose(m.sum(axis=1), 1.0, rtol=0, atol=1e-12):
             raise ValueError("each stage row must sum to 1")
+        b1, b2 = self.stage_boundaries
+        if not 0.0 <= b1 <= b2 <= 1.0:
+            raise ValueError(f"stage_boundaries {self.stage_boundaries} must rise "
+                             "within [0, 1]")
 
     @classmethod
     def from_variant(cls, variant: str, stage_boundaries=(1.0 / 3.0, 2.0 / 3.0)):

@@ -12,7 +12,7 @@ import json
 import logging
 import math
 from collections import Counter
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from . import model as M
 from . import tensor as T
 from .corpus import MultiDomainDataset, SentencePair
 from .curriculum import bin_testset
-from .trainers import Hyperparams, finetune
+from .trainers import Hyperparams, finetune, protocol_hp
 
 log = logging.getLogger(__name__)
 
@@ -126,11 +126,6 @@ class EvalReport:
                 and (domain is None or c.domain == domain)]
         return float(np.mean(vals))
 
-    def std(self, method: str, metric: str, seen: bool | None = None) -> float:
-        vals = [getattr(c, metric) for c in self.cells
-                if c.method == method and (seen is None or c.seen == seen)]
-        return float(np.std(vals))
-
     def to_rows(self) -> list[dict]:
         rows = []
         for c in self.cells:
@@ -140,30 +135,27 @@ class EvalReport:
         return rows
 
 
-def run_protocol(models_by_seed: dict[int, dict[str, M.EncoderDecoderModel]],
-                 dataset: MultiDomainDataset, hp: Hyperparams,
-                 beam_width: int = 5, max_steps: int = 32) -> EvalReport:
+def run_protocol(models: dict[str, M.EncoderDecoderModel], dataset: MultiDomainDataset,
+                 hp: Hyperparams, seed: int, beam_width: int = 5,
+                 max_steps: int = 32) -> EvalReport:
     """Decode before fine-tuning, fine-tune per domain, decode again.
 
-    `models_by_seed` maps training seed -> method name -> trained checkpoint.
-    Every (method, domain, seed) cell appears once in the report.
+    `models` maps method name -> the checkpoint trained with `seed`. Every
+    (method, domain) cell appears once in the report.
     """
     report = EvalReport()
-    domains = dataset.seen_ids + dataset.unseen_ids
-    for seed, methods in sorted(models_by_seed.items()):
-        for name, model in sorted(methods.items()):
-            before_cs = model.checksum()
-            for d in domains:
-                sp = dataset.splits[d]
-                b_before = test_bleu(model, sp.testing, beam_width, max_steps)
-                hp_d = Hyperparams(**{**asdict(hp), "seed": seed * 1000 + d})
-                adapted = finetune(model, sp.finetune, hp_d) \
-                    if hp.finetune_epochs > 0 else model
-                b_after = test_bleu(adapted, sp.testing, beam_width, max_steps)
-                report.cells.append(EvalCell(name, d, d in dataset.seen_ids,
-                                             seed, b_before, b_after))
-            if model.checksum() != before_cs:
-                raise T.ContractError(f"evaluation mutated model '{name}'")
+    for name, model in sorted(models.items()):
+        before_cs = model.checksum()
+        for d in dataset.seen_ids + dataset.unseen_ids:
+            sp = dataset.splits[d]
+            b_before = test_bleu(model, sp.testing, beam_width, max_steps)
+            adapted = finetune(model, sp.finetune, protocol_hp(hp, seed, d)) \
+                if hp.finetune_epochs > 0 else model
+            b_after = test_bleu(adapted, sp.testing, beam_width, max_steps)
+            report.cells.append(EvalCell(name, d, d in dataset.seen_ids,
+                                         seed, b_before, b_after))
+        if model.checksum() != before_cs:
+            raise T.ContractError(f"evaluation mutated model '{name}'")
     return report
 
 

@@ -91,6 +91,8 @@ class ModelConfig:
     vocab_size: int = 128
 
     def __post_init__(self):
+        if min(self.d_model, self.n_layers, self.n_heads, self.d_ff, self.max_len) < 1:
+            raise ValueError("d_model, n_layers, n_heads, d_ff and max_len must be >= 1")
         if self.d_model % self.n_heads != 0:
             raise ValueError("d_model must be divisible by n_heads")
         if self.vocab_size <= len(RESERVED_TOKENS):

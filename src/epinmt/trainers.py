@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 from functools import partial
 
 import numpy as np
@@ -36,8 +36,8 @@ class Hyperparams:
     episodes: int | None = None        # overrides epochs for episodic trainers
 
     def __post_init__(self):
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError("alpha and beta must be nonnegative")
+        if min(self.alpha, self.beta, self.ft_lr) < 0:
+            raise ValueError("alpha, beta and finetune_lr must be nonnegative")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 0 or self.finetune_epochs < 0:
@@ -48,6 +48,11 @@ class Hyperparams:
     @property
     def ft_lr(self) -> float:
         return self.alpha if self.finetune_lr is None else self.finetune_lr
+
+
+def protocol_hp(hp: Hyperparams, seed: int, domain: int) -> Hyperparams:
+    """Fine-tuning hyperparameters of the protocol cell (training seed, domain)."""
+    return replace(hp, seed=seed * 1000 + domain)
 
 
 @dataclass

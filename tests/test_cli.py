@@ -4,13 +4,17 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from epinmt import cli
 from epinmt import config as cfgmod
+from epinmt import corpus as C
+from epinmt import model as M
 from epinmt import pipeline as P
+from epinmt import trainers as TR
 
 from helpers import TINY, child_env
 
@@ -76,7 +80,7 @@ class TestConfig:
     @pytest.mark.parametrize("training", [
         {"batch_size": 0}, {"batch_size": "8"}, {"epochs": -1}, {"episodes": -3},
         {"overrides": {"epi_nmt": {"episodes": -3}}},
-        {"overrides": {"agg": {"batch_size": 0}}}])
+        {"overrides": {"agg": {"batch_size": 0}}}, {"finetune_lr": -1}])
     def test_invalid_hyperparams_rejected(self, training):
         with pytest.raises(cfgmod.UsageError):
             cfgmod.config_from_dict({"training": training})
@@ -157,7 +161,22 @@ class TestCliUsage:
         ("gen-data", {"model": {"d_model": 10, "n_heads": 4}}),
         ("score", {"curriculum": {"variant": "bogus"}}),
         ("experiment", {"eval": {**TINY["eval"], "seeds": []}}),
-        ("experiment", {"eval": {**TINY["eval"], "beam_width": 0}})])
+        ("experiment", {"eval": {**TINY["eval"], "beam_width": 0}}),
+        ("experiment", {"eval": {**TINY["eval"], "sigmas": [-0.1]}}),
+        ("gen-data", {"dataset": {**TINY["dataset"], "n_content": "x"}}),
+        ("gen-data", {"model": {**TINY["model"], "n_heads": 0}}),
+        ("score", {"curriculum": {**TINY["curriculum"], "scorer_steps": "x"}}),
+        ("gen-data", {"dataset": {**TINY["dataset"], "n_content": 2}}),
+        ("gen-data", {"dataset": {**TINY["dataset"], "noise_fraction": 2.0}}),
+        ("score", {"curriculum": {**TINY["curriculum"],
+                                  "stage_boundaries": [0.9, 0.1]}}),
+        ("gen-data", {"model": {**TINY["model"], "n_layers": -1}}),
+        ("gen-data", {"dataset": {**TINY["dataset"], "rules": ["zigzag"]}}),
+        ("gen-data", {"dataset": {**TINY["dataset"], "len_min": 9, "len_max": 6}}),
+        ("gen-data", {"dataset": {**TINY["dataset"], "n_seen": 0}}),
+        ("gen-data", {"dataset": {**TINY["dataset"], "windows": []}}),
+        ("gen-data", {"master_seed": "x"}),
+        ("gen-data", {"training": {**TINY["training"], "methods": 3}})])
     def test_invalid_config_values_are_usage_errors(self, tmp_path, capsys,
                                                      command, section):
         path = tmp_path / "bad.json"
@@ -166,6 +185,14 @@ class TestCliUsage:
         assert cli.main([command, "--config", str(path)]) == cli.EXIT_USAGE
         assert "usage error" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("command", ["gen-data", "score", "finetune", "eval",
+                                         "experiment"])
+    def test_build_deps_only_on_train(self, tiny_config_file, command):
+        argv = [command, "--config", tiny_config_file, "--build-deps"]
+        if command == "finetune":
+            argv += ["--method", "agg"]
+        assert cli.main(argv) == cli.EXIT_USAGE
 
 
 class TestCliPipeline:
@@ -263,8 +290,44 @@ class TestCliPipeline:
         assert os.path.isfile(os.path.join(out, "agg.ft_domain1.model.json"))
         assert os.path.isfile(os.path.join(out, "agg.ft_domain3.model.json"))
 
+    def test_finetune_writes_the_protocol_models(self, tiny_config_file, capsys):
+        """Each `ft_domain{d}` checkpoint is the model the protocol scores for
+        that (seed, domain) cell: fine-tuned with seed `seed * 1000 + d`."""
+        seed = ["--seed", "2"]
+        assert cli.main(["train", "--config", tiny_config_file,
+                         "--method", "agg", *seed]) == cli.EXIT_OK
+        trained = M.load_model(capsys.readouterr().out.strip())
+        assert cli.main(["finetune", "--config", tiny_config_file,
+                         "--method", "agg", *seed]) == cli.EXIT_OK
+        out = capsys.readouterr().out.strip()
+        cfg = cfgmod.load_config(tiny_config_file)
+        _, ds = C.build_dataset(cfg.dataset, 2)
+        for d in ds.seen_ids + ds.unseen_ids:
+            hp = replace(cfg.training.hp, seed=2 * 1000 + d)
+            assert hp == TR.protocol_hp(cfg.training.hp, 2, d)
+            want = TR.finetune(trained, ds.splits[d].finetune, hp)
+            got = M.load_model(os.path.join(out, f"agg.ft_domain{d}.model.json"))
+            assert got.checksum() == want.checksum(), d
+
     def test_eval_requires_checkpoints(self, tiny_config_file):
         assert cli.main(["eval", "--config", tiny_config_file]) == cli.EXIT_DATA
+
+    def test_eval_matches_experiment_protocol(self, tiny_config_file, capsys):
+        cfg = cfgmod.load_config(tiny_config_file)
+        for m in cfg.training.methods:
+            assert cli.main(["train", "--config", tiny_config_file, "--method", m,
+                             "--build-deps"]) == cli.EXIT_OK
+        assert cli.main(["eval", "--config", tiny_config_file]) == cli.EXIT_OK
+        out = capsys.readouterr().out.strip().splitlines()[-1]
+        with open(os.path.join(out, "report.json")) as f:
+            evaluated = json.load(f)
+        assert evaluated["meta"]["seeds"] == [cfg.master_seed]
+        assert cli.main(["experiment", "--config", tiny_config_file]) == cli.EXIT_OK
+        with open(os.path.join(capsys.readouterr().out.strip(), "report.json")) as f:
+            full = json.load(f)
+        rows = [r for r in full["protocol"] if r["seed"] == cfg.master_seed]
+        assert len(rows) == 3 * 3
+        assert evaluated["protocol"] == rows
 
     def test_seed_flag_changes_run_dir(self, tiny_config_file, capsys):
         cli.main(["gen-data", "--config", tiny_config_file])

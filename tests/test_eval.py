@@ -138,7 +138,7 @@ class TestTranslateCorpus:
 class TestProtocol:
     def test_cell_grid_complete(self, world):
         _, ds, _, hp, vanilla, agg = world
-        report = E.run_protocol({0: {"vanilla": vanilla, "agg": agg}}, ds, hp,
+        report = E.run_protocol({"vanilla": vanilla, "agg": agg}, ds, hp, 0,
                                 beam_width=1, max_steps=8)
         assert len(report.cells) == 2 * (len(ds.seen_ids) + len(ds.unseen_ids))
         seen_cells = [c for c in report.cells if c.seen]
@@ -149,14 +149,14 @@ class TestProtocol:
     def test_finetuning_helps_trained_model(self, world):
         _, ds, _, hp, vanilla, agg = world
         hp2 = tr.Hyperparams(**{**hp.__dict__, "finetune_epochs": 25})
-        report = E.run_protocol({0: {"agg": agg}}, ds, hp2,
+        report = E.run_protocol({"agg": agg}, ds, hp2, 0,
                                 beam_width=1, max_steps=8)
         assert report.mean("agg", "delta_ft", seen=False) > 0.0
 
     def test_zero_finetune_epochs_skips_adaptation(self, world):
         _, ds, _, hp, vanilla, _ = world
         hp0 = tr.Hyperparams(**{**hp.__dict__, "finetune_epochs": 0})
-        report = E.run_protocol({0: {"vanilla": vanilla}}, ds, hp0,
+        report = E.run_protocol({"vanilla": vanilla}, ds, hp0, 0,
                                 beam_width=1, max_steps=8)
         for c in report.cells:
             assert c.bleu_after == c.bleu_before
@@ -164,7 +164,7 @@ class TestProtocol:
     def test_models_not_mutated(self, world):
         _, ds, _, hp, vanilla, agg = world
         cs_v, cs_a = vanilla.checksum(), agg.checksum()
-        E.run_protocol({0: {"vanilla": vanilla, "agg": agg}}, ds, hp,
+        E.run_protocol({"vanilla": vanilla, "agg": agg}, ds, hp, 0,
                        beam_width=1, max_steps=8)
         assert vanilla.checksum() == cs_v and agg.checksum() == cs_a
 

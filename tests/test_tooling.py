@@ -7,17 +7,28 @@ from pathlib import Path
 
 import pytest
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+from epinmt import cli
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
+
+
+def _load(monkeypatch, path: Path, name: str):
+    """Execute a perfbench module as `name`, which stays in sys.modules for
+    this test only, without installing perfbench or writing bytecode."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.mark.skipif(not TRACER.exists(), reason="perfbench/ is absent")
 def test_every_tracer_target_resolves(monkeypatch):
     """The tracer rebinds its targets by name, so a renamed function would
     only break traced runs. Loads the tracer without installing it."""
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = _load(monkeypatch, TRACER, "perfbench_tracer")
     missing = []
     for module, attrs in tracer.TARGETS.items():
         importlib.import_module(f"epinmt.{module}")
@@ -29,3 +40,19 @@ def test_every_tracer_target_resolves(monkeypatch):
             if not callable(target):
                 missing.append(f"{module}.{attr}")
     assert not missing
+
+
+@pytest.mark.skipif(not TRACER.exists(), reason="perfbench/ is absent")
+def test_pipeline_workload_argv_parses(monkeypatch):
+    """Every CLI step of the pipeline workload parses, so a flag cleanup
+    cannot silently turn that workload into failed steps."""
+    _load(monkeypatch, TRACER, "tracer")  # workloads.py does `from tracer import`
+    workloads = _load(monkeypatch, PERFBENCH / "workloads.py", "perfbench_workloads")
+    parser = cli.build_parser()
+    rejected = []
+    for label, argv in workloads.PIPELINE_STEPS:
+        try:
+            parser.parse_args([*argv, "--config", "config.json"])
+        except SystemExit:
+            rejected.append(label)
+    assert not rejected

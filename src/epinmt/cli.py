@@ -37,6 +37,8 @@ def _load(args) -> RunConfig:
     if args.out:
         cfg.output_dir = args.out
     if args.seed is not None:
+        if args.seed < 0:
+            raise UsageError(f"--seed must be nonnegative, got {args.seed}")
         cfg.master_seed = args.seed
     return cfg
 

@@ -89,6 +89,8 @@ class EvalConfig:
     def __post_init__(self):
         if not self.seeds:
             raise ValueError("seeds must not be empty")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ValueError("seeds must be distinct")
         if self.beam_width < 1 or self.experiment_beam_width < 1:
             raise ValueError("beam_width and experiment_beam_width must be >= 1")
         if self.max_steps < 1:
@@ -154,6 +156,8 @@ def config_from_dict(raw: dict) -> RunConfig:
     cfg = RunConfig()
     cfg.output_dir = raw.get("output_dir", cfg.output_dir)
     cfg.master_seed = _checked("master_seed", lambda: int(raw.get("master_seed", 0)))
+    if cfg.master_seed < 0:   # numpy's SeedSequence takes no negative seed
+        raise UsageError(f"master_seed must be nonnegative, got {cfg.master_seed}")
     for key, cls in (("dataset", DatasetConfig), ("model", ModelConfig),
                      ("curriculum", CurriculumConfig), ("eval", EvalConfig)):
         if key in raw:

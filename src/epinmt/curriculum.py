@@ -290,13 +290,15 @@ def stage_of(progress: float, policy: SchedulerPolicy) -> int:
 
 
 def sample_batch(plan: CurriculumPlan, stage: int, batch_size: int, rng,
-                 domain_id: int | None = None) -> list[SentencePair]:
+                 domain_id: int | None = None,
+                 warned: set | None = None) -> list[SentencePair]:
     """Draw each element independently: shard by stage probability, then a
     uniform pair within the shard, with replacement.
 
     With a domain restriction, shards are first filtered to that domain;
     shards left empty get probability 0 and the row is renormalized, with
-    one warning per call.
+    one warning per call, or, given the set of domains `warned` about
+    already, one per domain (which is then added to it).
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
@@ -304,7 +306,10 @@ def sample_batch(plan: CurriculumPlan, stage: int, batch_size: int, rng,
     probs = np.asarray(plan.policy.stage_matrix[stage - 1], dtype=np.float64).copy()
     empty = np.array([len(s) == 0 for s in shards])
     if (empty & (probs > 0)).any():
-        warnings.warn("empty shard with nonzero probability; renormalizing")
+        if warned is None or domain_id not in warned:
+            warnings.warn("empty shard with nonzero probability; renormalizing")
+        if warned is not None:
+            warned.add(domain_id)
         probs[empty] = 0.0
         total = probs.sum()
         if total == 0.0:

@@ -6,10 +6,17 @@ outputs byte for byte. This module is the only one that knows the layout:
 
     run-<config hash>-seed<seed>/
       data/   vocab.txt, manifest.json, domain_<d>.<split>.tsv
+      base/   vanilla.model.json, summary.json (its step count)
       score/  scored.tsv, plan.json, summary.json
       train/  <method>.model.json, <method>.provenance.json,
               <method>.ft_domain<d>.model.json
       eval/   report.json, report.csv
+
+The vanilla model is pretrained once per run directory; every later stage
+loads it from base/. `experiment`, `finetune` and `evaluate` run their
+independent tasks in a process pool with one worker per core this process
+may run on; each task receives its inputs as arguments and results merge in
+a fixed order, so the outputs do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -17,8 +24,9 @@ from __future__ import annotations
 import json
 import logging
 import os
+from contextlib import contextmanager
 from dataclasses import replace
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -26,8 +34,12 @@ from . import corpus as C
 from . import curriculum as CU
 from . import evaluate as E
 from . import model as M
+from . import tensor as T
 from . import trainers as TR
 from .config import METHODS, RunConfig, UsageError
+
+if TYPE_CHECKING:
+    from concurrent.futures import Future, ProcessPoolExecutor
 
 log = logging.getLogger(__name__)
 
@@ -49,6 +61,53 @@ def _stage_dir(cfg: RunConfig, seed: int, stage: str) -> str:
 def _write_json(path: str, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as f:
         json.dump(payload, f, indent=1, sort_keys=True)
+
+
+# ---------------------------------------------------------------------------
+# the task runner
+
+
+def _workers() -> int:
+    """The pool size: the number of cores this process may run on."""
+    return len(os.sched_getaffinity(0))
+
+
+@contextmanager
+def _pool():
+    """A process pool for `_submit`. Workers fork from the caller, which has
+    numpy loaded already (a spawned worker would import it again). They fork
+    at the first submit, before the pool starts its management thread, and
+    read nothing the caller changes later, as every input travels with its
+    task."""
+    # imported here, so that `import epinmt.cli`, which every command pays,
+    # does not load multiprocessing
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    pool = ProcessPoolExecutor(_workers(), mp_context=multiprocessing.get_context("fork"))
+    try:
+        yield pool
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _labelled(label: str, fn, *args):
+    """fn(*args); a ContractError it raises is re-raised with `label` (which
+    names the task's method and seed) in front of its message."""
+    try:
+        return fn(*args)
+    except T.ContractError as e:
+        raise T.ContractError(f"{label}: {e}") from e
+
+
+def _submit(pool: ProcessPoolExecutor, tasks) -> list[Future]:
+    """Queue (label, fn, *args) tasks on the pool, in order."""
+    return [pool.submit(_labelled, *task) for task in tasks]
+
+
+def _results(futures: list[Future]) -> list:
+    """The tasks' results in task order; a failed task's exception is raised
+    here with its own type."""
+    return [f.result() for f in futures]
 
 
 # ---------------------------------------------------------------------------
@@ -83,10 +142,26 @@ class Base(NamedTuple):
 
 
 def _base(cfg: RunConfig, seed: int) -> Base:
+    """The seed's data, and its vanilla model: pretrained by the first call in
+    a run directory and written to base/, loaded by every later call (float64
+    values round-trip exactly, so both give the same model)."""
     vocab, dataset, _ = gen_data(cfg, seed)
+    out = _stage_dir(cfg, seed, "base")
+    path, summary = (os.path.join(out, name) for name in ("vanilla.model.json",
+                                                           "summary.json"))
+    if os.path.exists(path):
+        with open(summary, encoding="utf-8") as f:
+            steps = json.load(f)["vanilla_steps"]
+        return Base(vocab, dataset, M.load_model(path), steps)
     vanilla, curve = TR.pretrain_vanilla(dataset.splits[dataset.generic_id].training,
                                          replace(cfg.model, vocab_size=vocab.size),
                                          cfg.training.method_hp("vanilla", seed))
+    _write_json(summary, {"vanilla_steps": len(curve)})
+    # the checkpoint marks the stage done, so it appears whole and last, also
+    # when another process writes the same one
+    tmp = f"{path}.{os.getpid()}.tmp"
+    M.save_model(vanilla, tmp)
+    os.replace(tmp, path)
     return Base(vocab, dataset, vanilla, len(curve))
 
 
@@ -153,6 +228,7 @@ def _load_trained(cfg: RunConfig, seed: int, method: str) -> M.EncoderDecoderMod
 
 def _train_method(cfg: RunConfig, method: str, seed: int, base: Base,
                   plan: CU.CurriculumPlan | None) -> M.EncoderDecoderModel:
+    log.info("training %s (seed %d)", method, seed)
     return _trainer(method)[1](base.vanilla, base.dataset, plan,
                                cfg.training.method_hp(method, seed))
 
@@ -172,13 +248,20 @@ def train(cfg: RunConfig, method: str, seed: int, build_deps: bool = True) -> st
     base = _base(cfg, seed)
     plan = None if not needs_plan else (
         CU.load_plan(plan_path) if have_plan else score(cfg, seed, base)[0])
-    model = _train_method(cfg, method, seed, base, plan)
+    model = _labelled(f"{method} (seed {seed})", _train_method, cfg, method, seed, base,
+                      plan)
     out = _stage_dir(cfg, seed, "train")
     M.save_model(model, _checkpoint(cfg, seed, method))
     _write_json(os.path.join(out, f"{method}.provenance.json"),
                 {"method": method, "seed": seed, "config_hash": cfg.config_hash(),
                  "vanilla_steps": base.vanilla_steps})
     return _checkpoint(cfg, seed, method)
+
+
+def _finetune_domain(cfg: RunConfig, method: str, seed: int, model: M.EncoderDecoderModel,
+                     pairs: list[C.SentencePair], d: int) -> None:
+    adapted = TR.finetune(model, pairs, TR.protocol_hp(cfg.training.hp, seed, d))
+    M.save_model(adapted, _checkpoint(cfg, seed, f"{method}.ft_domain{d}"))
 
 
 def finetune(cfg: RunConfig, method: str, seed: int) -> str:
@@ -188,10 +271,11 @@ def finetune(cfg: RunConfig, method: str, seed: int) -> str:
     model = _load_trained(cfg, seed, method)
     _, dataset, _ = gen_data(cfg, seed)
     out = _stage_dir(cfg, seed, "train")
-    for d in dataset.seen_ids + dataset.unseen_ids:
-        adapted = TR.finetune(model, dataset.splits[d].finetune,
-                              TR.protocol_hp(cfg.training.hp, seed, d))
-        M.save_model(adapted, _checkpoint(cfg, seed, f"{method}.ft_domain{d}"))
+    with _pool() as pool:
+        _results(_submit(pool, [(f"{method} fine-tuned on domain {d} (seed {seed})",
+                                 _finetune_domain, cfg, method, seed, model,
+                                 dataset.splits[d].finetune, d)
+                                for d in dataset.seen_ids + dataset.unseen_ids]))
     return out
 
 
@@ -208,61 +292,100 @@ def _write_report(cfg: RunConfig, seeds, protocol: E.EvalReport, *experiments) -
     return out
 
 
+def _protocol(cfg: RunConfig, method: str, seed: int, model: M.EncoderDecoderModel,
+              dataset: C.MultiDomainDataset) -> list[E.EvalCell]:
+    """The fine-tuning protocol's cells of one method's model."""
+    return E.run_protocol({method: model}, dataset, cfg.training.hp, seed,
+                          cfg.eval.beam_width, cfg.eval.max_steps).cells
+
+
 def evaluate(cfg: RunConfig, seed: int) -> str:
     """The fine-tuning protocol over every configured method's checkpoint;
     returns the report directory."""
     models = {m: _load_trained(cfg, seed, m) for m in cfg.training.methods}
     _, dataset, _ = gen_data(cfg, seed)
-    return _write_report(cfg, [seed], E.run_protocol(
-        models, dataset, cfg.training.hp, seed, cfg.eval.beam_width, cfg.eval.max_steps))
+    with _pool() as pool:
+        cells = _results(_submit(pool, [(f"{m} (seed {seed})", _protocol, cfg, m, seed,
+                                         models[m], dataset) for m in sorted(models)]))
+    return _write_report(cfg, [seed], E.EvalReport([c for cs in cells for c in cs]))
 
 
-def _experiments(cfg: RunConfig, seed: int, base: Base, plan: CU.CurriculumPlan,
-                 divergence, models: dict):
-    """Swap, perturbation and divergence bins on one seed's trained models."""
-    ev, dataset = cfg.eval, base.dataset
-    # standalone domain-specific models for the swap experiment
-    specialists = {d: TR.train_agg(base.vanilla, dataset.splits[d].training,
-                                   replace(cfg.training.hp, seed=seed * 100 + d))[0]
-                   for d in dataset.seen_ids}
-    swaps = []
-    for part in ("encoder", "decoder"):
-        for m in ("epi_curriculum", "agg"):
-            if m in models:
-                r = E.swap_experiment(models[m], specialists, dataset, part,
-                                      ev.experiment_beam_width, ev.max_steps)
-                r.part = f"{part}:{m}"
-                swaps.append(r)
-    perturb = E.perturb_experiment(models, dataset, ev.sigmas, ev.noise_seeds,
-                                   ev.experiment_beam_width, ev.max_steps)
-    # divergence-score the seen-domain test sets for binning
-    test_pairs = [p for d in dataset.seen_ids for p in dataset.splits[d].testing]
-    for p, dv in zip(test_pairs, CU.divergence_score_pairs(test_pairs, divergence)):
-        p.d_score = float(dv)
-    bins = E.bin_report(models, plan.shard_thresholds, test_pairs,
-                        ev.experiment_beam_width, ev.max_steps)
-    return swaps, perturb, bins
+def _scored_base(cfg: RunConfig, seed: int):
+    """The seed's `Base`, and what `score` returns for it."""
+    base = _base(cfg, seed)
+    return (base, *score(cfg, seed, base))
+
+
+def _trained(cfg: RunConfig, method: str, seed: int, base: Base,
+             plan: CU.CurriculumPlan) -> tuple[M.EncoderDecoderModel, list[E.EvalCell]]:
+    """One method trained on one seed, and its protocol cells."""
+    model = _train_method(cfg, method, seed, base, plan)
+    return model, _protocol(cfg, method, seed, model, base.dataset)
+
+
+def _specialist(cfg: RunConfig, seed: int, base: Base, d: int) -> M.EncoderDecoderModel:
+    """The standalone domain-d model of the swap experiment."""
+    return TR.train_agg(base.vanilla, base.dataset.splits[d].training,
+                        replace(cfg.training.hp, seed=seed * 100 + d))[0]
 
 
 def experiment(cfg: RunConfig) -> dict:
     """Train every configured method and run the fine-tuning protocol per eval
     seed; swap, perturbation and bins (and the returned denoise scorer) cover
-    the first eval seed only."""
-    ev = cfg.eval
-    protocol = E.EvalReport()
-    for seed in ev.seeds:
-        base = _base(cfg, seed)
-        plan, denoise, divergence = score(cfg, seed, base)
-        models = {}
-        for m in cfg.training.methods:
-            log.info("training %s (seed %d)", m, seed)
-            models[m] = _train_method(cfg, m, seed, base, plan)
-        # each seed has its own dataset realization, so evaluate per seed and merge
-        protocol.cells.extend(E.run_protocol(models, base.dataset, cfg.training.hp, seed,
-                                             ev.beam_width, ev.max_steps).cells)
-        if seed == ev.seeds[0]:
-            first_denoise = denoise
-            swaps, perturb, bins = _experiments(cfg, seed, base, plan, divergence, models)
+    the first eval seed only.
+
+    Pool tasks, in three rounds: per seed, data, vanilla and scoring; per
+    (seed, method), training and the protocol, plus the first seed's swap
+    specialists and test-set divergence scores; once the first seed's models
+    are back, its swaps (per part and method), perturbations and bins (per
+    method), queued behind the later seeds' training.
+    """
+    ev, methods, first = cfg.eval, sorted(set(cfg.training.methods)), cfg.eval.seeds[0]
+    with _pool() as pool:
+        scored = _results(_submit(pool, [(f"scoring (seed {s})", _scored_base, cfg, s)
+                                         for s in ev.seeds]))
+        base, plan, denoise, divergence = scored[0]
+        dataset = base.dataset
+        test_pairs = [p for d in dataset.seen_ids for p in dataset.splits[d].testing]
+
+        def training(s, b, p):
+            return _submit(pool, [(f"{m} (seed {s})", _trained, cfg, m, s, b, p)
+                                  for m in methods])
+
+        # the first seed's tasks go first, as its experiments wait for them
+        trained = [training(first, base, plan)]
+        specialists = _submit(pool, [(f"swap specialist for domain {d} (seed {first})",
+                                      _specialist, cfg, first, base, d)
+                                     for d in dataset.seen_ids])
+        [d_scores] = _submit(pool, [(f"test-set divergence (seed {first})",
+                                     CU.divergence_score_pairs, test_pairs, divergence)])
+        trained += [training(s, b, p) for s, (b, p, _, _) in zip(ev.seeds[1:], scored[1:])]
+        models = {m: model for m, (model, _) in zip(methods, _results(trained[0]))}
+        specialists = dict(zip(dataset.seen_ids, _results(specialists)))
+        for p, dv in zip(test_pairs, d_scores.result()):
+            p.d_score = float(dv)
+        swapped = [(part, m) for part in ("encoder", "decoder")
+                   for m in ("epi_curriculum", "agg") if m in models]
+        width, steps = ev.experiment_beam_width, ev.max_steps
+        swaps = _submit(pool, [(f"{part} swap of {m} (seed {first})", E.swap_experiment,
+                                models[m], specialists, dataset, part, width, steps)
+                               for part, m in swapped])
+        perturbs = _submit(pool, [(f"perturbation of {m} (seed {first})",
+                                   E.perturb_experiment, {m: models[m]}, dataset, ev.sigmas,
+                                   ev.noise_seeds, width, steps) for m in methods])
+        binned = _submit(pool, [(f"divergence bins of {m} (seed {first})", E.bin_report,
+                                 {m: models[m]}, plan.shard_thresholds, test_pairs, width,
+                                 steps) for m in methods])
+        protocol = E.EvalReport([c for seed_tasks in trained
+                                 for _, cells in _results(seed_tasks) for c in cells])
+        swaps, perturbs, binned = _results(swaps), _results(perturbs), _results(binned)
+    for r, (part, m) in zip(swaps, swapped):
+        r.part = f"{part}:{m}"
+    perturb = E.PerturbReport({k: v for r in perturbs for k, v in r.cells.items()})
+    bins = E.BinReport(bin_sizes=[len(b) for b in CU.bin_testset(test_pairs,
+                                                                 plan.shard_thresholds)])
+    for r in binned:
+        bins.bleu_by_bin.update(r.bleu_by_bin)
     out = _write_report(cfg, ev.seeds, protocol, swaps, perturb, bins)
     return {"protocol": protocol, "swaps": swaps, "perturb": perturb, "bins": bins,
-            "denoise": first_denoise, "report_dir": out}
+            "denoise": denoise, "report_dir": out}

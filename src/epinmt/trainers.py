@@ -215,23 +215,27 @@ def epi_train(state: EpisodicState) -> tuple[M.EncoderDecoderModel, list[Episode
     on its own-domain batch; then the aggregation model takes one summed
     update per module, theta from grad(L_agg + L_enc) and phi from
     grad(L_agg + L_dec), with a single partner k != i for both episodic
-    losses. Batches come from the plan's scheduler at the current stage.
+    losses. Batches come from the plan's scheduler at the current stage; a
+    domain missing from some shard warns once per call, not once per batch.
     """
     hp = state.hp
     seen = sorted(state.specialists)
     rng = _rng(hp.seed, 5)
+    warned: set[int] = set()
     total = _total_steps(sum(len(s) for s in state.plan.shards), hp)
     for ep in range(total):
         stage = stage_of(ep / total, state.plan.policy)
         i = seen[ep % len(seen)]
         spec_loss = 0.0
         for j in seen:
-            batch_j = sample_batch(state.plan, stage, hp.batch_size, rng, domain_id=j)
+            batch_j = sample_batch(state.plan, stage, hp.batch_size, rng, domain_id=j,
+                                   warned=warned)
             lj = specialist_step(state, j, batch_j)
             if j == i:
                 spec_loss = lj
         k = _pick_partner(state, i, rng)
-        batch_i = sample_batch(state.plan, stage, hp.batch_size, rng, domain_id=i)
+        batch_i = sample_batch(state.plan, stage, hp.batch_size, rng, domain_id=i,
+                               warned=warned)
         loss_agg = pairs_nll(state.agg, batch_i)
         T.backward(loss_agg)
         l_enc = _episodic_backward(state, "encoder", batch_i, k)

@@ -589,7 +589,7 @@ def test_criterion_11_divergence_bins(lab):
 # criterion 12: byte-identical reruns
 
 
-def test_criterion_12_determinism(tmp_path, capsys):
+def test_criterion_12_determinism(tmp_path, capsys, monkeypatch):
     cfg = dict(TINY)
     cfg["output_dir"] = str(tmp_path / "runs")
     cfg_path = tmp_path / "config.json"
@@ -621,8 +621,23 @@ def test_criterion_12_determinism(tmp_path, capsys):
                     {"report_json": "eval/report.json",
                      "report_csv": "eval/report.csv"})
 
+    # every file `experiment` writes into a fresh directory, with a pool of
+    # one worker and of two
+    trees = []
+    for workers in (1, 2):
+        monkeypatch.setattr(P, "_workers", lambda workers=workers: workers)
+        out = tmp_path / f"workers{workers}"
+        assert cli.main(["experiment", "--config", str(cfg_path),
+                         "--out", str(out)]) == cli.EXIT_OK
+        capsys.readouterr()
+        trees.append({p.relative_to(out).as_posix(): p.read_bytes()
+                      for p in sorted(out.rglob("*")) if p.is_file()})
+    for rel in sorted(set(trees[0]) | set(trees[1])):
+        tracked[f"experiment@1v2:{rel}"] = trees[0].get(rel) == trees[1].get(rel)
+
     ok = all(tracked.values())
     record_criterion(12, "byte-identical reruns", ok,
-                     f"{len(tracked)} artifacts across 4 commands")
+                     f"{len(tracked)} artifacts across 4 commands, "
+                     f"{len(trees[1])} of them experiment at 1 and 2 workers")
     assert ok, f"non-deterministic artifacts: " \
                f"{[k for k, v in tracked.items() if not v]}"

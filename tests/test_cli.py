@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,8 +13,10 @@ import pytest
 from epinmt import cli
 from epinmt import config as cfgmod
 from epinmt import corpus as C
+from epinmt import evaluate as E
 from epinmt import model as M
 from epinmt import pipeline as P
+from epinmt import tensor as T
 from epinmt import trainers as TR
 
 from helpers import TINY, child_env
@@ -176,13 +179,21 @@ class TestCliUsage:
         ("gen-data", {"dataset": {**TINY["dataset"], "n_seen": 0}}),
         ("gen-data", {"dataset": {**TINY["dataset"], "windows": []}}),
         ("gen-data", {"master_seed": "x"}),
-        ("gen-data", {"training": {**TINY["training"], "methods": 3}})])
+        ("gen-data", {"training": {**TINY["training"], "methods": 3}}),
+        ("gen-data", {"master_seed": -1}),
+        ("experiment", {"eval": {**TINY["eval"], "seeds": [0, 0]}})])
     def test_invalid_config_values_are_usage_errors(self, tmp_path, capsys,
                                                      command, section):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({**TINY, **section,
                                     "output_dir": str(tmp_path / "runs")}))
         assert cli.main([command, "--config", str(path)]) == cli.EXIT_USAGE
+        assert "usage error" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+    def test_negative_seed_flag_is_usage_error(self, tiny_config_file, tmp_path, capsys):
+        assert cli.main(["gen-data", "--config", tiny_config_file,
+                         "--seed", "-1"]) == cli.EXIT_USAGE
         assert "usage error" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
 
@@ -274,6 +285,31 @@ class TestCliPipeline:
         assert rc == cli.EXIT_INTERNAL
         assert "non-finite loss" in capsys.readouterr().err
 
+    def test_nonfinite_loss_in_experiment_names_method_and_seed(self, tmp_path, capsys):
+        path = _tiny_with_training(tmp_path, overrides={"agg": {"alpha": 1e100}})
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = cli.main(["experiment", "--config", path])
+        assert rc == cli.EXIT_INTERNAL
+        err = capsys.readouterr().err
+        assert "non-finite loss" in err and "agg" in err and "seed 0" in err
+
+    def test_second_train_loads_the_vanilla(self, tiny_config_file, monkeypatch, capsys):
+        """The first `train` in a run directory pretrains vanilla into base/;
+        a second one loads it and writes the same bytes."""
+        train = ["train", "--config", tiny_config_file, "--method", "agg"]
+        assert cli.main(train) == cli.EXIT_OK
+        ckpt = Path(capsys.readouterr().out.strip())
+        written = (ckpt, ckpt.with_name("agg.provenance.json"))
+        fresh = [f.read_bytes() for f in written]
+
+        def no_pretraining(*args, **kwargs):
+            raise RuntimeError("train pretrained vanilla again")
+
+        monkeypatch.setattr(TR, "pretrain_vanilla", no_pretraining)
+        assert cli.main(train) == cli.EXIT_OK
+        assert capsys.readouterr().out.strip() == str(ckpt)
+        assert [f.read_bytes() for f in written] == fresh
+
     def test_finetune_requires_checkpoint(self, tiny_config_file, capsys):
         rc = cli.main(["finetune", "--config", tiny_config_file,
                        "--method", "agg"])
@@ -352,6 +388,25 @@ class TestExperiment:
         assert csv_lines[0] == "method,domain,seen_flag,metric,value,seed"
         # 3 methods x 3 domains x 3 metrics rows
         assert len(csv_lines) == 1 + 3 * 3 * 3
+
+
+class TestTaskRunner:
+    @pytest.mark.parametrize("task, error, message", [
+        (("agg (seed 3)", P._trainer, "warp_drive"), cfgmod.UsageError, "warp_drive"),
+        (("agg (seed 3)", E.corpus_bleu, [[4]], []), T.ContractError,
+         "^agg \\(seed 3\\): corpus_bleu"),
+        (("agg (seed 3)", P._load_trained, cfgmod.RunConfig(output_dir="no-such-runs"),
+          3, "agg"), P.DependencyError, "missing checkpoint")],
+        ids=["usage", "contract", "dependency"])
+    def test_task_errors_keep_their_type(self, task, error, message):
+        with P._pool() as pool, pytest.raises(error, match=message):
+            P._results(P._submit(pool, [task]))
+
+    def test_results_in_task_order(self, monkeypatch):
+        monkeypatch.setattr(P, "_workers", lambda: 2)
+        with P._pool() as pool:
+            got = P._results(P._submit(pool, [("", pow, n, 2) for n in range(9)]))
+        assert got == [n * n for n in range(9)]
 
 
 class TestLogging:

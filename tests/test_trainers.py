@@ -1,5 +1,7 @@
 """Training procedures: episodic updates, baselines, fine-tuning, logging."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -271,6 +273,23 @@ class TestEpiTrain:
         state = tr.train_epi_nmt(vanilla, ds.all_seen_training(), ds.seen_ids,
                                  _hp(episodes=3))
         assert state.plan.n_shards == 1
+
+    def test_renormalizing_warns_once_per_domain(self, world):
+        """Shards sorted by domain leave every domain out of some shard that
+        each stage samples, so every `sample_batch` call renormalizes; one
+        run warns once per such domain, not once per batch."""
+        _, ds, _, vanilla, _ = world
+        pairs = [C.SentencePair(p.source, p.target, p.domain_id, d_score=float(p.domain_id))
+                 for p in ds.all_seen_training()]
+        uniform = ((0.2,) * 5,) * 3
+        plan = cur.build_plan(pairs, cur.SchedulerPolicy("uniform", uniform))
+        gapped = [d for d in ds.seen_ids if any(not s for s in plan.domain_shards(d))]
+        assert len(gapped) == 3
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            tr.train_epi(vanilla, plan, ds.seen_ids, _hp(episodes=4))
+        assert len(caught) == len(gapped)
+        assert all("renormaliz" in str(w.message) for w in caught)
 
 
 class TestNonFiniteLoss:

@@ -13,10 +13,10 @@ outputs byte for byte. This module is the only one that knows the layout:
       eval/   report.json, report.csv
 
 The vanilla model is pretrained once per run directory; every later stage
-loads it from base/. `experiment`, `finetune` and `evaluate` run their
-independent tasks in a process pool with one worker per core this process
-may run on; each task receives its inputs as arguments and results merge in
-a fixed order, so the outputs do not depend on the worker count.
+loads it from base/. `experiment` and `finetune` run their independent
+tasks in a process pool with at most one worker per core this process may
+run on; each task receives its inputs as arguments and results merge in a
+fixed order, so the outputs do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -68,22 +68,28 @@ def _write_json(path: str, payload: dict) -> None:
 
 
 def _workers() -> int:
-    """The pool size: the number of cores this process may run on."""
+    """The most workers a pool gets: the number of cores this process may
+    run on."""
     return len(os.sched_getaffinity(0))
 
 
 @contextmanager
-def _pool():
-    """A process pool for `_submit`. Workers fork from the caller, which has
-    numpy loaded already (a spawned worker would import it again). They fork
-    at the first submit, before the pool starts its management thread, and
-    read nothing the caller changes later, as every input travels with its
-    task."""
+def _pool(tasks: int):
+    """A process pool for `_submit`, with a worker per core but no more than
+    the `tasks` that can run at once. Workers fork from the caller, which has
+    numpy loaded already (a spawned worker would import it again); all of
+    them fork at the first submit, before the pool starts its management
+    thread.
+
+    A task's arguments are pickled when the pool moves it to a worker, not
+    at submit, so the caller must not change an argument until that task's
+    result is back."""
     # imported here, so that `import epinmt.cli`, which every command pays,
     # does not load multiprocessing
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
-    pool = ProcessPoolExecutor(_workers(), mp_context=multiprocessing.get_context("fork"))
+    pool = ProcessPoolExecutor(min(_workers(), tasks),
+                               mp_context=multiprocessing.get_context("fork"))
     try:
         yield pool
     finally:
@@ -271,11 +277,11 @@ def finetune(cfg: RunConfig, method: str, seed: int) -> str:
     model = _load_trained(cfg, seed, method)
     _, dataset, _ = gen_data(cfg, seed)
     out = _stage_dir(cfg, seed, "train")
-    with _pool() as pool:
+    domains = dataset.seen_ids + dataset.unseen_ids
+    with _pool(len(domains)) as pool:
         _results(_submit(pool, [(f"{method} fine-tuned on domain {d} (seed {seed})",
                                  _finetune_domain, cfg, method, seed, model,
-                                 dataset.splits[d].finetune, d)
-                                for d in dataset.seen_ids + dataset.unseen_ids]))
+                                 dataset.splits[d].finetune, d) for d in domains]))
     return out
 
 
@@ -292,22 +298,13 @@ def _write_report(cfg: RunConfig, seeds, protocol: E.EvalReport, *experiments) -
     return out
 
 
-def _protocol(cfg: RunConfig, method: str, seed: int, model: M.EncoderDecoderModel,
-              dataset: C.MultiDomainDataset) -> list[E.EvalCell]:
-    """The fine-tuning protocol's cells of one method's model."""
-    return E.run_protocol({method: model}, dataset, cfg.training.hp, seed,
-                          cfg.eval.beam_width, cfg.eval.max_steps).cells
-
-
 def evaluate(cfg: RunConfig, seed: int) -> str:
     """The fine-tuning protocol over every configured method's checkpoint;
     returns the report directory."""
     models = {m: _load_trained(cfg, seed, m) for m in cfg.training.methods}
     _, dataset, _ = gen_data(cfg, seed)
-    with _pool() as pool:
-        cells = _results(_submit(pool, [(f"{m} (seed {seed})", _protocol, cfg, m, seed,
-                                         models[m], dataset) for m in sorted(models)]))
-    return _write_report(cfg, [seed], E.EvalReport([c for cs in cells for c in cs]))
+    return _write_report(cfg, [seed], E.run_protocol(
+        models, dataset, cfg.training.hp, seed, cfg.eval.beam_width, cfg.eval.max_steps))
 
 
 def _scored_base(cfg: RunConfig, seed: int):
@@ -320,13 +317,24 @@ def _trained(cfg: RunConfig, method: str, seed: int, base: Base,
              plan: CU.CurriculumPlan) -> tuple[M.EncoderDecoderModel, list[E.EvalCell]]:
     """One method trained on one seed, and its protocol cells."""
     model = _train_method(cfg, method, seed, base, plan)
-    return model, _protocol(cfg, method, seed, model, base.dataset)
+    return model, E.run_protocol({method: model}, base.dataset, cfg.training.hp, seed,
+                                 cfg.eval.beam_width, cfg.eval.max_steps).cells
 
 
 def _specialist(cfg: RunConfig, seed: int, base: Base, d: int) -> M.EncoderDecoderModel:
     """The standalone domain-d model of the swap experiment."""
     return TR.train_agg(base.vanilla, base.dataset.splits[d].training,
                         replace(cfg.training.hp, seed=seed * 100 + d))[0]
+
+
+def _binned(models: dict[str, M.EncoderDecoderModel], thresholds: list[float],
+            test_pairs: list[C.SentencePair], divergence, width: int,
+            steps: int) -> E.BinReport:
+    """The bins experiment: divergence-score the test pairs (this task's
+    copies of them), then bin them by the plan's thresholds."""
+    for p, dv in zip(test_pairs, CU.divergence_score_pairs(test_pairs, divergence)):
+        p.d_score = float(dv)
+    return E.bin_report(models, thresholds, test_pairs, width, steps)
 
 
 def experiment(cfg: RunConfig) -> dict:
@@ -336,17 +344,21 @@ def experiment(cfg: RunConfig) -> dict:
 
     Pool tasks, in three rounds: per seed, data, vanilla and scoring; per
     (seed, method), training and the protocol, plus the first seed's swap
-    specialists and test-set divergence scores; once the first seed's models
-    are back, its swaps (per part and method), perturbations and bins (per
-    method), queued behind the later seeds' training.
+    specialists; once the first seed's models are back, its swaps (per part
+    and method), perturbation and bins, queued behind the later seeds'
+    training. The pool has a worker per core, but no more than the largest
+    round has tasks.
     """
     ev, methods, first = cfg.eval, sorted(set(cfg.training.methods)), cfg.eval.seeds[0]
-    with _pool() as pool:
+    swapped = [(part, m) for part in ("encoder", "decoder")
+               for m in ("epi_curriculum", "agg") if m in methods]
+    rounds = (len(ev.seeds), len(ev.seeds) * len(methods) + cfg.dataset.n_seen,
+              len(swapped) + 2)
+    with _pool(max(rounds)) as pool:
         scored = _results(_submit(pool, [(f"scoring (seed {s})", _scored_base, cfg, s)
                                          for s in ev.seeds]))
         base, plan, denoise, divergence = scored[0]
         dataset = base.dataset
-        test_pairs = [p for d in dataset.seen_ids for p in dataset.splits[d].testing]
 
         def training(s, b, p):
             return _submit(pool, [(f"{m} (seed {s})", _trained, cfg, m, s, b, p)
@@ -357,35 +369,24 @@ def experiment(cfg: RunConfig) -> dict:
         specialists = _submit(pool, [(f"swap specialist for domain {d} (seed {first})",
                                       _specialist, cfg, first, base, d)
                                      for d in dataset.seen_ids])
-        [d_scores] = _submit(pool, [(f"test-set divergence (seed {first})",
-                                     CU.divergence_score_pairs, test_pairs, divergence)])
         trained += [training(s, b, p) for s, (b, p, _, _) in zip(ev.seeds[1:], scored[1:])]
         models = {m: model for m, (model, _) in zip(methods, _results(trained[0]))}
         specialists = dict(zip(dataset.seen_ids, _results(specialists)))
-        for p, dv in zip(test_pairs, d_scores.result()):
-            p.d_score = float(dv)
-        swapped = [(part, m) for part in ("encoder", "decoder")
-                   for m in ("epi_curriculum", "agg") if m in models]
         width, steps = ev.experiment_beam_width, ev.max_steps
+        test_pairs = [p for d in dataset.seen_ids for p in dataset.splits[d].testing]
         swaps = _submit(pool, [(f"{part} swap of {m} (seed {first})", E.swap_experiment,
                                 models[m], specialists, dataset, part, width, steps)
                                for part, m in swapped])
-        perturbs = _submit(pool, [(f"perturbation of {m} (seed {first})",
-                                   E.perturb_experiment, {m: models[m]}, dataset, ev.sigmas,
-                                   ev.noise_seeds, width, steps) for m in methods])
-        binned = _submit(pool, [(f"divergence bins of {m} (seed {first})", E.bin_report,
-                                 {m: models[m]}, plan.shard_thresholds, test_pairs, width,
-                                 steps) for m in methods])
+        [perturb, bins] = _submit(pool, [
+            (f"perturbation (seed {first})", E.perturb_experiment, models, dataset,
+             ev.sigmas, ev.noise_seeds, width, steps),
+            (f"divergence bins (seed {first})", _binned, models, plan.shard_thresholds,
+             test_pairs, divergence, width, steps)])
         protocol = E.EvalReport([c for seed_tasks in trained
                                  for _, cells in _results(seed_tasks) for c in cells])
-        swaps, perturbs, binned = _results(swaps), _results(perturbs), _results(binned)
+        swaps, perturb, bins = _results(swaps), perturb.result(), bins.result()
     for r, (part, m) in zip(swaps, swapped):
         r.part = f"{part}:{m}"
-    perturb = E.PerturbReport({k: v for r in perturbs for k, v in r.cells.items()})
-    bins = E.BinReport(bin_sizes=[len(b) for b in CU.bin_testset(test_pairs,
-                                                                 plan.shard_thresholds)])
-    for r in binned:
-        bins.bleu_by_bin.update(r.bleu_by_bin)
     out = _write_report(cfg, ev.seeds, protocol, swaps, perturb, bins)
     return {"protocol": protocol, "swaps": swaps, "perturb": perturb, "bins": bins,
             "denoise": denoise, "report_dir": out}

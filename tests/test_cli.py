@@ -399,14 +399,21 @@ class TestTaskRunner:
           3, "agg"), P.DependencyError, "missing checkpoint")],
         ids=["usage", "contract", "dependency"])
     def test_task_errors_keep_their_type(self, task, error, message):
-        with P._pool() as pool, pytest.raises(error, match=message):
+        with P._pool(1) as pool, pytest.raises(error, match=message):
             P._results(P._submit(pool, [task]))
 
     def test_results_in_task_order(self, monkeypatch):
         monkeypatch.setattr(P, "_workers", lambda: 2)
-        with P._pool() as pool:
+        with P._pool(9) as pool:
             got = P._results(P._submit(pool, [("", pow, n, 2) for n in range(9)]))
         assert got == [n * n for n in range(9)]
+
+    @pytest.mark.parametrize("cores, tasks, workers", [(64, 5, 5), (2, 5, 2), (1, 5, 1)])
+    def test_pool_has_no_more_workers_than_tasks(self, monkeypatch, cores, tasks,
+                                                 workers):
+        monkeypatch.setattr(P, "_workers", lambda: cores)
+        with P._pool(tasks) as pool:   # no task submitted, so no worker forked
+            assert pool._max_workers == workers
 
 
 class TestLogging:

@@ -95,6 +95,8 @@ class EvalConfig:
             raise ValueError("beam_width and experiment_beam_width must be >= 1")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
+        if not all(map(_is_int, (*self.seeds, *self.noise_seeds))):
+            raise ValueError("seeds and noise_seeds must be integers")
         if min((*self.seeds, *self.sigmas, *self.noise_seeds)) < 0:
             raise ValueError("seeds, sigmas and noise_seeds must be nonnegative")
 
@@ -120,6 +122,17 @@ class RunConfig:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()[:12]
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _object(value, where: str) -> dict:
+    """value, which must be a JSON object."""
+    if not isinstance(value, dict):
+        raise UsageError(f"{where} must be a JSON object, got {json.dumps(value)}")
+    return value
+
+
 def _checked(where: str, make):
     """make(); a TypeError or ValueError it raises is a usage error."""
     try:
@@ -135,7 +148,7 @@ def _frozen(value):
 
 def _build(cls, payload: dict, where: str):
     """cls(**payload); unknown keys and invalid values are usage errors."""
-    unknown = set(payload) - {f.name for f in fields(cls)}
+    unknown = set(_object(payload, where)) - {f.name for f in fields(cls)}
     if unknown:
         raise UsageError(f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
     return _checked(where, lambda: cls(**{k: _frozen(v) for k, v in payload.items()}))
@@ -143,30 +156,38 @@ def _build(cls, payload: dict, where: str):
 
 def load_config(path) -> RunConfig:
     with open(path, "r", encoding="utf-8") as f:
-        raw = json.load(f)
+        try:
+            raw = json.load(f)
+        except ValueError as e:   # malformed JSON or not UTF-8
+            raise UsageError(f"{path} is not a valid JSON file: {e}") from None
     return config_from_dict(raw)
 
 
 def config_from_dict(raw: dict) -> RunConfig:
     top_allowed = {"output_dir", "master_seed", "dataset", "model",
                    "curriculum", "training", "eval"}
-    unknown = set(raw) - top_allowed
+    unknown = set(_object(raw, "the config")) - top_allowed
     if unknown:
         raise UsageError(f"unknown top-level key(s): {', '.join(sorted(unknown))}")
     cfg = RunConfig()
     cfg.output_dir = raw.get("output_dir", cfg.output_dir)
-    cfg.master_seed = _checked("master_seed", lambda: int(raw.get("master_seed", 0)))
-    if cfg.master_seed < 0:   # numpy's SeedSequence takes no negative seed
-        raise UsageError(f"master_seed must be nonnegative, got {cfg.master_seed}")
+    if not isinstance(cfg.output_dir, str):
+        raise UsageError(f"output_dir must be a string, got {json.dumps(cfg.output_dir)}")
+    cfg.master_seed = raw.get("master_seed", cfg.master_seed)
+    # numpy's SeedSequence takes no negative seed; 1.7 or true is no seed at all
+    if not _is_int(cfg.master_seed) or cfg.master_seed < 0:
+        raise UsageError(
+            f"master_seed must be a nonnegative integer, got {json.dumps(cfg.master_seed)}")
     for key, cls in (("dataset", DatasetConfig), ("model", ModelConfig),
                      ("curriculum", CurriculumConfig), ("eval", EvalConfig)):
         if key in raw:
             setattr(cfg, key, _build(cls, raw[key], key))
     _checked("dataset", cfg.dataset.validate)
     if "training" in raw:
-        t = dict(raw["training"])
+        t = dict(_object(raw["training"], "training"))
         methods = _checked("training.methods", lambda: tuple(t.pop("methods", METHODS)))
-        overrides = {m: dict(ov) for m, ov in t.pop("overrides", {}).items()}
+        overrides = {m: dict(_object(ov, f"training.overrides.{m}")) for m, ov in
+                     _object(t.pop("overrides", {}), "training.overrides").items()}
         cfg.training = TrainingConfig(_build(Hyperparams, t, "training"), methods,
                                       overrides)
     cfg.training.validate()

@@ -12,8 +12,13 @@ inputs are reduced back to the input shape by summing the expanded axes.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from collections import OrderedDict
 from typing import Callable, Iterable, Iterator
 
@@ -204,8 +209,35 @@ def gelu(a: Tensor) -> Tensor:
 
 
 def _gelu_cdf(x: np.ndarray) -> np.ndarray:
-    from scipy.special import erf  # here, so that importing the package loads no scipy
-    return 0.5 * (1.0 + erf(x * _INV_SQRT2))
+    return 0.5 * (1.0 + _erf()(x * _INV_SQRT2))
+
+
+@functools.cache
+def _erf() -> np.ufunc:
+    """scipy.special's own erf ufunc, from its compiled extension module.
+
+    `from scipy.special import erf` would run the whole scipy.special package
+    (its array-API layer included), which costs as much start-up time as the
+    rest of the CLI. Loading the one extension runs neither that package nor
+    scipy's own __init__, and calls the same C function.
+    """
+    name = "scipy.special._special_ufuncs"
+    if name in sys.modules:                     # scipy.special is imported already
+        return sys.modules[name].erf
+    scipy = importlib.util.find_spec("scipy")   # locates scipy, runs none of it
+    dirs = [os.path.join(d, "special") for d in scipy.submodule_search_locations] \
+        if scipy else []
+    spec = importlib.machinery.PathFinder.find_spec(name, dirs)
+    if spec is None:
+        from importlib.metadata import version   # an ImportError itself without scipy
+        raise ImportError(f"GELU's erf needs scipy>=1.17: scipy {version('scipy')} "
+                          f"has no {name}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    # The extension registers itself in sys.modules as it loads. Take it out,
+    # so that a later `import scipy.special` loads it as the package's submodule.
+    sys.modules.pop(name, None)
+    return module.erf
 
 
 def _gelu_backward(g: np.ndarray, x: np.ndarray, cdf: np.ndarray) -> np.ndarray:

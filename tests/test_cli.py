@@ -107,6 +107,20 @@ class TestConfig:
         assert a.config_hash() != c.config_hash()
         assert len(a.config_hash()) == 12
 
+    @pytest.mark.parametrize("raw", [
+        {"master_seed": 1.7}, {"master_seed": True}, {"master_seed": "1"},
+        {"eval": {"seeds": [1.5]}}, {"eval": {"seeds": [0, True]}},
+        {"eval": {"noise_seeds": [0.5]}}])
+    def test_non_integer_seeds_are_usage_errors(self, raw):
+        # int() would turn 1.7 and true into seed 1, a run nobody asked for
+        with pytest.raises(cfgmod.UsageError, match="integer"):
+            cfgmod.config_from_dict(raw)
+
+    def test_integer_seeds_are_kept(self):
+        cfg = cfgmod.config_from_dict({"master_seed": 7,
+                                       "eval": {"seeds": [3, 4], "noise_seeds": [5]}})
+        assert (cfg.master_seed, cfg.eval.seeds, cfg.eval.noise_seeds) == (7, (3, 4), (5,))
+
     def test_output_dir_does_not_change_hash(self):
         a = cfgmod.config_from_dict({"output_dir": "runs"})
         b = cfgmod.config_from_dict({"output_dir": "elsewhere/runs"})
@@ -124,7 +138,7 @@ def test_cli_import_does_not_load_scipy_stats():
 
 
 def test_cli_import_loads_no_scipy_module():
-    """scipy is imported by the first GELU, not by `import epinmt.cli`."""
+    """`import epinmt.cli` loads no scipy module (GELU loads only its erf extension)."""
     proc = subprocess.run(
         [sys.executable, "-c",
          "import epinmt.cli, sys; "
@@ -181,12 +195,26 @@ class TestCliUsage:
         ("gen-data", {"master_seed": "x"}),
         ("gen-data", {"training": {**TINY["training"], "methods": 3}}),
         ("gen-data", {"master_seed": -1}),
-        ("experiment", {"eval": {**TINY["eval"], "seeds": [0, 0]}})])
+        ("experiment", {"eval": {**TINY["eval"], "seeds": [0, 0]}}),
+        ("gen-data", {"dataset": 3}),
+        ("gen-data", {"training": {**TINY["training"], "overrides": 5}}),
+        ("gen-data", {"training": {**TINY["training"], "overrides": {"agg": 3}}}),
+        ("gen-data", {"training": [["alpha", 0.1]]}),
+        ("gen-data", {"master_seed": 1.7}),
+        ("gen-data", {"master_seed": True}),
+        ("experiment", {"eval": {**TINY["eval"], "seeds": [1.5]}}),
+        ("experiment", {"eval": {**TINY["eval"], "seeds": [True]}}),
+        ("experiment", {"eval": {**TINY["eval"], "noise_seeds": [0.5]}}),
+        pytest.param("gen-data", '{"output_dir": 3}', id="gen-data-output-dir-not-string"),
+        pytest.param("gen-data", '{"master_seed": 1,', id="gen-data-not-json"),
+        pytest.param("gen-data", "[1, 2]", id="gen-data-root-not-object")])
     def test_invalid_config_values_are_usage_errors(self, tmp_path, capsys,
-                                                     command, section):
+                                                     monkeypatch, command, section):
+        """`section` is merged into TINY, or, as a string, is the whole file."""
+        monkeypatch.chdir(tmp_path)   # where the default output_dir would go
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({**TINY, **section,
-                                    "output_dir": str(tmp_path / "runs")}))
+        path.write_text(section if isinstance(section, str) else
+                        json.dumps({**TINY, **section, "output_dir": "runs"}))
         assert cli.main([command, "--config", str(path)]) == cli.EXIT_USAGE
         assert "usage error" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()

@@ -496,6 +496,20 @@ class TestInit:
             "bbffa15f20ce88c1ed75f55ba0c23bb0d1853fe523727826248cae557a83a55e")
 
 
+def test_training_step_loads_no_scipy_package():
+    """GELU's erf comes from scipy's extension module alone: neither `scipy`
+    nor `scipy.special` runs in a process that trains the model."""
+    code = ("import sys, numpy as np; from epinmt import model as M, tensor as T; "
+            "m = M.init_model(M.ModelConfig(vocab_size=12, d_model=16, n_layers=1, "
+            "n_heads=2, d_ff=24, max_len=16), np.random.default_rng(0)); "
+            "T.backward(M.nll_batch(m, [[4, 5, 6]], [[7, 8]])); "
+            "assert m.encoder['l0.ff.w1'].grad is not None; "
+            "print(sorted(n for n in sys.modules if n.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], env=child_env(),
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
 class TestChecksum:
     def test_equal_across_processes(self):
         """Two interpreters with different hash seeds give the same digests."""

@@ -1,12 +1,16 @@
 """Tensor engine: forward semantics, reverse-mode gradients, SGD, checkpoints."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from epinmt import model as M
 from epinmt import tensor as T
 
-from helpers import check_grad, finite_diff, max_rel_err, FD_TOL, tiny_config
+from helpers import (check_grad, child_env, finite_diff, max_rel_err, FD_TOL,
+                     tiny_config)
 
 
 def _rng(seed=0):
@@ -73,6 +77,48 @@ class TestElementwise:
         x = T.tensor(np.ones((2, 3)))
         y = T.tensor([1.0, 2.0, 3.0])
         assert np.array_equal(T.add(x, y).data, [[2, 3, 4], [2, 3, 4]])
+
+
+# Run in a fresh interpreter, so that GELU loads erf before anything imports
+# scipy.special; prints the scipy modules left in sys.modules at that point.
+_ERF_AGAINST_SCIPY = """
+import sys
+import numpy as np
+from epinmt import tensor as T
+T.gelu(T.tensor(np.ones(3)))
+print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))
+tiny = np.finfo(np.float64).smallest_subnormal
+x = np.concatenate([
+    [0.0, -0.0, np.inf, -np.inf, np.nan, tiny, -tiny, 1e3 * tiny, -1e3 * tiny,
+     np.finfo(np.float64).tiny, -np.finfo(np.float64).tiny],
+    *(c + np.linspace(-1e-3, 1e-3, 2001) for c in (-8.0, -1.0, 1.0, 8.0)),
+    # lab scale: GELU inputs scaled by 1/sqrt(2)
+    np.random.default_rng(0).normal(0.0, 3.0, 100_000) * T._INV_SQRT2])
+ours = T._erf()(x)
+import scipy.special, scipy.stats
+assert ours.tobytes() == scipy.special.erf(x).tobytes()
+assert scipy.stats.norm.cdf(0.0) == 0.5
+print(T._erf() is scipy.special.erf)
+"""
+
+
+class TestErf:
+    def test_is_scipys_erf_bit_for_bit(self):
+        proc = subprocess.run([sys.executable, "-c", _ERF_AGAINST_SCIPY],
+                              env=child_env(), capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split("\n")[:2] == ["[]", "True"]
+
+    def test_missing_extension_names_the_scipy_version(self, monkeypatch):
+        import importlib.machinery
+        import importlib.metadata
+        import importlib.util
+        # a scipy package directory without the extension
+        monkeypatch.delitem(sys.modules, "scipy.special._special_ufuncs", raising=False)
+        monkeypatch.setattr(importlib.util, "find_spec", lambda name: (
+            importlib.machinery.ModuleSpec(name, None, is_package=True)))
+        with pytest.raises(ImportError, match=importlib.metadata.version("scipy")):
+            T._erf.__wrapped__()
 
 
 class TestLayerNorm:

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import types
+import typing
 from dataclasses import dataclass, field, asdict, fields
 
 from .corpus import DatasetConfig
@@ -70,6 +72,7 @@ class TrainingConfig:
                 raise UsageError(
                     f"unknown key(s) in training.overrides.{m}: "
                     f"{', '.join(sorted(unknown))}")
+            _check_ints(Hyperparams, ov, f"training.overrides.{m}")
             _checked(f"training.overrides.{m}", lambda: self.method_hp(m, 0))
 
     def method_hp(self, method: str, seed: int) -> Hyperparams:
@@ -95,8 +98,6 @@ class EvalConfig:
             raise ValueError("beam_width and experiment_beam_width must be >= 1")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
-        if not all(map(_is_int, (*self.seeds, *self.noise_seeds))):
-            raise ValueError("seeds and noise_seeds must be integers")
         if min((*self.seeds, *self.sigmas, *self.noise_seeds)) < 0:
             raise ValueError("seeds, sigmas and noise_seeds must be nonnegative")
 
@@ -126,6 +127,32 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _ints_ok(hint, value) -> bool:
+    """Whether `value` holds an integer wherever the type `hint` names int.
+    A float or a bool is no count, and int() would quietly truncate it."""
+    if hint is int:
+        return _is_int(value)
+    args = typing.get_args(hint)
+    if isinstance(hint, types.UnionType):          # X | None
+        return value is None or any(_ints_ok(a, value) for a in args if a is not type(None))
+    if typing.get_origin(hint) is tuple and isinstance(value, tuple):
+        hints = args[:1] * len(value) if args[-1] is Ellipsis else args
+        return all(_ints_ok(h, v) for h, v in zip(hints, value))
+    return True
+
+
+def _check_ints(cls, payload: dict, where: str) -> None:
+    """Each of payload's fields of dataclass `cls` holds integers where its
+    annotation names int; otherwise a usage error."""
+    hints = typing.get_type_hints(cls)
+    for key, value in payload.items():
+        hint = hints[key]
+        if not _ints_ok(hint, value):
+            name = hint.__name__ if isinstance(hint, type) else str(hint)
+            raise UsageError(f"{where}.{key} takes integers only ({name}), "
+                             f"got {json.dumps(value)}")
+
+
 def _object(value, where: str) -> dict:
     """value, which must be a JSON object."""
     if not isinstance(value, dict):
@@ -151,7 +178,9 @@ def _build(cls, payload: dict, where: str):
     unknown = set(_object(payload, where)) - {f.name for f in fields(cls)}
     if unknown:
         raise UsageError(f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
-    return _checked(where, lambda: cls(**{k: _frozen(v) for k, v in payload.items()}))
+    values = {k: _frozen(v) for k, v in payload.items()}
+    _check_ints(cls, values, where)
+    return _checked(where, lambda: cls(**values))
 
 
 def load_config(path) -> RunConfig:

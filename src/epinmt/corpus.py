@@ -148,11 +148,6 @@ def split(pairs: list[SentencePair], budgets: dict[str, int], seed: int) -> Data
     cursor = 0
     for name in names:
         budget = budgets.get(name, 0)
-        if budget is None:  # take everything left
-            while cursor < len(pairs):
-                result[name].append(pairs[order[cursor]])
-                cursor += 1
-            continue
         count = 0
         while count < budget:
             if cursor >= len(pairs):
@@ -208,6 +203,8 @@ class DatasetConfig:
     unseen_like: tuple[int, ...] | None = None
 
     def validate(self):
+        if self.len_min < 1:
+            raise ConfigError(f"len_min must be >= 1, got {self.len_min}")
         if self.n_content < 4:
             raise ConfigError("n_content too small")
         if not 0.0 <= self.noise_fraction <= 1.0:

@@ -12,7 +12,6 @@ shard probabilities.
 from __future__ import annotations
 
 import json
-import logging
 import warnings
 from dataclasses import dataclass, field
 from functools import partial
@@ -22,8 +21,6 @@ import numpy as np
 from . import model as M
 from . import tensor as T
 from .corpus import MultiDomainDataset, SentencePair
-
-log = logging.getLogger(__name__)
 
 N_SHARDS = 5
 
@@ -151,13 +148,18 @@ def build_divergence_scorer(base_lm, dataset: MultiDomainDataset, steps: int,
     return DivergenceScorer(base_lm, lms, {"steps": steps, "lr": lr, "seed": seed})
 
 
-def divergence_d(logp_z: float, logp_base: float, source_len: int) -> float:
-    """Per-source-token log-probability gap; higher = further from the general domain."""
-    return (logp_z - logp_base) / source_len
-
-
-def denoise_score(pair: SentencePair, scorer: DenoiseScorer) -> float:
-    return float(denoise_score_pairs([pair], scorer)[0])
+def _per_domain(pairs: list[SentencePair], models: dict, what: str, gap) -> np.ndarray:
+    """gap(domain model, the domain's pairs) for each domain's pairs, in one
+    batch per domain, placed back in the order of `pairs`."""
+    out = np.empty(len(pairs))
+    by_domain: dict[int, list[int]] = {}
+    for i, p in enumerate(pairs):
+        by_domain.setdefault(p.domain_id, []).append(i)
+    for d, idxs in by_domain.items():
+        if d not in models:
+            raise KeyError(f"no {what} for domain {d}")
+        out[idxs] = gap(models[d], [pairs[i] for i in idxs])
+    return out
 
 
 def denoise_score_pairs(pairs: list[SentencePair], scorer: DenoiseScorer) -> np.ndarray:
@@ -165,45 +167,25 @@ def denoise_score_pairs(pairs: list[SentencePair], scorer: DenoiseScorer) -> np.
 
     Equals the per-token nll difference base - adapted.
     """
-    out = np.empty(len(pairs))
-    by_domain: dict[int, list[int]] = {}
-    for i, p in enumerate(pairs):
-        by_domain.setdefault(p.domain_id, []).append(i)
-    for d, idxs in by_domain.items():
-        if d not in scorer.domain_models:
-            raise KeyError(f"no denoise model for domain {d}")
-        srcs = [pairs[i].source for i in idxs]
-        tgts = [pairs[i].target for i in idxs]
+    def gap(adapted, group):
+        srcs, tgts = [p.source for p in group], [p.target for p in group]
         nll_base = M.nll_per_pair(scorer.base_model, srcs, tgts)
-        nll_z = M.nll_per_pair(scorer.domain_models[d], srcs, tgts)
-        out[idxs] = nll_base - nll_z
-    return out
+        return nll_base - M.nll_per_pair(adapted, srcs, tgts)
 
-
-def divergence_score(sentence: list[int], scorer: DivergenceScorer,
-                     domain_id: int) -> float:
-    if domain_id not in scorer.domain_lms:
-        raise KeyError(f"no divergence LM for domain {domain_id}")
-    lp_z = M.lm_logprob(scorer.domain_lms[domain_id], sentence)
-    lp_base = M.lm_logprob(scorer.base_lm, sentence)
-    return divergence_d(lp_z, lp_base, len(sentence) + 1)  # EOS counted
+    return _per_domain(pairs, scorer.domain_models, "denoise model", gap)
 
 
 def divergence_score_pairs(pairs: list[SentencePair],
                            scorer: DivergenceScorer) -> np.ndarray:
-    out = np.empty(len(pairs))
-    by_domain: dict[int, list[int]] = {}
-    for i, p in enumerate(pairs):
-        by_domain.setdefault(p.domain_id, []).append(i)
-    for d, idxs in by_domain.items():
-        if d not in scorer.domain_lms:
-            raise KeyError(f"no divergence LM for domain {d}")
-        sents = [pairs[i].source for i in idxs]
+    """d = [logP(s; domain LM) - logP(s; base LM)] / (|s| + 1), EOS counted:
+    the per-source-token gap, higher further from the general domain."""
+    def gap(lm, group):
+        sents = [p.source for p in group]
         lens = np.array([len(s) + 1 for s in sents], dtype=np.float64)
-        lp_z = M.lm_logprob_batch(scorer.domain_lms[d], sents)
-        lp_base = M.lm_logprob_batch(scorer.base_lm, sents)
-        out[idxs] = (lp_z - lp_base) / lens
-    return out
+        lp_z = M.lm_logprob_batch(lm, sents)
+        return (lp_z - M.lm_logprob_batch(scorer.base_lm, sents)) / lens
+
+    return _per_domain(pairs, scorer.domain_lms, "divergence LM", gap)
 
 
 def score_corpus(pairs: list[SentencePair], denoise: DenoiseScorer | None,
@@ -237,10 +219,6 @@ class CurriculumPlan:
     filtered_count: int = 0
     # shards filtered to one domain, built on first use; `save_plan` skips it
     _by_domain: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    @property
-    def n_shards(self) -> int:
-        return len(self.shards)
 
     def domain_shards(self, domain_id: int) -> list[list[SentencePair]]:
         """Each shard's pairs of one domain; filtered once, as shards never change."""

@@ -9,7 +9,6 @@ too short to contain any n-gram of a given order.
 from __future__ import annotations
 
 import json
-import logging
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -21,8 +20,6 @@ from . import tensor as T
 from .corpus import MultiDomainDataset, SentencePair
 from .curriculum import bin_testset
 from .trainers import Hyperparams, finetune, protocol_hp
-
-log = logging.getLogger(__name__)
 
 MAX_NGRAM = 4
 SMOOTH_EPS = 0.1

@@ -21,7 +21,7 @@ import functools
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -87,7 +87,6 @@ class ModelConfig:
     n_heads: int = 4
     d_ff: int = 128
     max_len: int = 64
-    dropout_rate: float = 0.0
     vocab_size: int = 128
 
     def __post_init__(self):
@@ -262,12 +261,6 @@ def encode_batch(theta: ParameterSet, cfg: ModelConfig, src_ids: np.ndarray) -> 
     return _stack(theta, cfg, src_ids, _pad_mask(src_ids), ENCODER)
 
 
-def encode(theta: ParameterSet, cfg: ModelConfig, source: list[int]) -> Tensor:
-    """Single-sentence convenience wrapper; returns [len, d_model]."""
-    mem = encode_batch(theta, cfg, np.array([source], dtype=np.int64))
-    return T.reshape(mem, (len(source), cfg.d_model))
-
-
 def decoder_logits(phi: ParameterSet, cfg: ModelConfig, memory: Tensor,
                    src_ids: np.ndarray, dec_in: np.ndarray) -> Tensor:
     """Teacher-forced decoder logits [B, Lt, V]."""
@@ -332,10 +325,6 @@ def nll_batch(model: EncoderDecoderModel, sources: list[list[int]],
     return _masked_xent(decoder_logits(model.decoder, cfg, memory, src, dec_in), tgt_out)
 
 
-def nll(model: EncoderDecoderModel, source: list[int], target: list[int]) -> Tensor:
-    return nll_batch(model, [source], [target])
-
-
 def nll_per_pair(model: EncoderDecoderModel, sources: list[list[int]],
                  targets: list[list[int]]) -> np.ndarray:
     """Per-pair mean-per-token nll (EOS included), computed without gradients."""
@@ -359,10 +348,6 @@ def lm_logprob_batch(lm: LanguageModel, sentences: list[list[int]]) -> np.ndarra
     dec_in, tgt = _teacher_force(sentences)
     logits = lm_logits(lm.params.frozen_view(), lm.config, dec_in).data
     return _target_logprobs(logits, tgt).sum(axis=-1)
-
-
-def lm_logprob(lm: LanguageModel, sentence: list[int]) -> float:
-    return float(lm_logprob_batch(lm, [sentence])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -463,55 +448,26 @@ def beam_decode_batch(model: EncoderDecoderModel, sources: list[list[int]],
     return results
 
 
-def beam_decode(model, source, beam_width=5, max_steps=32) -> DecodeResult:
-    return beam_decode_batch(model, [source], beam_width, max_steps)[0]
-
-
-def greedy_decode(model, source, max_steps=32) -> DecodeResult:
-    return beam_decode(model, source, beam_width=1, max_steps=max_steps)
-
-
 # ---------------------------------------------------------------------------
 # checkpoints
 
 
 def save_model(model: EncoderDecoderModel, path) -> None:
-    _save(path, model.config, encoder=model.encoder, decoder=model.decoder)
-
-
-def load_model(path) -> EncoderDecoderModel:
-    cfg, modules = _load(path)
-    return EncoderDecoderModel(cfg, modules["encoder"], modules["decoder"])
-
-
-def save_lm(lm: LanguageModel, path) -> None:
-    _save(path, lm.config, params=lm.params)
-
-
-def load_lm(path) -> LanguageModel:
-    cfg, modules = _load(path)
-    return LanguageModel(cfg, modules["params"])
-
-
-def _save(path, config: ModelConfig, **modules: ParameterSet) -> None:
-    """The checkpoint format: one JSON object holding the config, then each
-    module as ordered (name, shape, values) entries. float64 values survive
-    the round trip exactly (repr-based JSON floats)."""
-    payload = {"config": config.to_dict()}
-    for key, ps in modules.items():
+    """The checkpoint format: one JSON object holding the config, then the
+    encoder and the decoder as ordered (name, shape, values) entries. float64
+    values survive the round trip exactly (repr-based JSON floats)."""
+    payload = {"config": model.config.to_dict()}
+    for key, ps in (("encoder", model.encoder), ("decoder", model.decoder)):
         payload[key] = [{"name": k, "shape": list(v.shape),
                          "values": v.data.reshape(-1).tolist()} for k, v in ps.items()]
     with open(path, "w", encoding="utf-8") as f:
         json.dump(payload, f)
 
 
-def _load(path) -> tuple[ModelConfig, dict[str, ParameterSet]]:
+def load_model(path) -> EncoderDecoderModel:
     with open(path, "r", encoding="utf-8") as f:
         payload = json.load(f)
-    modules = {}
-    for key, entries in payload.items():
-        if key != "config":
-            modules[key] = ParameterSet({
-                e["name"]: Tensor(np.array(e["values"]).reshape(e["shape"]), grad_enabled=True)
-                for e in entries})
-    return ModelConfig.from_dict(payload["config"]), modules
+    encoder, decoder = (ParameterSet({
+        e["name"]: Tensor(np.array(e["values"]).reshape(e["shape"]), grad_enabled=True)
+        for e in payload[key]}) for key in ("encoder", "decoder"))
+    return EncoderDecoderModel(ModelConfig.from_dict(payload["config"]), encoder, decoder)

@@ -29,9 +29,6 @@ __all__ = [
     "ParameterSet",
     "DimensionError",
     "ContractError",
-    "tensor",
-    "zeros",
-    "constant",
     "add",
     "sub",
     "mul",
@@ -91,23 +88,8 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"Tensor(shape={self.shape}, grad_enabled={self.grad_enabled})"
-
-
-def tensor(data, grad_enabled=False) -> Tensor:
-    return Tensor(data, grad_enabled=grad_enabled)
-
-
-def constant(data) -> Tensor:
-    return Tensor(data)
-
-
-def zeros(shape, grad_enabled=False) -> Tensor:
-    return Tensor(np.zeros(shape), grad_enabled=grad_enabled)
 
 
 def _needs_grad(*ts: Tensor) -> bool:
@@ -715,10 +697,6 @@ class ParameterSet:
             out[k] = t
         return out
 
-    def zero_grads(self) -> None:
-        for v in self._params.values():
-            v.grad = None
-
     def checksum(self) -> str:
         """sha256 over each entry's name, dtype, shape and bytes, in order;
         equal across processes."""
@@ -727,11 +705,6 @@ class ParameterSet:
             h.update(f"{k}\0{v.data.dtype.str}{v.shape}\0".encode())
             h.update(np.ascontiguousarray(v.data).tobytes())
         return h.hexdigest()
-
-    def structurally_compatible(self, other: "ParameterSet") -> bool:
-        if list(self) != list(other):
-            return False
-        return all(self[k].shape == other[k].shape for k in self)
 
 
 def sgd_step(params: ParameterSet, lr: float) -> None:

@@ -9,19 +9,16 @@ episodic loss before a single step per module.
 from __future__ import annotations
 
 import csv
-import logging
 import math
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
 
 from . import model as M
 from . import tensor as T
-from .corpus import SentencePair, MultiDomainDataset
+from .corpus import SentencePair
 from .curriculum import CurriculumPlan, pairs_nll, sample_batch, stage_of, uniform_plan
-
-log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -73,7 +70,6 @@ class EpisodicState:
     specialists: dict[int, M.EncoderDecoderModel]
     plan: CurriculumPlan
     hp: Hyperparams
-    progress: int = 0
     episode_log: list[EpisodeRecord] = field(default_factory=list)
 
 
@@ -208,8 +204,8 @@ def episodic_decoder_step(state: EpisodicState, i: int, batch: list[SentencePair
     return loss
 
 
-def epi_train(state: EpisodicState) -> tuple[M.EncoderDecoderModel, list[EpisodeRecord]]:
-    """The full episodic training policy.
+def epi_train(state: EpisodicState) -> M.EncoderDecoderModel:
+    """The full episodic training policy; returns the aggregation model.
 
     Per episode: round-robin source domain i; every specialist takes one step
     on its own-domain batch; then the aggregation model takes one summed
@@ -247,24 +243,7 @@ def epi_train(state: EpisodicState) -> tuple[M.EncoderDecoderModel, list[Episode
         T.sgd_step(state.agg.encoder, hp.alpha)
         T.sgd_step(state.agg.decoder, hp.alpha)
         state.episode_log.append(EpisodeRecord(ep, stage, i, k, *losses))
-        state.progress = ep + 1
-    return state.agg, state.episode_log
-
-
-def train_epi(vanilla: M.EncoderDecoderModel, plan: CurriculumPlan,
-              seen_ids: list[int], hp: Hyperparams) -> EpisodicState:
-    """Convenience wrapper: build the state and run the episodic loop.
-
-    With a sharded plan this is the curriculum variant; pass a uniform plan
-    for the plain episodic variant.
-    """
-    state = init_state(vanilla, seen_ids, plan, hp)
-    epi_train(state)
-    return state
-
-
-def train_epi_nmt(vanilla, training_pairs: list[SentencePair], seen_ids, hp):
-    return train_epi(vanilla, uniform_plan(training_pairs), seen_ids, hp)
+    return state.agg
 
 
 # ---------------------------------------------------------------------------
@@ -342,8 +321,9 @@ TRAINERS = {
                        train_agg_curriculum(vanilla, plan, hp)[0]),
     "meta_mt": (False, lambda vanilla, ds, plan, hp: maml_train(
         vanilla, {d: ds.splits[d].training for d in ds.seen_ids}, hp)),
-    "epi_nmt": (False, lambda vanilla, ds, plan, hp:
-                train_epi_nmt(vanilla, ds.all_seen_training(), ds.seen_ids, hp).agg),
+    # epi_nmt is the episodic framework over one uniform shard: no curriculum
+    "epi_nmt": (False, lambda vanilla, ds, plan, hp: epi_train(init_state(
+        vanilla, ds.seen_ids, uniform_plan(ds.all_seen_training()), hp))),
     "epi_curriculum": (True, lambda vanilla, ds, plan, hp:
-                       train_epi(vanilla, plan, ds.seen_ids, hp).agg),
+                       epi_train(init_state(vanilla, ds.seen_ids, plan, hp))),
 }

@@ -77,7 +77,7 @@ def max_rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
 def check_grad(loss_fn, params: list[T.Tensor], tol: float = FD_TOL) -> float:
     """Backward pass vs finite differences; returns the worst relative error."""
     for p in params:
-        p.zero_grad()
+        p.grad = None
     loss = loss_fn()
     T.backward(loss)
     worst = 0.0
@@ -105,3 +105,26 @@ def random_pair(rng, cfg, lo=4, n=None):
     src = [int(x) for x in rng.integers(lo, cfg.vocab_size, size=n)]
     tgt = [int(x) for x in rng.integers(lo, cfg.vocab_size, size=n)]
     return src, tgt
+
+
+def greedy_reference(model: M.EncoderDecoderModel, source: list[int],
+                     max_steps: int) -> list[int]:
+    """Greedy decoding by its definition, independent of beam search: each
+    step takes the argmax of the last position's `decoder_logits`, with PAD,
+    BOS and UNK banned; on an exact tie the lowest content id wins and EOS
+    loses. Decoding stops at EOS, after at most max_len - 1 steps."""
+    cfg = model.config
+    src = np.array([source + [M.EOS]])
+    memory = M.encode_batch(model.encoder.frozen_view(), cfg, src)
+    allowed = [t for t in range(cfg.vocab_size) if t not in (M.PAD, M.BOS, M.UNK)]
+    tokens: list[int] = []
+    for _ in range(min(max_steps, cfg.max_len - 1)):
+        logits = M.decoder_logits(model.decoder.frozen_view(), cfg, memory, src,
+                                  np.array([[M.BOS] + tokens])).data[0, -1]
+        best = max(logits[t] for t in allowed)
+        ties = [t for t in allowed if logits[t] == best]
+        content = [t for t in ties if t != M.EOS]
+        tokens.append(min(content) if content else M.EOS)
+        if tokens[-1] == M.EOS:
+            break
+    return tokens

@@ -21,8 +21,8 @@ from epinmt import pipeline as P
 from epinmt import tensor as T
 from epinmt import trainers as tr
 
-from helpers import (FD_TOL, TINY, finite_diff, max_rel_err, record_criterion,
-                     tiny_config)
+from helpers import (FD_TOL, TINY, finite_diff, greedy_reference, max_rel_err,
+                     record_criterion, tiny_config)
 
 
 # ---------------------------------------------------------------------------
@@ -31,14 +31,14 @@ from helpers import (FD_TOL, TINY, finite_diff, max_rel_err, record_criterion,
 
 def _grad_worst_err(loss_fn, params) -> float:
     for p in params:
-        p.zero_grad()
+        p.grad = None
     T.backward(loss_fn())
     worst = 0.0
     for p in params:
         assert p.grad is not None, "parameter received no gradient"
         fd = finite_diff(lambda: loss_fn().item(), p)
         worst = max(worst, max_rel_err(p.grad, fd))
-        p.zero_grad()
+        p.grad = None
     return worst
 
 
@@ -49,7 +49,7 @@ def _rand(rng, shape, lo=-1.0, hi=1.0):
 def _op_cases(seed):
     """One loss/params pair per differentiable op for one seed."""
     rng = np.random.default_rng(seed)
-    w = T.constant(rng.uniform(-1, 1, (3, 4)))
+    w = T.Tensor(rng.uniform(-1, 1, (3, 4)))
     a = _rand(rng, (3, 4))
     b = _rand(rng, (3, 4))
     row = _rand(rng, (4,))
@@ -80,7 +80,7 @@ def _op_cases(seed):
     logits3 = _rand(rng, (2, 3, 6))
     targets3 = rng.integers(0, 6, size=(2, 3))
     valid3 = np.array([[True, True, False], [True, False, False]])
-    w3 = T.constant(rng.uniform(-1, 1, (2, 3, 4)))
+    w3 = T.Tensor(rng.uniform(-1, 1, (2, 3, 4)))
     # the sublayer blocks on x3: 2 heads, d_ff 5
     wq, wk, wv, wo = (_rand(rng, (4, 4)) for _ in range(4))
     w1, b1, w2, b2 = _rand(rng, (4, 5)), _rand(rng, (5,)), _rand(rng, (5, 4)), _rand(rng, (4,))
@@ -349,14 +349,19 @@ def test_criterion_04_bleu_oracle():
     expected = 100.0 * np.exp(1.0 - 5.0 / 4.0)
     hand_ok = abs(hand.score - expected) < 1e-6
 
+    # beam width 1 against the independent greedy reference: 100 sources on
+    # a seeded model, then 10 on a uniform one, where every token ties at
+    # every step and max_steps exceeds what max_len allows
     model = M.init_model(tiny_config(vocab_size=16), np.random.default_rng(3))
+    uniform = model.copy()
+    uniform.decoder["out.w"].data[:] = 0.0
     greedy_ok = True
-    for case in range(100):
+    for case in range(110):
         crng = np.random.default_rng(case)
         src = [int(x) for x in crng.integers(4, 16, size=crng.integers(2, 8))]
-        b1 = M.beam_decode(model, src, beam_width=1, max_steps=10)
-        g = M.greedy_decode(model, src, max_steps=10)
-        greedy_ok &= b1.tokens == g.tokens
+        m, steps = (model, 10) if case < 100 else (uniform, 2 * model.config.max_len)
+        b1 = M.beam_decode_batch(m, [src], 1, steps)[0]
+        greedy_ok &= b1.tokens == greedy_reference(m, src, steps)
     ok = perfect_ok and hand_ok and greedy_ok
     record_criterion(4, "BLEU oracle and beam-1 == greedy", ok,
                      f"hand case {hand.score:.7f} vs {expected:.7f}")

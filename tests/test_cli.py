@@ -207,7 +207,9 @@ class TestCliUsage:
         ("experiment", {"eval": {**TINY["eval"], "noise_seeds": [0.5]}}),
         pytest.param("gen-data", '{"output_dir": 3}', id="gen-data-output-dir-not-string"),
         pytest.param("gen-data", '{"master_seed": 1,', id="gen-data-not-json"),
-        pytest.param("gen-data", "[1, 2]", id="gen-data-root-not-object")])
+        pytest.param("gen-data", "[1, 2]", id="gen-data-root-not-object"),
+        pytest.param("gen-data", {"dataset": {**TINY["dataset"], "len_min": -3}},
+                     id="gen-data-negative-len-min")])
     def test_invalid_config_values_are_usage_errors(self, tmp_path, capsys,
                                                      monkeypatch, command, section):
         """`section` is merged into TINY, or, as a string, is the whole file."""
@@ -217,6 +219,23 @@ class TestCliUsage:
                         json.dumps({**TINY, **section, "output_dir": "runs"}))
         assert cli.main([command, "--config", str(path)]) == cli.EXIT_USAGE
         assert "usage error" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("section, fields", [
+        ("dataset", {"train_tokens": 200.5}), ("model", {"d_model": 16.0}),
+        ("model", {"n_layers": True}), ("curriculum", {"scorer_steps": 2.5}),
+        ("training", {"epochs": 1.5}), ("eval", {"beam_width": 1.5}),
+        ("training", {"overrides": {"agg": {"batch_size": 4.0}}})])
+    def test_non_integer_counts_are_usage_errors(self, tmp_path, capsys, monkeypatch,
+                                                 section, fields):
+        """A float or a bool in an integer field is rejected before any stage
+        runs; int() would truncate it or make it 1."""
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**TINY, section: {**TINY[section], **fields},
+                                    "output_dir": "runs"}))
+        assert cli.main(["gen-data", "--config", str(path)]) == cli.EXIT_USAGE
+        assert "takes integers only" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
 
     def test_negative_seed_flag_is_usage_error(self, tiny_config_file, tmp_path, capsys):

@@ -178,13 +178,6 @@ class TestSplit:
             C.split(pairs, {"train_tokens": 30, "finetune_tokens": 0,
                             "test_tokens": 10_000}, 0)
 
-    def test_none_budget_takes_remainder(self):
-        pairs = self._pairs(50)
-        sp = C.split(pairs, {"train_tokens": 100, "finetune_tokens": 0,
-                             "test_tokens": None}, 0)
-        assert len(sp.training) + len(sp.testing) == 50
-        assert sp.finetune == []
-
 
 @pytest.fixture(scope="module")
 def built():
@@ -298,3 +291,10 @@ class TestConfigValidation:
     def test_bad_length_band(self):
         with pytest.raises(C.ConfigError):
             C.DomainSpec(domain_id=1, len_min=9, len_max=6)
+
+    @pytest.mark.parametrize("len_min", [0, -3])
+    def test_sentences_have_at_least_one_token(self, len_min):
+        # a negative len_min reached rng.choice as a negative size
+        with pytest.raises(C.ConfigError, match="len_min"):
+            C.DatasetConfig(len_min=len_min).validate()
+        C.DatasetConfig(len_min=1).validate()

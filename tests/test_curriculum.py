@@ -72,12 +72,46 @@ class TestStageOf:
             cur.stage_of(1.01, p)
 
 
+def _uniform_lm(cfg):
+    """An LM whose every next-token distribution is uniform."""
+    lm = M.init_lm(cfg, np.random.default_rng(0))
+    lm.params["out.w"].data[:] = 0.0
+    return lm
+
+
+def _peaked_lm(cfg):
+    """An LM whose every next-token distribution is 1/2 on token 4 and 1/2 on
+    EOS: the final norm outputs the first unit vector at every position, and
+    the first row of the projection holds the logits."""
+    lm = _uniform_lm(cfg)
+    lm.params["ln.g"].data[:] = 0.0
+    lm.params["ln.b"].data[:] = np.eye(cfg.d_model)[0]
+    lm.params["out.w"].data[0, :] = M.NEG_INF
+    lm.params["out.w"].data[0, [4, M.EOS]] = 0.0
+    return lm
+
+
 class TestScoreFormulas:
     def test_divergence_d_direct(self):
-        assert cur.divergence_d(-6.0, -10.0, 4) == pytest.approx(1.0)
+        """d = [log P_z(s) - log P_base(s)] / (|s| + 1): the peaked domain LM
+        against a uniform base gives log(V / 2) on every all-4 sentence,
+        whatever its length."""
+        cfg = tiny_config()
+        scorer = cur.DivergenceScorer(_uniform_lm(cfg), {1: _peaked_lm(cfg)})
+        pairs = [C.SentencePair([4] * n, [4], 1) for n in (1, 3, 6)]
+        d = cur.divergence_score_pairs(pairs, scorer)
+        assert d == pytest.approx([np.log(cfg.vocab_size / 2)] * 3, abs=1e-12)
 
     def test_signs(self):
-        assert cur.divergence_d(-10.0, -10.0, 5) == 0.0
+        """Zero where the domain LM is the base LM, positive where it gives
+        the sentence more probability, negative where it gives it less."""
+        cfg = tiny_config()
+        uniform = _uniform_lm(cfg)
+        scorer = cur.DivergenceScorer(uniform, {1: uniform, 2: _peaked_lm(cfg)})
+        pairs = [C.SentencePair(s, [4], d) for s, d in (([4, 4], 2), ([4, 4], 1),
+                                                        ([4, 5], 2))]
+        d = cur.divergence_score_pairs(pairs, scorer)
+        assert d[0] > 0.0 and d[1] == 0.0 and d[2] < 0.0
 
 
 class TestFilterNoise:
@@ -258,7 +292,7 @@ class TestSampling:
     def test_uniform_plan_single_shard(self):
         pairs = _pairs_with_d(range(7))
         plan = cur.uniform_plan(pairs)
-        assert plan.n_shards == 1
+        assert len(plan.shards) == 1
         batch = cur.sample_batch(plan, 3, 50, np.random.default_rng(1))
         assert len(batch) == 50
 
@@ -337,8 +371,8 @@ class TestScorers:
         own = [p for p in ds.splits[d].training[:40]]
         d_own = cur.divergence_score_pairs(own, scorer)
         assert np.isfinite(d_own).all()
-        # agreement between batched and scalar paths
-        one = cur.divergence_score(own[0].source, scorer, d)
+        # a batch of one agrees with the padded batch of 40
+        one = cur.divergence_score_pairs([own[0]], scorer)[0]
         assert one == pytest.approx(d_own[0], abs=1e-9)
 
     def test_denoise_matches_manual_formula(self, setup):
@@ -346,7 +380,7 @@ class TestScorers:
         scorer = cur.build_denoise_scorer(base, ds, steps=20, lr=0.2,
                                           batch_size=8, seed=1)
         p = ds.all_seen_training()[0]
-        got = cur.denoise_score(p, scorer)
+        got = cur.denoise_score_pairs([p], scorer)[0]
         nb = float(M.nll_per_pair(base, [p.source], [p.target])[0])
         nz = float(M.nll_per_pair(scorer.domain_models[p.domain_id],
                                   [p.source], [p.target])[0])
@@ -356,8 +390,11 @@ class TestScorers:
         vocab, ds, mcfg, base = setup
         scorer = cur.build_denoise_scorer(base, ds, steps=1, lr=0.1,
                                           batch_size=4, seed=2)
-        with pytest.raises(KeyError):
-            cur.denoise_score(C.SentencePair([4, 5], [5, 4], 99), scorer)
+        stray = C.SentencePair([4, 5], [5, 4], 99)
+        with pytest.raises(KeyError, match="domain 99"):
+            cur.denoise_score_pairs([stray], scorer)
+        with pytest.raises(KeyError, match="domain 99"):
+            cur.divergence_score_pairs([stray], cur.DivergenceScorer(_uniform_lm(mcfg), {}))
 
     def test_score_corpus_without_denoise_keeps_everything(self, setup):
         vocab, ds, mcfg, base = setup

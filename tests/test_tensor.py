@@ -19,17 +19,17 @@ def _rng(seed=0):
 
 class TestMatmul:
     def test_identity(self):
-        a = T.tensor([[1.0, 2.0], [3.0, 4.0]])
-        out = T.matmul(a, T.tensor(np.eye(2)))
+        a = T.Tensor([[1.0, 2.0], [3.0, 4.0]])
+        out = T.matmul(a, T.Tensor(np.eye(2)))
         assert np.array_equal(out.data, [[1, 2], [3, 4]])
 
     def test_direct_arithmetic(self):
-        a = T.tensor([[1.0, 2.0], [3.0, 4.0]])
-        b = T.tensor([[5.0, 6.0], [7.0, 8.0]])
+        a = T.Tensor([[1.0, 2.0], [3.0, 4.0]])
+        b = T.Tensor([[5.0, 6.0], [7.0, 8.0]])
         assert np.array_equal(T.matmul(a, b).data, [[19, 22], [43, 50]])
 
     def test_shape_mismatch_names_both_shapes(self):
-        a, b = T.zeros((2, 3)), T.zeros((2, 3))
+        a, b = T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros((2, 3)))
         with pytest.raises(T.DimensionError, match=r"2, 3"):
             T.matmul(a, b)
 
@@ -52,16 +52,16 @@ class TestMatmul:
 
 class TestElementwise:
     def test_add_identity(self):
-        x = T.tensor([1.0, -2.0, 3.5])
-        out = T.add(x, T.zeros((3,)))
+        x = T.Tensor([1.0, -2.0, 3.5])
+        out = T.add(x, T.Tensor(np.zeros((3,))))
         assert np.array_equal(out.data, x.data)
 
     def test_relu_definition(self):
-        assert np.array_equal(T.relu(T.tensor([-1.0, 0.0, 2.0])).data, [0, 0, 2])
+        assert np.array_equal(T.relu(T.Tensor([-1.0, 0.0, 2.0])).data, [0, 0, 2])
 
     def test_incompatible_shapes(self):
         with pytest.raises(T.DimensionError):
-            T.add(T.zeros((2, 3)), T.zeros((4,)))
+            T.add(T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros((4,))))
 
     @pytest.mark.parametrize("op", [T.mul, None])
     def test_mul_gelu_grads_match_fd(self, op):
@@ -74,8 +74,8 @@ class TestElementwise:
             check_grad(lambda: T.reduce_sum(T.gelu(x)), [x])
 
     def test_broadcast_trailing_alignment(self):
-        x = T.tensor(np.ones((2, 3)))
-        y = T.tensor([1.0, 2.0, 3.0])
+        x = T.Tensor(np.ones((2, 3)))
+        y = T.Tensor([1.0, 2.0, 3.0])
         assert np.array_equal(T.add(x, y).data, [[2, 3, 4], [2, 3, 4]])
 
 
@@ -85,7 +85,7 @@ _ERF_AGAINST_SCIPY = """
 import sys
 import numpy as np
 from epinmt import tensor as T
-T.gelu(T.tensor(np.ones(3)))
+T.gelu(T.Tensor(np.ones(3)))
 print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))
 tiny = np.finfo(np.float64).smallest_subnormal
 x = np.concatenate([
@@ -124,20 +124,21 @@ class TestErf:
 class TestLayerNorm:
     def test_constant_row_maps_near_zero(self):
         eps = 1e-5
-        x = T.tensor(np.full((1, 8), 3.7))
-        out = T.layer_norm(x, T.tensor(np.ones(8)), T.tensor(np.zeros(8)), eps)
+        x = T.Tensor(np.full((1, 8), 3.7))
+        out = T.layer_norm(x, T.Tensor(np.ones(8)), T.Tensor(np.zeros(8)), eps)
         assert np.all(np.abs(out.data) < np.sqrt(eps))
 
     def test_mean_zero_unit_variance(self):
         rng = _rng(4)
-        x = T.tensor(rng.normal(0, 10, (1, 32)))
-        out = T.layer_norm(x, T.tensor(np.ones(32)), T.tensor(np.zeros(32)), 1e-5).data
+        x = T.Tensor(rng.normal(0, 10, (1, 32)))
+        out = T.layer_norm(x, T.Tensor(np.ones(32)), T.Tensor(np.zeros(32)), 1e-5).data
         assert abs(out.mean()) < 1e-9
         assert abs(out.var() - 1.0) < 1e-6
 
     def test_empty_last_axis_rejected(self):
         with pytest.raises(T.DimensionError):
-            T.layer_norm(T.zeros((2, 0)), T.zeros((0,)), T.zeros((0,)))
+            T.layer_norm(T.Tensor(np.zeros((2, 0))), T.Tensor(np.zeros(0)),
+                         T.Tensor(np.zeros(0)))
 
     def test_grad_matches_fd(self):
         rng = _rng(5)
@@ -150,18 +151,18 @@ class TestLayerNorm:
 
 class TestSoftmaxCrossEntropy:
     def test_uniform_logits(self):
-        loss = T.softmax_cross_entropy(T.zeros((3, 8)), np.array([0, 3, 7]))
+        loss = T.softmax_cross_entropy(T.Tensor(np.zeros((3, 8))), np.array([0, 3, 7]))
         assert loss.item() == pytest.approx(np.log(8), abs=1e-12)
 
     def test_saturation(self):
         logits = np.zeros((1, 5))
         logits[0, 2] = 1e3
-        loss = T.softmax_cross_entropy(T.tensor(logits), np.array([2]))
+        loss = T.softmax_cross_entropy(T.Tensor(logits), np.array([2]))
         assert loss.item() < 1e-6
 
     def test_out_of_range_target(self):
         with pytest.raises(IndexError):
-            T.softmax_cross_entropy(T.zeros((1, 4)), np.array([4]))
+            T.softmax_cross_entropy(T.Tensor(np.zeros((1, 4))), np.array([4]))
 
     def test_grad_is_softmax_minus_onehot(self):
         rng = _rng(6)
@@ -181,31 +182,33 @@ class TestSoftmaxCrossEntropy:
         check_grad(lambda: T.softmax_cross_entropy(logits, targets), [logits])
 
 
+# all-zero operands of the shapes the contract tests need
+_VEC4, _MAT44 = T.Tensor(np.zeros(4)), T.Tensor(np.zeros((4, 4)))
+
+
 class TestFusedOpContracts:
     @pytest.mark.parametrize("call", [
-        lambda x: T.linear(x, T.zeros((3, 4))),
-        lambda x: T.attention(x, x, T.zeros((2, 5, 4)), None, 2),
-        lambda x: T.attention(x, T.zeros((1, 3, 4)), T.zeros((1, 3, 4)), None, 2),
+        lambda x: T.linear(x, T.Tensor(np.zeros((3, 4)))),
+        lambda x: T.attention(x, x, T.Tensor(np.zeros((2, 5, 4))), None, 2),
+        lambda x: T.attention(x, *[T.Tensor(np.zeros((1, 3, 4)))] * 2, None, 2),
         lambda x: T.attention(x, x, x, None, 3),
         lambda x: T.masked_cross_entropy(x, np.zeros((2, 2), dtype=int),
                                          np.ones((2, 3), dtype=bool)),
         # a self-attention block without K/V weights, a cross block with them
-        lambda x: T.attn_block(x, *[T.zeros((4,))] * 2, *[None] * 3, T.zeros((4, 4)),
-                               None, 2),
-        lambda x: T.attn_block(x, *[T.zeros((4,))] * 2, *[T.zeros((4, 4))] * 4, None, 2,
-                               (x, x)),
-        lambda x: T.attn_block(x, *[T.zeros((4,))] * 2, *[T.zeros((4, 4))] * 4, None, 3),
-        lambda x: T.ff_block(x, *[T.zeros((4,))] * 2, T.zeros((3, 5)), T.zeros((5,)),
-                             T.zeros((5, 4)), T.zeros((4,)))])
+        lambda x: T.attn_block(x, _VEC4, _VEC4, *[None] * 3, _MAT44, None, 2),
+        lambda x: T.attn_block(x, _VEC4, _VEC4, *[_MAT44] * 4, None, 2, (x, x)),
+        lambda x: T.attn_block(x, _VEC4, _VEC4, *[_MAT44] * 4, None, 3),
+        lambda x: T.ff_block(x, _VEC4, _VEC4, T.Tensor(np.zeros((3, 5))),
+                             T.Tensor(np.zeros(5)), T.Tensor(np.zeros((5, 4))), _VEC4)])
     def test_incompatible_shapes_rejected(self, call):
         with pytest.raises(T.DimensionError):
-            call(T.zeros((2, 3, 4)))
+            call(T.Tensor(np.zeros((2, 3, 4))))
 
     def test_out_of_range_ids_rejected(self):
         with pytest.raises(IndexError):
-            T.embed(T.zeros((4, 2)), np.array([[0, 4]]), 1.0, np.zeros((2, 2)))
+            T.embed(T.Tensor(np.zeros((4, 2))), np.array([[0, 4]]), 1.0, np.zeros((2, 2)))
         with pytest.raises(IndexError):
-            T.masked_cross_entropy(T.zeros((1, 2, 4)), np.array([[1, 4]]),
+            T.masked_cross_entropy(T.Tensor(np.zeros((1, 2, 4))), np.array([[1, 4]]),
                                    np.array([[True, True]]))
 
 
@@ -233,7 +236,7 @@ class TestBackward:
     def test_three_layer_composite_matches_fd(self):
         rng = _rng(8)
         ws = [T.Tensor(rng.uniform(-1, 1, (4, 4)), grad_enabled=True) for _ in range(3)]
-        x = T.constant(rng.uniform(-1, 1, (2, 4)))
+        x = T.Tensor(rng.uniform(-1, 1, (2, 4)))
 
         def loss_fn():
             h = x
@@ -259,7 +262,7 @@ class TestBackward:
         rng = _rng(11)
         a = T.Tensor(rng.uniform(-1, 1, (3, 4)), grad_enabled=True)
         w = rng.uniform(-1, 1, (3, 4))
-        T.backward(T.reduce_sum(T.mul(T.add(a, a), T.constant(w))))
+        T.backward(T.reduce_sum(T.mul(T.add(a, a), T.Tensor(w))))
         assert np.array_equal(a.grad, 2 * w)
 
     def test_later_backward_leaves_a_shared_gradient_alone(self):
@@ -269,9 +272,9 @@ class TestBackward:
         a = T.Tensor(rng.uniform(-1, 1, (3, 4)), grad_enabled=True)
         b = T.Tensor(rng.uniform(-1, 1, (3, 4)), grad_enabled=True)
         w1, w2 = rng.uniform(-1, 1, (2, 3, 4))
-        T.backward(T.reduce_sum(T.mul(T.add(a, b), T.constant(w1))))
+        T.backward(T.reduce_sum(T.mul(T.add(a, b), T.Tensor(w1))))
         before = b.grad.copy()
-        T.backward(T.reduce_sum(T.mul(a, T.constant(w2))))
+        T.backward(T.reduce_sum(T.mul(a, T.Tensor(w2))))
         assert np.array_equal(a.grad, w1 + w2)
         assert np.array_equal(b.grad, before)
 
@@ -279,7 +282,7 @@ class TestBackward:
         def run():
             rng = _rng(10)
             w = T.Tensor(rng.uniform(-1, 1, (5, 5)), grad_enabled=True)
-            x = T.constant(rng.uniform(-1, 1, (2, 5)))
+            x = T.Tensor(rng.uniform(-1, 1, (2, 5)))
             loss = T.reduce_sum(T.gelu(T.matmul(x, w)))
             T.backward(loss)
             return w.data.tobytes(), w.grad.tobytes()
@@ -336,7 +339,7 @@ class TestSgdStep:
         target = rng.uniform(-1, 1, (4,))
 
         def loss():
-            d = T.sub(w, T.constant(target))
+            d = T.sub(w, T.Tensor(target))
             return T.reduce_sum(T.mul(d, d))
 
         before = loss().item()
@@ -365,13 +368,6 @@ class TestParameterSet:
         assert view["w"].data is ps["w"].data
         assert not view["w"].grad_enabled
 
-    def test_structural_compatibility(self):
-        a = T.ParameterSet({"w": T.zeros((2, 3)), "b": T.zeros((3,))})
-        b = T.ParameterSet({"w": T.zeros((2, 3)), "b": T.zeros((3,))})
-        c = T.ParameterSet({"w": T.zeros((3, 2)), "b": T.zeros((3,))})
-        assert a.structurally_compatible(b)
-        assert not a.structurally_compatible(c)
-
     def test_checkpoint_roundtrip_lossless(self, tmp_path):
         """Any ordered ParameterSet survives the checkpoint format exactly."""
         rng = _rng(12)
@@ -380,8 +376,8 @@ class TestParameterSet:
             "a.b": T.Tensor(rng.uniform(-1, 1, (4,)), grad_enabled=True),
         })
         path = tmp_path / "ckpt.json"
-        M.save_lm(M.LanguageModel(tiny_config(), ps), path)
-        loaded = M.load_lm(path).params
+        M.save_model(M.EncoderDecoderModel(tiny_config(), ps, T.ParameterSet()), path)
+        loaded = M.load_model(path).encoder
         assert list(loaded) == list(ps)
         for k in ps:
             assert np.array_equal(loaded[k].data, ps[k].data)

@@ -1,5 +1,7 @@
-"""The benchmark harness's hooks into the package still find their targets."""
+"""The benchmark harness's hooks into the package still find their targets,
+and src/ holds no function that only tests call."""
 
+import ast
 import importlib
 import importlib.util
 import sys
@@ -56,3 +58,42 @@ def test_pipeline_workload_argv_parses(monkeypatch):
         except SystemExit:
             rejected.append(label)
     assert not rejected
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "epinmt"
+
+# Public functions that no shipped path calls, kept on purpose, and why.
+UNCALLED_BUT_KEPT = {
+    "trainers.episodic_encoder_step": "criterion 02 checks the standalone encoder update",
+    "trainers.episodic_decoder_step": "criterion 02 checks the standalone decoder update",
+    "tensor.attention": "the block tests' reference for attn_block's attention",
+    "corpus.load_tsv": "a cached data stage would read data/ back (ROADMAP item 3)",
+    "corpus.load_scored_tsv": "a cached score stage would read it back (ROADMAP item 3)",
+    "trainers.write_episode_log": "episodic runs are to write episodes.csv (ROADMAP item 4)",
+}
+
+
+@pytest.mark.skipif(not TRACER.exists(), reason="perfbench/ is absent")
+def test_every_public_function_has_a_caller(monkeypatch):
+    """Each public module-level function in src/ is named somewhere in src/
+    besides its own definition (and `__all__`), is a tracer target, or is
+    kept on purpose; code that only tests call does not belong in src/."""
+    tracer = _load(monkeypatch, TRACER, "perfbench_tracer")
+    targets = {f"{module}.{name}" for module, names in tracer.TARGETS.items()
+               for name in names}
+    defined, named = [], set()       # named: (identifier, module, statement index)
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for i, stmt in enumerate(tree.body):
+            if isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("_"):
+                defined.append((path.stem, stmt.name, i))
+            for node in ast.walk(stmt):   # __all__'s entries are strings, not names
+                if isinstance(node, ast.Name):
+                    named.add((node.id, path.stem, i))
+                elif isinstance(node, ast.Attribute):
+                    named.add((node.attr, path.stem, i))
+    uncalled = [f"{module}.{name}" for module, name, i in defined
+                if not any(n == name and (m, j) != (module, i) for n, m, j in named)]
+    assert sorted(set(uncalled) - targets - set(UNCALLED_BUT_KEPT)) == []
+    # the allowlist holds nothing that has a caller or a tracer hook by now
+    assert set(UNCALLED_BUT_KEPT) <= set(uncalled) - targets

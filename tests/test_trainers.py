@@ -206,17 +206,19 @@ class TestEpiTrain:
         srcs = [p.source for p in batch_i]
         tgts = [p.target for p in batch_i]
 
-        def grads_of(loss, params):
-            T.backward(loss)
-            out = {n: p.grad.copy() for n, p in params.items()}
-            params.zero_grads()
+        def take_grads(params):
+            """Copies of the parameters' gradients, which are then cleared."""
+            out = {}
+            for n, p in params.items():
+                out[n], p.grad = p.grad.copy(), None
             return out
 
+        def grads_of(loss, params):
+            T.backward(loss)
+            return take_grads(params)
+
         T.backward(M.nll_batch(agg, srcs, tgts))
-        gA_enc = {n: p.grad.copy() for n, p in agg.encoder.items()}
-        gA_dec = {n: p.grad.copy() for n, p in agg.decoder.items()}
-        agg.encoder.zero_grads()
-        agg.decoder.zero_grads()
+        gA_enc, gA_dec = take_grads(agg.encoder), take_grads(agg.decoder)
 
         hybrid_e = M.EncoderDecoderModel(agg.config, agg.encoder,
                                          specs[k].decoder.frozen_view())
@@ -247,7 +249,8 @@ class TestEpiTrain:
 
     def test_round_robin_and_log_shape(self, world):
         _, ds, _, vanilla, plan = world
-        state = tr.train_epi(vanilla, plan, ds.seen_ids, _hp(episodes=7))
+        state = tr.init_state(vanilla, ds.seen_ids, plan, _hp(episodes=7))
+        assert tr.epi_train(state) is state.agg
         assert [r.domain_i for r in state.episode_log] == \
             [sorted(ds.seen_ids)[e % len(ds.seen_ids)] for e in range(7)]
         assert all(r.partner_k != r.domain_i for r in state.episode_log)
@@ -256,23 +259,28 @@ class TestEpiTrain:
 
     def test_zero_rates_freeze_everything(self, world):
         _, ds, _, vanilla, plan = world
-        state = tr.train_epi(vanilla, plan, ds.seen_ids,
-                             _hp(alpha=0.0, beta=0.0, episodes=3))
+        state = tr.init_state(vanilla, ds.seen_ids, plan,
+                              _hp(alpha=0.0, beta=0.0, episodes=3))
+        tr.epi_train(state)
         assert state.agg.checksum() == vanilla.checksum()
         for d in ds.seen_ids:
             assert state.specialists[d].checksum() == vanilla.checksum()
 
     def test_deterministic(self, world):
         _, ds, _, vanilla, plan = world
-        a = tr.train_epi(vanilla, plan, ds.seen_ids, _hp(episodes=5))
-        b = tr.train_epi(vanilla, plan, ds.seen_ids, _hp(episodes=5))
-        assert a.agg.checksum() == b.agg.checksum()
+        a = tr.epi_train(tr.init_state(vanilla, ds.seen_ids, plan, _hp(episodes=5)))
+        b = tr.epi_train(tr.init_state(vanilla, ds.seen_ids, plan, _hp(episodes=5)))
+        assert a.checksum() == b.checksum()
 
     def test_epi_nmt_wrapper_uses_single_shard(self, world):
+        """The epi_nmt method runs the episodic loop on a one-shard plan of
+        every seen training pair, and needs no curriculum plan."""
         _, ds, _, vanilla, _ = world
-        state = tr.train_epi_nmt(vanilla, ds.all_seen_training(), ds.seen_ids,
-                                 _hp(episodes=3))
-        assert state.plan.n_shards == 1
+        needs_plan, trainer = tr.TRAINERS["epi_nmt"]
+        single = cur.uniform_plan(ds.all_seen_training())
+        want = tr.epi_train(tr.init_state(vanilla, ds.seen_ids, single, _hp(episodes=3)))
+        assert not needs_plan and len(single.shards) == 1
+        assert trainer(vanilla, ds, None, _hp(episodes=3)).checksum() == want.checksum()
 
     def test_renormalizing_warns_once_per_domain(self, world):
         """Shards sorted by domain leave every domain out of some shard that
@@ -287,7 +295,7 @@ class TestEpiTrain:
         assert len(gapped) == 3
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            tr.train_epi(vanilla, plan, ds.seen_ids, _hp(episodes=4))
+            tr.epi_train(tr.init_state(vanilla, ds.seen_ids, plan, _hp(episodes=4)))
         assert len(caught) == len(gapped)
         assert all("renormaliz" in str(w.message) for w in caught)
 
@@ -305,7 +313,8 @@ class TestNonFiniteLoss:
         _, ds, _, vanilla, plan = world
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(T.ContractError, match="non-finite loss at episode 1"):
-            tr.train_epi(vanilla, plan, ds.seen_ids, _hp(alpha=1e100, episodes=6))
+            tr.epi_train(tr.init_state(vanilla, ds.seen_ids, plan,
+                                       _hp(alpha=1e100, episodes=6)))
 
     def test_maml_train_names_the_episode(self, world):
         _, ds, _, vanilla, _ = world
@@ -359,7 +368,8 @@ class TestFinetune:
 class TestEpisodeLog:
     def test_csv_roundtrip(self, tmp_path, world):
         _, ds, _, vanilla, plan = world
-        state = tr.train_epi(vanilla, plan, ds.seen_ids, _hp(episodes=4))
+        state = tr.init_state(vanilla, ds.seen_ids, plan, _hp(episodes=4))
+        tr.epi_train(state)
         path = tmp_path / "log.csv"
         tr.write_episode_log(state.episode_log, path)
         lines = path.read_text().strip().splitlines()

@@ -215,8 +215,8 @@ def positional_encoding(length: int, d: int) -> np.ndarray:
     return pe
 
 
-def _embed(p: ParameterSet, ids: np.ndarray, cfg: ModelConfig) -> Tensor:
-    pe = positional_encoding(ids.shape[-1], cfg.d_model)
+def _embed(p: ParameterSet, ids: np.ndarray, cfg: ModelConfig, start: int = 0) -> Tensor:
+    pe = positional_encoding(start + ids.shape[-1], cfg.d_model)[start:]
     return T.embed(p["emb"], ids, math.sqrt(cfg.d_model), pe)
 
 
@@ -233,14 +233,26 @@ def _causal_mask(length: int) -> np.ndarray:
     return m
 
 
+@dataclass
+class _DecodeCache:
+    """Incremental decoding's state: every layer's self-attention K and V,
+    `kv` [n_layers, 2, rows, max_len, d], the memory's cross-attention (K, V)
+    per layer, and `start`, the position of the next decoder input's first row."""
+    kv: np.ndarray
+    cross_kv: list[tuple[Tensor, Tensor]]
+    start: int = 0
+
+
 def _stack(p: ParameterSet, cfg: ModelConfig, ids: np.ndarray, self_mask: np.ndarray,
            sublayers: tuple[str, ...], memory: Tensor | None = None,
-           mem_mask: np.ndarray | None = None) -> Tensor:
+           mem_mask: np.ndarray | None = None, cache: _DecodeCache | None = None) -> Tensor:
     """Pre-LN transformer body over `ids`: [B, L, d_model] after the final norm,
-    one `attn_block` or `ff_block` node per sublayer."""
-    if ids.shape[-1] > cfg.max_len:
-        raise LengthError(f"sequence length {ids.shape[-1]} > max_len {cfg.max_len}")
-    x = _embed(p, ids, cfg)
+    one `attn_block` or `ff_block` node per sublayer. With a cache, ids are the
+    positions from cache.start on, and self-attention extends the cached K/V."""
+    start = cache.start if cache else 0
+    if start + ids.shape[-1] > cfg.max_len:
+        raise LengthError(f"sequence length {start + ids.shape[-1]} > max_len {cfg.max_len}")
+    x = _embed(p, ids, cfg, start)
     for i in range(cfg.n_layers):
         for j, kind in enumerate(sublayers, 1):
             pre, ln = f"l{i}.{kind}", (p[f"l{i}.ln{j}.g"], p[f"l{i}.ln{j}.b"])
@@ -249,10 +261,11 @@ def _stack(p: ParameterSet, cfg: ModelConfig, ids: np.ndarray, self_mask: np.nda
                 continue
             wq, wk, wv, wo = (p[f"{pre}.{n}"] for n in ("wq", "wk", "wv", "wo"))
             if kind == "cross":
-                kv = (T.linear(memory, wk), T.linear(memory, wv))
+                kv = cache.cross_kv[i] if cache else (T.linear(memory, wk), T.linear(memory, wv))
                 x = T.attn_block(x, *ln, wq, None, None, wo, mem_mask, cfg.n_heads, kv)
             else:
-                x = T.attn_block(x, *ln, wq, wk, wv, wo, self_mask, cfg.n_heads)
+                x = T.attn_block(x, *ln, wq, wk, wv, wo, self_mask, cfg.n_heads,
+                                 cache=None if cache is None else (*cache.kv[i], start))
     return T.layer_norm(x, p["ln.g"], p["ln.b"])
 
 
@@ -262,10 +275,13 @@ def encode_batch(theta: ParameterSet, cfg: ModelConfig, src_ids: np.ndarray) -> 
 
 
 def decoder_logits(phi: ParameterSet, cfg: ModelConfig, memory: Tensor,
-                   src_ids: np.ndarray, dec_in: np.ndarray) -> Tensor:
-    """Teacher-forced decoder logits [B, Lt, V]."""
-    x = _stack(phi, cfg, dec_in, _causal_mask(dec_in.shape[-1]), DECODER, memory,
-               _pad_mask(src_ids))
+                   src_ids: np.ndarray, dec_in: np.ndarray,
+                   cache: _DecodeCache | None = None) -> Tensor:
+    """Teacher-forced decoder logits [B, Lt, V]. With a cache, dec_in holds
+    the positions from cache.start on, and the logits are theirs."""
+    start = cache.start if cache else 0
+    mask = _causal_mask(start + dec_in.shape[-1])[:, :, start:]
+    x = _stack(phi, cfg, dec_in, mask, DECODER, memory, _pad_mask(src_ids), cache)
     return T.linear(x, phi["out.w"])
 
 
@@ -361,11 +377,6 @@ class DecodeResult:
     truncated: bool = False
 
 
-def _step_logprobs(model, src, memory, prefixes) -> np.ndarray:
-    logits = decoder_logits(model.decoder, model.config, memory, src, prefixes).data
-    return _log_softmax(logits[:, -1, :])
-
-
 def beam_decode_batch(model: EncoderDecoderModel, sources: list[list[int]],
                       beam_width: int = 5, max_steps: int = 32) -> list[DecodeResult]:
     """Batched beam search over all sources at once.
@@ -373,19 +384,31 @@ def beam_decode_batch(model: EncoderDecoderModel, sources: list[list[int]],
     Scores are length-normalized sums of log-probabilities. Exact ties are
     broken by lowest content-token id (EOS loses ties), then lowest beam
     index, which pins down the degenerate all-uniform case.
+
+    Decoding is incremental: each step runs the decoder over only the newest
+    two positions (position 0 alone at the first) against every layer's
+    cached self-attention K/V, which follows each beam's parent. With
+    OpenBLAS 0.3.31, matmul gives a row the same bits for any row count of 2
+    or more, so at one layer tokens, logprob and truncated equal those of a
+    full-prefix rerun bit for bit. At more layers a deeper layer's K/V of an
+    earlier position is computed once, over the keys of its own step, not
+    over each step's longer masked key axis, so scores may move in the last
+    bits.
     """
     if beam_width < 1:
         raise ValueError("beam_width must be >= 1")
     cfg = model.config
-    b, w = len(sources), beam_width
+    b, w, v = len(sources), beam_width, cfg.vocab_size
     enc = model.encoder.frozen_view()
     dec = model.decoder.frozen_view()
-    frozen = EncoderDecoderModel(cfg, enc, dec)
     src = _pad_batch([s + [EOS] for s in sources])
     memory = encode_batch(enc, cfg, src)
     # replicate memory and source mask across beams: [B*W, ...]
     mem = Tensor(np.repeat(memory.data, w, axis=0))
     src_rep = np.repeat(src, w, axis=0)
+    cache = _DecodeCache(np.zeros((cfg.n_layers, 2, b * w, cfg.max_len, cfg.d_model)), [
+        (T.linear(mem, dec[f"l{i}.cross.wk"]), T.linear(mem, dec[f"l{i}.cross.wv"]))
+        for i in range(cfg.n_layers)])
 
     tokens = np.full((b, w, 1), BOS, dtype=np.int64)
     sums = np.zeros((b, w))
@@ -394,15 +417,21 @@ def beam_decode_batch(model: EncoderDecoderModel, sources: list[list[int]],
     lengths = np.zeros((b, w), dtype=np.int64)
 
     banned = np.array([PAD, BOS, UNK])
+    rows = np.arange(b)[:, None]
+    # candidate keys of one sentence's flattened [W, V] scores
+    tok_ids, beam_ids = np.tile(np.arange(v), w), np.repeat(np.arange(w), v)
+    is_eos = (tok_ids == EOS).astype(np.int64)
     max_steps = min(max_steps, cfg.max_len - 1)
     for _ in range(max_steps):
         if finished.all():
             break
-        logp = _step_logprobs(frozen, src_rep, mem, tokens.reshape(b * w, -1))
-        logp = logp.reshape(b, w, cfg.vocab_size)
+        t = tokens.shape[-1]                               # emitted so far = t-1
+        cache.start = max(t - 2, 0)
+        window = tokens[:, :, cache.start:].reshape(b * w, -1)
+        logits = decoder_logits(dec, cfg, mem, src_rep, window, cache).data
+        logp = _log_softmax(logits[:, -1, :]).reshape(b, w, v)
         logp[:, :, banned] = NEG_INF
         cand = sums[:, :, None] + logp                     # [B, W, V]
-        t = tokens.shape[-1]                               # emitted so far = t-1
         norm = cand / t                                    # hypotheses of length t
         # finished beams persist unchanged as a PAD-extension candidate
         fin_b, fin_w = np.nonzero(finished)
@@ -411,26 +440,15 @@ def beam_decode_batch(model: EncoderDecoderModel, sources: list[list[int]],
         norm[fin_b, fin_w, :] = NEG_INF
         norm[fin_b, fin_w, PAD] = sums[fin_b, fin_w] / np.maximum(lengths[fin_b, fin_w], 1)
 
-        flat_norm = norm.reshape(b, w * cfg.vocab_size)
-        tok_ids = np.tile(np.arange(cfg.vocab_size), w)
-        beam_ids = np.repeat(np.arange(w), cfg.vocab_size)
-        is_eos = (tok_ids == EOS).astype(np.int64)
-        new_tokens = np.empty((b, w, t + 1), dtype=np.int64)
-        new_sums = np.empty((b, w))
-        new_fin = np.empty((b, w), dtype=bool)
-        new_len = np.empty((b, w), dtype=np.int64)
-        for s_i in range(b):
-            order = np.lexsort((beam_ids, tok_ids, is_eos, -flat_norm[s_i]))
-            pick = order[:w]
-            pb, pt = beam_ids[pick], tok_ids[pick]
-            new_tokens[s_i, :, :t] = tokens[s_i, pb]
-            new_tokens[s_i, :, t] = pt
-            new_sums[s_i] = cand[s_i, pb, pt]
-            was_fin = finished[s_i, pb]
-            now_fin = was_fin | (pt == EOS)
-            new_fin[s_i] = now_fin
-            new_len[s_i] = np.where(was_fin, lengths[s_i, pb], t)
-        tokens, sums, finished, lengths = new_tokens, new_sums, new_fin, new_len
+        keys = np.broadcast_arrays(beam_ids, tok_ids, is_eos, -norm.reshape(b, w * v))
+        pick = np.lexsort(keys, axis=-1)[:, :w]
+        pb, pt = beam_ids[pick], tok_ids[pick]             # [B, W]
+        was_fin = finished[rows, pb]
+        tokens = np.concatenate([tokens[rows, pb], pt[..., None]], axis=-1)
+        sums = cand[rows, pb, pt]
+        finished = was_fin | (pt == EOS)
+        lengths = np.where(was_fin, lengths[rows, pb], t)
+        cache.kv[:, :, :, :t] = cache.kv[:, :, (rows * w + pb).reshape(-1), :t]
 
     results = []
     for s_i in range(b):
@@ -455,13 +473,17 @@ def beam_decode_batch(model: EncoderDecoderModel, sources: list[list[int]],
 def save_model(model: EncoderDecoderModel, path) -> None:
     """The checkpoint format: one JSON object holding the config, then the
     encoder and the decoder as ordered (name, shape, values) entries. float64
-    values survive the round trip exactly (repr-based JSON floats)."""
-    payload = {"config": model.config.to_dict()}
-    for key, ps in (("encoder", model.encoder), ("decoder", model.decoder)):
-        payload[key] = [{"name": k, "shape": list(v.shape),
-                         "values": v.data.reshape(-1).tolist()} for k, v in ps.items()]
+    values survive the round trip exactly (repr-based JSON floats). The bytes
+    are `json.dumps` of that object, written a module at a time: `json.dumps`
+    runs the C encoder (`json.dump` runs Python's), and per module it never
+    holds the whole file in memory."""
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(payload, f)
+        f.write('{"config": ' + json.dumps(model.config.to_dict()))
+        for key, ps in (("encoder", model.encoder), ("decoder", model.decoder)):
+            f.write(f', "{key}": [' + ", ".join(json.dumps(
+                {"name": k, "shape": list(v.shape), "values": v.data.reshape(-1).tolist()})
+                for k, v in ps.items()) + "]")
+        f.write("}")
 
 
 def load_model(path) -> EncoderDecoderModel:

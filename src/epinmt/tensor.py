@@ -540,13 +540,18 @@ def masked_cross_entropy(logits: Tensor, targets: np.ndarray, valid: np.ndarray)
 
 def attn_block(x: Tensor, gain: Tensor, bias: Tensor, wq: Tensor, wk: Tensor | None,
                wv: Tensor | None, wo: Tensor, mask: np.ndarray | None, n_heads: int,
-               kv: tuple[Tensor, Tensor] | None = None) -> Tensor:
+               kv: tuple[Tensor, Tensor] | None = None,
+               cache: tuple[np.ndarray, np.ndarray, int] | None = None) -> Tensor:
     """x + attention(LN(x) @ wq, K, V) @ wo: one pre-LN attention sublayer.
 
     Self-attention (kv None) projects K = LN(x) @ wk and V = LN(x) @ wv in the
     node. Cross-attention passes kv = (K, V), the memory's `linear` projections,
     and wk = wv = None. Every layer's K and V add into the memory's gradient;
     as nodes of their own, they add in the op chain's order (layer 0 first).
+
+    With cache = (K buffer, V buffer, start), x holds the positions from start
+    on: their K and V rows go into the [B, max_len, d] buffers, and attention
+    reads the buffers up to x's last position. A cached block takes no gradient.
     """
     if x.data.ndim != 3 or x.shape[2] % n_heads or (kv is None) == (wk is None):
         raise DimensionError(f"attn_block: bad input {x.shape} or K/V for {n_heads} heads")
@@ -556,6 +561,13 @@ def attn_block(x: Tensor, gain: Tensor, bias: Tensor, wq: Tensor, wk: Tensor | N
     # the chain's q, k and v nodes, and whether each takes a gradient
     qkv = [np.matmul(nx, w.data) for w in ws] + [t.data for t in kv]
     need = [need_nx or w.grad_enabled for w in ws] + [t.grad_enabled for t in kv]
+    if cache is not None:
+        if any(need) or kv:
+            raise ContractError("attn_block: a K/V cache is for self-attention without gradients")
+        kbuf, vbuf, start = cache
+        end = start + x.shape[1]
+        kbuf[:, start:end], vbuf[:, start:end] = qkv[1:]
+        qkv[1:] = kbuf[:, :end], vbuf[:, :end]
     a, attn_cache = _attn_forward(*qkv, mask, n_heads)
 
     def back(g):

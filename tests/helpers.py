@@ -128,3 +128,64 @@ def greedy_reference(model: M.EncoderDecoderModel, source: list[int],
         if tokens[-1] == M.EOS:
             break
     return tokens
+
+
+def beam_reference(model: M.EncoderDecoderModel, sources: list[list[int]],
+                   beam_width: int, max_steps: int) -> list[M.DecodeResult]:
+    """Beam search as it ran before the decoder K/V cache: every step runs
+    `decoder_logits` over each beam's whole prefix and ranks each sentence's
+    candidates with its own lexsort. Same scores, tie-breaks and results
+    contract as `beam_decode_batch`."""
+    cfg = model.config
+    b, w, v = len(sources), beam_width, cfg.vocab_size
+    src = M._pad_batch([s + [M.EOS] for s in sources])
+    memory = M.encode_batch(model.encoder.frozen_view(), cfg, src)
+    mem = T.Tensor(np.repeat(memory.data, w, axis=0))
+    src_rep = np.repeat(src, w, axis=0)
+    dec = model.decoder.frozen_view()
+    tokens = np.full((b, w, 1), M.BOS, dtype=np.int64)
+    sums = np.zeros((b, w))
+    sums[:, 1:] = M.NEG_INF
+    finished = np.zeros((b, w), dtype=bool)
+    lengths = np.zeros((b, w), dtype=np.int64)
+    tok_ids, beam_ids = np.tile(np.arange(v), w), np.repeat(np.arange(w), v)
+    is_eos = (tok_ids == M.EOS).astype(np.int64)
+    for _ in range(min(max_steps, cfg.max_len - 1)):
+        if finished.all():
+            break
+        logits = M.decoder_logits(dec, cfg, mem, src_rep, tokens.reshape(b * w, -1)).data
+        logp = M._log_softmax(logits[:, -1, :]).reshape(b, w, v)
+        logp[:, :, [M.PAD, M.BOS, M.UNK]] = M.NEG_INF
+        cand = sums[:, :, None] + logp
+        t = tokens.shape[-1]
+        norm = cand / t
+        fin_b, fin_w = np.nonzero(finished)
+        cand[fin_b, fin_w, :] = M.NEG_INF
+        cand[fin_b, fin_w, M.PAD] = sums[fin_b, fin_w]
+        norm[fin_b, fin_w, :] = M.NEG_INF
+        norm[fin_b, fin_w, M.PAD] = sums[fin_b, fin_w] / np.maximum(lengths[fin_b, fin_w], 1)
+        new_tokens = np.empty((b, w, t + 1), dtype=np.int64)
+        new_sums, new_len = np.empty((b, w)), np.empty((b, w), dtype=np.int64)
+        new_fin = np.empty((b, w), dtype=bool)
+        for s_i in range(b):
+            pick = np.lexsort((beam_ids, tok_ids, is_eos, -norm[s_i].reshape(-1)))[:w]
+            pb, pt = beam_ids[pick], tok_ids[pick]
+            new_tokens[s_i, :, :t] = tokens[s_i, pb]
+            new_tokens[s_i, :, t] = pt
+            new_sums[s_i] = cand[s_i, pb, pt]
+            was_fin = finished[s_i, pb]
+            new_fin[s_i] = was_fin | (pt == M.EOS)
+            new_len[s_i] = np.where(was_fin, lengths[s_i, pb], t)
+        tokens, sums, finished, lengths = new_tokens, new_sums, new_fin, new_len
+    results = []
+    for s_i in range(b):
+        ln = np.where(finished[s_i], np.maximum(lengths[s_i], 1),
+                      np.maximum(tokens.shape[-1] - 1, 1))
+        norm_final = sums[s_i] / ln
+        best = int(np.lexsort((np.arange(w), -norm_final))[0])
+        seq = [int(x) for x in tokens[s_i, best, 1:]]
+        trunc = M.EOS not in seq
+        if not trunc:
+            seq = seq[: seq.index(M.EOS) + 1]
+        results.append(M.DecodeResult(seq, float(norm_final[best]), trunc))
+    return results

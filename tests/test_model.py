@@ -1,5 +1,6 @@
 """Transformer seq2seq: tokenization, likelihoods, decoding, composition."""
 
+import json
 import math
 import subprocess
 import sys
@@ -7,10 +8,13 @@ import sys
 import numpy as np
 import pytest
 
+from epinmt import corpus as C
+from epinmt import evaluate as E
 from epinmt import model as M
 from epinmt import tensor as T
 
-from helpers import child_env, greedy_reference, tiny_config, tiny_model, random_pair
+from helpers import (beam_reference, child_env, greedy_reference, tiny_config, tiny_model,
+                     random_pair)
 
 
 def _rng(seed=0):
@@ -145,7 +149,57 @@ class TestNll:
         assert np.array_equal(la[0, :2], lb[0, :2])
 
 
+def _decode_cases(n_layers):
+    """(model, sources, width, max_steps): widths 1, 2 and 5, ragged batches
+    that hold length-1 sources, max_steps below and beyond what max_len
+    allows, and two uniform models, where every token ties at every step."""
+    rng = _rng(50)
+    for seed in range(8):
+        model = tiny_model(seed, n_layers=n_layers)
+        if seed >= 6:
+            model.decoder["out.w"].data[:] = 0.0
+        srcs = [[int(x) for x in rng.integers(4, 12, int(m))] for m in rng.integers(1, 9, 6)]
+        srcs.insert(seed % 6, [int(rng.integers(4, 12))])
+        for width in (1, 2, 5):
+            for max_steps in (6, 2 * model.config.max_len):
+                yield model, srcs, width, max_steps
+
+
 class TestDecode:
+    def test_cached_decoding_is_bit_identical_at_one_layer(self):
+        """At one layer, decoding with the K/V cache equals rerunning the
+        decoder over every whole prefix, bit for bit: tokens, logprob and
+        truncated."""
+        stops = truncs = 0
+        for model, srcs, width, max_steps in _decode_cases(n_layers=1):
+            got = M.beam_decode_batch(model, srcs, width, max_steps)
+            assert got == beam_reference(model, srcs, width, max_steps)
+            stops += sum(not r.truncated for r in got)
+            truncs += sum(r.truncated for r in got)
+        assert stops > 0 and truncs > 0
+
+    def test_cached_decoding_keeps_the_tokens_at_two_layers(self):
+        """At two layers the second layer's K/V of earlier positions are
+        computed once, over the keys of their own step, instead of over the
+        whole (masked) prefix at every step: the tokens are the same, and the
+        scores agree to 1e-12."""
+        for model, srcs, width, max_steps in _decode_cases(n_layers=2):
+            got = M.beam_decode_batch(model, srcs, width, max_steps)
+            want = beam_reference(model, srcs, width, max_steps)
+            assert [(r.tokens, r.truncated) for r in got] == [
+                (r.tokens, r.truncated) for r in want]
+            assert max(abs(a.logprob - b.logprob) for a, b in zip(got, want)) <= 1e-12
+
+    def test_translate_corpus_does_not_depend_on_the_chunk(self):
+        model = tiny_model(14)
+        rng = _rng(51)
+        pairs = [C.SentencePair(s, t, 0) for s, t in
+                 (random_pair(rng, model.config, n=int(n)) for n in rng.integers(1, 9, 10))]
+        want = [r.tokens[:-1] if not r.truncated else r.tokens
+                for r in beam_reference(model, [p.source for p in pairs], 5, 8)]
+        for chunk in (3, 64):
+            assert E.translate_corpus(model, pairs, 5, 8, chunk) == want
+
     def test_beam1_equals_greedy_over_seeded_cases(self):
         """Beam width 1 against the independent greedy reference: 100 cases
         on seeded models (a few stop at EOS), and 20 on uniform models,
@@ -346,10 +400,15 @@ def _chain_masked_xent(logits, targets, valid):
     return T.softmax_cross_entropy(T.gather_rows(flat, idx), targets.reshape(-1)[idx])
 
 
-def _chain_attn_block(x, gain, bias, wq, wk, wv, wo, mask, n_heads, kv=None):
+def _chain_attn_block(x, gain, bias, wq, wk, wv, wo, mask, n_heads, kv=None, cache=None):
     nx = T.layer_norm(x, gain, bias)
     q = T.linear(nx, wq)
     k, v = kv if kv is not None else (T.linear(nx, wk), T.linear(nx, wv))
+    if cache is not None:
+        kbuf, vbuf, start = cache
+        end = start + x.shape[1]
+        kbuf[:, start:end], vbuf[:, start:end] = k.data, v.data
+        k, v = T.Tensor(kbuf[:, :end]), T.Tensor(vbuf[:, :end])
     return T.add(x, T.linear(T.attention(q, k, v, mask, n_heads), wo))
 
 
@@ -411,6 +470,7 @@ class TestFusedLayerOps:
             for kind, ps in modules.items():
                 for name, p in ps.items():
                     out[f"{label}.{kind}.{name}"], p.grad = p.grad, None
+        # decoding's cached self-attention runs through attn_block (or its chain) too
         beams = [(r.tokens, r.logprob) for r in M.beam_decode_batch(model, srcs, 3, 6)]
         return out, beams
 
@@ -450,6 +510,8 @@ class TestCheckpoint:
         src, tgt = [4, 5, 6, 7], [8, 9]
         before = M.nll_batch(model, [src], [tgt]).item()
         M.save_model(model, tmp_path / "m.json")
+        text = (tmp_path / "m.json").read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text))      # json.dumps' own bytes
         loaded = M.load_model(tmp_path / "m.json")
         assert M.nll_batch(loaded, [src], [tgt]).item() == before
         assert loaded.config == model.config

@@ -204,6 +204,17 @@ class TestFusedOpContracts:
         with pytest.raises(T.DimensionError):
             call(T.Tensor(np.zeros((2, 3, 4))))
 
+    def test_kv_cache_only_for_self_attention_without_gradients(self):
+        x, bufs = T.Tensor(np.zeros((2, 3, 4))), (np.zeros((2, 5, 4)), np.zeros((2, 5, 4)), 0)
+        trained = T.Tensor(np.zeros((4, 4)), grad_enabled=True)
+        for call in (lambda: T.attn_block(x, _VEC4, _VEC4, trained, *[_MAT44] * 3, None, 2,
+                                          cache=bufs),
+                     lambda: T.attn_block(x, _VEC4, _VEC4, _MAT44, None, None, _MAT44, None, 2,
+                                          (x, x), cache=bufs)):
+            with pytest.raises(T.ContractError):
+                call()
+        T.attn_block(x, _VEC4, _VEC4, *[_MAT44] * 4, None, 2, cache=bufs)
+
     def test_out_of_range_ids_rejected(self):
         with pytest.raises(IndexError):
             T.embed(T.Tensor(np.zeros((4, 2))), np.array([[0, 4]]), 1.0, np.zeros((2, 2)))

@@ -61,17 +61,12 @@ class TrainingConfig:
             if m not in METHODS:
                 raise UsageError(
                     f"unknown method '{m}'; valid methods: {', '.join(METHODS)}")
-        hp_fields = {f.name for f in fields(Hyperparams)}
         for m, ov in self.overrides.items():
             if m not in METHODS:
                 raise UsageError(
                     f"override for unknown method '{m}'; "
                     f"valid methods: {', '.join(METHODS)}")
-            unknown = set(ov) - hp_fields
-            if unknown:
-                raise UsageError(
-                    f"unknown key(s) in training.overrides.{m}: "
-                    f"{', '.join(sorted(unknown))}")
+            _check_keys(Hyperparams, ov, f"training.overrides.{m}")
             _check_ints(Hyperparams, ov, f"training.overrides.{m}")
             _checked(f"training.overrides.{m}", lambda: self.method_hp(m, 0))
 
@@ -121,6 +116,26 @@ class RunConfig:
 
     def config_hash(self) -> str:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()[:12]
+
+
+# fields that the stages set themselves, so that a config which sets one is
+# refused rather than silently overridden: field -> where the value comes from
+_DERIVED = {
+    (ModelConfig, "vocab_size"): "it is the size of the vocabulary that `dataset` "
+                                 "generates",
+    (Hyperparams, "seed"): "each task derives it from the run's seed (master_seed or "
+                           "--seed; each of eval.seeds in experiment)",
+}
+
+
+def _check_keys(cls, payload: dict, where: str) -> None:
+    """Every key of payload is a field of dataclass `cls` that a config may set."""
+    unknown = set(payload) - {f.name for f in fields(cls)}
+    if unknown:
+        raise UsageError(f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
+    for key in payload:
+        if (cls, key) in _DERIVED:
+            raise UsageError(f"{where}.{key} cannot be set: {_DERIVED[cls, key]}")
 
 
 def _is_int(value) -> bool:
@@ -175,9 +190,7 @@ def _frozen(value):
 
 def _build(cls, payload: dict, where: str):
     """cls(**payload); unknown keys and invalid values are usage errors."""
-    unknown = set(_object(payload, where)) - {f.name for f in fields(cls)}
-    if unknown:
-        raise UsageError(f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
+    _check_keys(cls, _object(payload, where), where)
     values = {k: _frozen(v) for k, v in payload.items()}
     _check_ints(cls, values, where)
     return _checked(where, lambda: cls(**values))

@@ -126,11 +126,6 @@ def inject_noise(pairs: list[SentencePair], fraction: float, seed: int) -> list[
     return out
 
 
-def length_filter(pairs, min_len: int = 5, max_len: int = 175):
-    return [p for p in pairs
-            if min_len <= len(p.source) <= max_len and min_len <= len(p.target) <= max_len]
-
-
 @dataclass
 class DatasetSplits:
     training: list[SentencePair] = field(default_factory=list)
@@ -287,7 +282,7 @@ def build_dataset(cfg: DatasetConfig, seed: int) -> tuple[Vocabulary, MultiDomai
                        "finetune_tokens": cfg.finetune_tokens,
                        "test_tokens": cfg.test_tokens}
         n_pairs = int(want / avg_len * 1.3) + 10
-        pairs = length_filter(generate_domain(spec, n_pairs, seed, vocab))
+        pairs = generate_domain(spec, n_pairs, seed, vocab)
         sp = split(pairs, budgets, seed + d)
         if d in seen_ids:
             trusted[d] = [SentencePair(list(p.source), list(p.target), d, is_noise=False)

@@ -89,17 +89,12 @@ def uniform_policy(n_shards: int = 1) -> SchedulerPolicy:
 
 
 @dataclass
-class DenoiseScorer:
-    base_model: M.EncoderDecoderModel
-    domain_models: dict[int, M.EncoderDecoderModel]
-    provenance: dict = field(default_factory=dict)
-
-
-@dataclass
-class DivergenceScorer:
-    base_lm: M.LanguageModel
-    domain_lms: dict[int, M.LanguageModel]
-    provenance: dict = field(default_factory=dict)
+class Scorer:
+    """A base model and, per seen domain, a copy of it adapted to that
+    domain: translation models for the denoise score, language models for
+    the divergence score."""
+    base: M.EncoderDecoderModel | M.LanguageModel
+    domains: dict[int, M.EncoderDecoderModel | M.LanguageModel]
 
 
 def _random_batches(items: list, steps: int, batch_size: int, rng):
@@ -122,30 +117,34 @@ def train_base_lm(cfg: M.ModelConfig, sentences: list[list[int]], steps: int,
     return lm
 
 
+def _adapted(base, data: dict[int, list], modules, loss, key: int, steps: int,
+             lr: float, batch_size: int, seed: int) -> Scorer:
+    """Per domain d, a copy of `base` trained by SGD on loss(copy, batch) over
+    `steps` random batches of data[d], drawn with the rng of (seed, key, d);
+    modules(copy) lists the parameter sets that train."""
+    domains = {}
+    for d, items in data.items():
+        rng = np.random.default_rng(np.random.SeedSequence([seed, key, d]))
+        adapted = domains[d] = base.copy()
+        T.sgd_loop(modules(adapted), partial(loss, adapted),
+                   _random_batches(items, steps, batch_size, rng), lr)
+    return Scorer(base, domains)
+
+
 def build_denoise_scorer(base_model, dataset: MultiDomainDataset, steps: int,
-                         lr: float, batch_size: int, seed: int) -> DenoiseScorer:
+                         lr: float, batch_size: int, seed: int) -> Scorer:
     """Fine-tune the base translation model on each seen domain's trusted pairs."""
-    models = {}
-    for d in dataset.seen_ids:
-        rng = np.random.default_rng(np.random.SeedSequence([seed, 21, d]))
-        adapted = models[d] = base_model.copy()
-        T.sgd_loop([adapted.encoder, adapted.decoder], partial(pairs_nll, adapted),
-                   _random_batches(dataset.trusted[d], steps, batch_size, rng), lr)
-    return DenoiseScorer(base_model, models,
-                         {"steps": steps, "lr": lr, "seed": seed})
+    return _adapted(base_model, {d: dataset.trusted[d] for d in dataset.seen_ids},
+                    lambda m: [m.encoder, m.decoder], pairs_nll, 21, steps, lr,
+                    batch_size, seed)
 
 
 def build_divergence_scorer(base_lm, dataset: MultiDomainDataset, steps: int,
-                            lr: float, batch_size: int, seed: int) -> DivergenceScorer:
+                            lr: float, batch_size: int, seed: int) -> Scorer:
     """Fine-tune the base LM on each seen domain's source-side monolingual data."""
-    lms = {}
-    for d in dataset.seen_ids:
-        rng = np.random.default_rng(np.random.SeedSequence([seed, 22, d]))
-        sentences = [p.source for p in dataset.splits[d].training]
-        adapted = lms[d] = base_lm.copy()
-        T.sgd_loop([adapted.params], partial(M.lm_nll_batch, adapted),
-                   _random_batches(sentences, steps, batch_size, rng), lr)
-    return DivergenceScorer(base_lm, lms, {"steps": steps, "lr": lr, "seed": seed})
+    return _adapted(base_lm, {d: [p.source for p in dataset.splits[d].training]
+                              for d in dataset.seen_ids},
+                    lambda m: [m.params], M.lm_nll_batch, 22, steps, lr, batch_size, seed)
 
 
 def _per_domain(pairs: list[SentencePair], models: dict, what: str, gap) -> np.ndarray:
@@ -162,34 +161,33 @@ def _per_domain(pairs: list[SentencePair], models: dict, what: str, gap) -> np.n
     return out
 
 
-def denoise_score_pairs(pairs: list[SentencePair], scorer: DenoiseScorer) -> np.ndarray:
+def denoise_score_pairs(pairs: list[SentencePair], scorer: Scorer) -> np.ndarray:
     """q = [logP(t|s; adapted) - logP(t|s; base)] / |t|, |t| counting EOS.
 
     Equals the per-token nll difference base - adapted.
     """
     def gap(adapted, group):
         srcs, tgts = [p.source for p in group], [p.target for p in group]
-        nll_base = M.nll_per_pair(scorer.base_model, srcs, tgts)
+        nll_base = M.nll_per_pair(scorer.base, srcs, tgts)
         return nll_base - M.nll_per_pair(adapted, srcs, tgts)
 
-    return _per_domain(pairs, scorer.domain_models, "denoise model", gap)
+    return _per_domain(pairs, scorer.domains, "denoise model", gap)
 
 
-def divergence_score_pairs(pairs: list[SentencePair],
-                           scorer: DivergenceScorer) -> np.ndarray:
+def divergence_score_pairs(pairs: list[SentencePair], scorer: Scorer) -> np.ndarray:
     """d = [logP(s; domain LM) - logP(s; base LM)] / (|s| + 1), EOS counted:
     the per-source-token gap, higher further from the general domain."""
     def gap(lm, group):
         sents = [p.source for p in group]
         lens = np.array([len(s) + 1 for s in sents], dtype=np.float64)
         lp_z = M.lm_logprob_batch(lm, sents)
-        return (lp_z - M.lm_logprob_batch(scorer.base_lm, sents)) / lens
+        return (lp_z - M.lm_logprob_batch(scorer.base, sents)) / lens
 
-    return _per_domain(pairs, scorer.domain_lms, "divergence LM", gap)
+    return _per_domain(pairs, scorer.domains, "divergence LM", gap)
 
 
-def score_corpus(pairs: list[SentencePair], denoise: DenoiseScorer | None,
-                 divergence: DivergenceScorer) -> list[SentencePair]:
+def score_corpus(pairs: list[SentencePair], denoise: Scorer | None,
+                 divergence: Scorer) -> list[SentencePair]:
     """Attach q and d scores; denoise=None leaves q at 0 (filter disabled)."""
     q = denoise_score_pairs(pairs, denoise) if denoise else np.zeros(len(pairs))
     d = divergence_score_pairs(pairs, divergence)
@@ -293,11 +291,8 @@ def sample_batch(plan: CurriculumPlan, stage: int, batch_size: int, rng,
         if total == 0.0:
             raise ValueError("no nonempty shard available to sample from")
         probs = probs / total
-    out = []
-    shard_ids = rng.choice(len(shards), size=batch_size, p=probs)
-    for s in shard_ids:
-        out.append(shards[s][int(rng.integers(0, len(shards[s])))])
-    return out
+    return [shards[s][int(rng.integers(0, len(shards[s])))]
+            for s in rng.choice(len(shards), size=batch_size, p=probs)]
 
 
 def bin_testset(test_pairs: list[SentencePair],
@@ -324,7 +319,9 @@ def save_plan(plan: CurriculumPlan, path) -> None:
         "policy": plan.policy.to_dict(),
         "shard_thresholds": plan.shard_thresholds,
         "filtered_count": plan.filtered_count,
-        "shards": [[_pair_payload(p) for p in shard] for shard in plan.shards],
+        "shards": [[{"s": p.source, "t": p.target, "dom": p.domain_id,
+                     "q": p.q_score, "d": p.d_score} for p in shard]
+                   for shard in plan.shards],
     }
     with open(path, "w", encoding="utf-8") as f:
         json.dump(payload, f)
@@ -333,16 +330,8 @@ def save_plan(plan: CurriculumPlan, path) -> None:
 def load_plan(path) -> CurriculumPlan:
     with open(path, "r", encoding="utf-8") as f:
         payload = json.load(f)
-    shards = [[_pair_from_payload(e) for e in shard] for shard in payload["shards"]]
+    shards = [[SentencePair(e["s"], e["t"], e["dom"], q_score=e["q"], d_score=e["d"])
+               for e in shard] for shard in payload["shards"]]
     return CurriculumPlan(shards, payload["shard_thresholds"],
                           SchedulerPolicy.from_dict(payload["policy"]),
                           payload["filtered_count"])
-
-
-def _pair_payload(p: SentencePair) -> dict:
-    return {"s": p.source, "t": p.target, "dom": p.domain_id,
-            "q": p.q_score, "d": p.d_score}
-
-
-def _pair_from_payload(e: dict) -> SentencePair:
-    return SentencePair(e["s"], e["t"], e["dom"], q_score=e["q"], d_score=e["d"])

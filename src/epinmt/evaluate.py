@@ -124,12 +124,9 @@ class EvalReport:
         return float(np.mean(vals))
 
     def to_rows(self) -> list[dict]:
-        rows = []
-        for c in self.cells:
-            rows.append({"method": c.method, "domain": c.domain, "seen": c.seen,
-                         "seed": c.seed, "bleu_before": c.bleu_before,
-                         "bleu_after": c.bleu_after, "delta_ft": c.delta_ft})
-        return rows
+        return [{"method": c.method, "domain": c.domain, "seen": c.seen, "seed": c.seed,
+                 "bleu_before": c.bleu_before, "bleu_after": c.bleu_after,
+                 "delta_ft": c.delta_ft} for c in self.cells]
 
 
 def run_protocol(models: dict[str, M.EncoderDecoderModel], dataset: MultiDomainDataset,
@@ -173,30 +170,37 @@ class SwapReport:
         return float(np.mean([self.domain_mean(d) for d in self.improvements]))
 
 
-def swap_experiment(trained: M.EncoderDecoderModel,
+def swap_experiment(trained: dict[str, M.EncoderDecoderModel],
                     specialists: dict[int, M.EncoderDecoderModel],
-                    dataset: MultiDomainDataset, part: str,
-                    beam_width: int = 5, max_steps: int = 32) -> SwapReport:
-    """BLEU gain from grafting the trained model's encoder (or decoder) onto
-    each specialist, on test domains the specialist has never trained on."""
-    if part not in ("encoder", "decoder"):
-        raise ValueError("part must be 'encoder' or 'decoder'")
-    report = SwapReport(part)
+                    dataset: MultiDomainDataset, beam_width: int = 5,
+                    max_steps: int = 32) -> list[SwapReport]:
+    """BLEU gain from grafting each trained model's encoder (or decoder) onto
+    each specialist, on test domains the specialist has never trained on.
+
+    One report per part and method, "encoder:<method>" reports first, in the
+    order of `trained`; a specialist's own BLEU is decoded once per test
+    domain and shared by every report.
+    """
+    if not trained:
+        return []
+    reports = {(part, m): SwapReport(f"{part}:{m}")
+               for part in ("encoder", "decoder") for m in trained}
     for d in dataset.seen_ids + dataset.unseen_ids:
         testing = dataset.splits[d].testing
-        rows = []
+        for r in reports.values():
+            r.improvements[d] = []
         for sd, spec in sorted(specialists.items()):
             if sd == d:
                 continue  # specialist matching the target domain is excluded
             base = test_bleu(spec, testing, beam_width, max_steps)
-            if part == "encoder":
-                hybrid = M.compose(trained.encoder, spec.decoder, trained.config)
-            else:
-                hybrid = M.compose(spec.encoder, trained.decoder, trained.config)
-            swapped = test_bleu(hybrid, testing, beam_width, max_steps)
-            rows.append((sd, swapped - base))
-        report.improvements[d] = rows
-    return report
+            for (part, m), r in reports.items():
+                model = trained[m]
+                hybrid = (M.compose(model.encoder, spec.decoder, model.config)
+                          if part == "encoder" else
+                          M.compose(spec.encoder, model.decoder, model.config))
+                swapped = test_bleu(hybrid, testing, beam_width, max_steps)
+                r.improvements[d].append((sd, swapped - base))
+    return list(reports.values())
 
 
 # ---------------------------------------------------------------------------
@@ -301,11 +305,8 @@ def bin_report(models: dict[str, M.EncoderDecoderModel], thresholds: list[float]
     bins = bin_testset(scored_test_pairs, thresholds)
     report = BinReport(bin_sizes=[len(b) for b in bins])
     for name, model in sorted(models.items()):
-        scores = []
-        for b in bins:
-            scores.append(test_bleu(model, b, beam_width, max_steps)
-                          if b else float("nan"))
-        report.bleu_by_bin[name] = scores
+        report.bleu_by_bin[name] = [test_bleu(model, b, beam_width, max_steps)
+                                    if b else float("nan") for b in bins]
     return report
 
 

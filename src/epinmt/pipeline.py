@@ -26,6 +26,7 @@ import logging
 import os
 from contextlib import contextmanager
 from dataclasses import replace
+from functools import partial
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -61,6 +62,30 @@ def _stage_dir(cfg: RunConfig, seed: int, stage: str) -> str:
 def _write_json(path: str, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as f:
         json.dump(payload, f, indent=1, sort_keys=True)
+
+
+def _write_whole(path: str, write) -> None:
+    """write(a temporary path), then move that file to `path` in one step: a
+    later command finds the whole file or none, also when another process
+    writes the same one."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    write(tmp)
+    os.replace(tmp, path)
+
+
+def _read(path: str, load):
+    """load(path) of a stage file; one that does not parse is a data error
+    naming it."""
+    try:
+        return load(path)
+    except (ValueError, KeyError, TypeError) as e:
+        raise DependencyError(f"{path} is damaged ({type(e).__name__}: {e}); "
+                              "delete it and run its stage again") from None
+
+
+def _load_json(path: str):
+    with open(path, encoding="utf-8") as f:
+        return json.load(f)
 
 
 # ---------------------------------------------------------------------------
@@ -156,18 +181,14 @@ def _base(cfg: RunConfig, seed: int) -> Base:
     path, summary = (os.path.join(out, name) for name in ("vanilla.model.json",
                                                            "summary.json"))
     if os.path.exists(path):
-        with open(summary, encoding="utf-8") as f:
-            steps = json.load(f)["vanilla_steps"]
-        return Base(vocab, dataset, M.load_model(path), steps)
+        steps = _read(summary, lambda p: _load_json(p)["vanilla_steps"])
+        return Base(vocab, dataset, _read(path, M.load_model), steps)
     vanilla, curve = TR.pretrain_vanilla(dataset.splits[dataset.generic_id].training,
                                          replace(cfg.model, vocab_size=vocab.size),
                                          cfg.training.method_hp("vanilla", seed))
     _write_json(summary, {"vanilla_steps": len(curve)})
-    # the checkpoint marks the stage done, so it appears whole and last, also
-    # when another process writes the same one
-    tmp = f"{path}.{os.getpid()}.tmp"
-    M.save_model(vanilla, tmp)
-    os.replace(tmp, path)
+    # the checkpoint marks the stage done, so it appears last
+    _write_whole(path, partial(M.save_model, vanilla))
     return Base(vocab, dataset, vanilla, len(curve))
 
 
@@ -202,7 +223,7 @@ def score(cfg: RunConfig, seed: int, base: Base | None = None):
 
     out = _stage_dir(cfg, seed, "score")
     C.save_scored_tsv(pairs, os.path.join(out, "scored.tsv"), vocab)
-    CU.save_plan(plan, os.path.join(out, "plan.json"))
+    _write_whole(os.path.join(out, "plan.json"), partial(CU.save_plan, plan))
     _write_json(os.path.join(out, "summary.json"),
                 {"scored": len(pairs), "kept": len(kept),
                  "filtered_count": plan.filtered_count,
@@ -229,7 +250,7 @@ def _load_trained(cfg: RunConfig, seed: int, method: str) -> M.EncoderDecoderMod
     path = _checkpoint(cfg, seed, method)
     if not os.path.exists(path):
         raise DependencyError(f"missing checkpoint {path}; run 'train' first")
-    return M.load_model(path)
+    return _read(path, M.load_model)
 
 
 def _train_method(cfg: RunConfig, method: str, seed: int, base: Base,
@@ -253,11 +274,11 @@ def train(cfg: RunConfig, method: str, seed: int, build_deps: bool = True) -> st
             f"{method} requires a plan; run 'score' first or pass --build-deps")
     base = _base(cfg, seed)
     plan = None if not needs_plan else (
-        CU.load_plan(plan_path) if have_plan else score(cfg, seed, base)[0])
+        _read(plan_path, CU.load_plan) if have_plan else score(cfg, seed, base)[0])
     model = _labelled(f"{method} (seed {seed})", _train_method, cfg, method, seed, base,
                       plan)
     out = _stage_dir(cfg, seed, "train")
-    M.save_model(model, _checkpoint(cfg, seed, method))
+    _write_whole(_checkpoint(cfg, seed, method), partial(M.save_model, model))
     _write_json(os.path.join(out, f"{method}.provenance.json"),
                 {"method": method, "seed": seed, "config_hash": cfg.config_hash(),
                  "vanilla_steps": base.vanilla_steps})
@@ -308,9 +329,15 @@ def evaluate(cfg: RunConfig, seed: int) -> str:
 
 
 def _scored_base(cfg: RunConfig, seed: int):
-    """The seed's `Base`, and what `score` returns for it."""
+    """The seed's `Base`, plan and denoise scorer, and copies of its seen
+    test pairs that carry their divergence scores."""
     base = _base(cfg, seed)
-    return (base, *score(cfg, seed, base))
+    plan, denoise, divergence = score(cfg, seed, base)
+    ds = base.dataset
+    test_pairs = [p for d in ds.seen_ids for p in ds.splits[d].testing]
+    return base, plan, denoise, [
+        replace(p, d_score=float(dv))
+        for p, dv in zip(test_pairs, CU.divergence_score_pairs(test_pairs, divergence))]
 
 
 def _trained(cfg: RunConfig, method: str, seed: int, base: Base,
@@ -327,16 +354,6 @@ def _specialist(cfg: RunConfig, seed: int, base: Base, d: int) -> M.EncoderDecod
                         replace(cfg.training.hp, seed=seed * 100 + d))[0]
 
 
-def _binned(models: dict[str, M.EncoderDecoderModel], thresholds: list[float],
-            test_pairs: list[C.SentencePair], divergence, width: int,
-            steps: int) -> E.BinReport:
-    """The bins experiment: divergence-score the test pairs (this task's
-    copies of them), then bin them by the plan's thresholds."""
-    for p, dv in zip(test_pairs, CU.divergence_score_pairs(test_pairs, divergence)):
-        p.d_score = float(dv)
-    return E.bin_report(models, thresholds, test_pairs, width, steps)
-
-
 def experiment(cfg: RunConfig) -> dict:
     """Train every configured method and run the fine-tuning protocol per eval
     seed; swap, perturbation and bins (and the returned denoise scorer) cover
@@ -344,20 +361,16 @@ def experiment(cfg: RunConfig) -> dict:
 
     Pool tasks, in three rounds: per seed, data, vanilla and scoring; per
     (seed, method), training and the protocol, plus the first seed's swap
-    specialists; once the first seed's models are back, its swaps (per part
-    and method), perturbation and bins, queued behind the later seeds'
-    training. The pool has a worker per core, but no more than the largest
-    round has tasks.
+    specialists; once the first seed's models are back, its swap study,
+    perturbation and bins, queued behind the later seeds' training. The pool
+    has a worker per core, but no more than the largest round has tasks.
     """
     ev, methods, first = cfg.eval, sorted(set(cfg.training.methods)), cfg.eval.seeds[0]
-    swapped = [(part, m) for part in ("encoder", "decoder")
-               for m in ("epi_curriculum", "agg") if m in methods]
-    rounds = (len(ev.seeds), len(ev.seeds) * len(methods) + cfg.dataset.n_seen,
-              len(swapped) + 2)
+    rounds = (len(ev.seeds), len(ev.seeds) * len(methods) + cfg.dataset.n_seen, 3)
     with _pool(max(rounds)) as pool:
         scored = _results(_submit(pool, [(f"scoring (seed {s})", _scored_base, cfg, s)
                                          for s in ev.seeds]))
-        base, plan, denoise, divergence = scored[0]
+        base, plan, denoise, test_pairs = scored[0]
         dataset = base.dataset
 
         def training(s, b, p):
@@ -373,20 +386,17 @@ def experiment(cfg: RunConfig) -> dict:
         models = {m: model for m, (model, _) in zip(methods, _results(trained[0]))}
         specialists = dict(zip(dataset.seen_ids, _results(specialists)))
         width, steps = ev.experiment_beam_width, ev.max_steps
-        test_pairs = [p for d in dataset.seen_ids for p in dataset.splits[d].testing]
-        swaps = _submit(pool, [(f"{part} swap of {m} (seed {first})", E.swap_experiment,
-                                models[m], specialists, dataset, part, width, steps)
-                               for part, m in swapped])
-        [perturb, bins] = _submit(pool, [
+        grafted = {m: models[m] for m in ("epi_curriculum", "agg") if m in models}
+        experiments = _submit(pool, [
+            (f"swap study (seed {first})", E.swap_experiment, grafted, specialists,
+             dataset, width, steps),
             (f"perturbation (seed {first})", E.perturb_experiment, models, dataset,
              ev.sigmas, ev.noise_seeds, width, steps),
-            (f"divergence bins (seed {first})", _binned, models, plan.shard_thresholds,
-             test_pairs, divergence, width, steps)])
+            (f"divergence bins (seed {first})", E.bin_report, models,
+             plan.shard_thresholds, test_pairs, width, steps)])
         protocol = E.EvalReport([c for seed_tasks in trained
                                  for _, cells in _results(seed_tasks) for c in cells])
-        swaps, perturb, bins = _results(swaps), perturb.result(), bins.result()
-    for r, (part, m) in zip(swaps, swapped):
-        r.part = f"{part}:{m}"
+        swaps, perturb, bins = _results(experiments)
     out = _write_report(cfg, ev.seeds, protocol, swaps, perturb, bins)
     return {"protocol": protocol, "swaps": swaps, "perturb": perturb, "bins": bins,
             "denoise": denoise, "report_dir": out}

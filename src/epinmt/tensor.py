@@ -19,8 +19,7 @@ import importlib.util
 import math
 import os
 import sys
-from collections import OrderedDict
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -658,62 +657,27 @@ def backward(loss: Tensor) -> None:
 # parameters
 
 
-class ParameterSet:
-    """Ordered name -> Tensor mapping for one model module."""
-
-    def __init__(self, items: dict[str, Tensor] | None = None):
-        self._params: "OrderedDict[str, Tensor]" = OrderedDict()
-        if items:
-            for k, v in items.items():
-                self[k] = v
-
-    def __setitem__(self, name: str, t: Tensor) -> None:
-        self._params[name] = t
-
-    def __getitem__(self, name: str) -> Tensor:
-        return self._params[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
-    def __len__(self) -> int:
-        return len(self._params)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._params)
-
-    def items(self):
-        return self._params.items()
+class ParameterSet(dict):
+    """One model module's parameters: name -> Tensor, in insertion order."""
 
     def copy(self) -> "ParameterSet":
         """Deep copy; gradients are not carried over."""
-        out = ParameterSet()
-        for k, v in self._params.items():
-            out[k] = Tensor(v.data.copy(), grad_enabled=v.grad_enabled)
-        return out
+        return ParameterSet({k: Tensor(v.data.copy(), grad_enabled=v.grad_enabled)
+                             for k, v in self.items()})
 
     def frozen_view(self) -> "ParameterSet":
-        """Share the same data arrays with gradients disabled.
+        """Share the same (float64) data arrays with gradients disabled.
 
         Used to run a forward pass *through* these parameters without them
         taking part in the update.
         """
-        out = ParameterSet()
-        for k, v in self._params.items():
-            t = Tensor.__new__(Tensor)
-            t.data = v.data
-            t.grad = None
-            t.grad_enabled = False
-            t._parents = ()
-            t._backward = None
-            out[k] = t
-        return out
+        return ParameterSet({k: Tensor(v.data) for k, v in self.items()})
 
     def checksum(self) -> str:
         """sha256 over each entry's name, dtype, shape and bytes, in order;
         equal across processes."""
         h = hashlib.sha256()
-        for k, v in self._params.items():
+        for k, v in self.items():
             h.update(f"{k}\0{v.data.dtype.str}{v.shape}\0".encode())
             h.update(np.ascontiguousarray(v.data).tobytes())
         return h.hexdigest()

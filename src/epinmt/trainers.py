@@ -188,22 +188,6 @@ def _episodic_backward(state: EpisodicState, part: str, batch: list[SentencePair
     return loss.item()
 
 
-def episodic_encoder_step(state: EpisodicState, i: int, batch: list[SentencePair],
-                          rng) -> float:
-    """Standalone episodic encoder update: theta <- theta - alpha * grad(L_enc)."""
-    loss = _episodic_backward(state, "encoder", batch, _pick_partner(state, i, rng))
-    T.sgd_step(state.agg.encoder, state.hp.alpha)
-    return loss
-
-
-def episodic_decoder_step(state: EpisodicState, i: int, batch: list[SentencePair],
-                          rng) -> float:
-    """Standalone episodic decoder update: phi <- phi - alpha * grad(L_dec)."""
-    loss = _episodic_backward(state, "decoder", batch, _pick_partner(state, i, rng))
-    T.sgd_step(state.agg.decoder, state.hp.alpha)
-    return loss
-
-
 def epi_train(state: EpisodicState) -> M.EncoderDecoderModel:
     """The full episodic training policy; returns the aggregation model.
 

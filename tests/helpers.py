@@ -8,6 +8,7 @@ import numpy as np
 
 from epinmt import model as M
 from epinmt import tensor as T
+from epinmt import trainers as TR
 
 FD_STEP = 1e-4
 FD_TOL = 1e-4
@@ -94,6 +95,24 @@ def tiny_config(vocab_size=12, **kw) -> M.ModelConfig:
                     vocab_size=vocab_size)
     defaults.update(kw)
     return M.ModelConfig(**defaults)
+
+
+def episodic_update_footprint(state, part: str, batch, k: int):
+    """Run epi_train's update of the agg `part` ("encoder" or "decoder") with
+    partner k: `_episodic_backward`, then `sgd_step` of that module. Returns
+    the names of the parameter sets that hold gradients after the backward,
+    and of those whose checksum the update moved."""
+    modules = {"agg.encoder": state.agg.encoder, "agg.decoder": state.agg.decoder}
+    for d, spec in sorted(state.specialists.items()):
+        modules.update({f"specialist{d}.encoder": spec.encoder,
+                        f"specialist{d}.decoder": spec.decoder})
+    before = {name: ps.checksum() for name, ps in modules.items()}
+    TR._episodic_backward(state, part, batch, k)
+    holders = [name for name, ps in modules.items()
+               if any(p.grad is not None for p in ps.values())]
+    T.sgd_step(getattr(state.agg, part), state.hp.alpha)
+    moved = [name for name, ps in modules.items() if ps.checksum() != before[name]]
+    return holders, moved
 
 
 def tiny_model(seed=0, **kw) -> M.EncoderDecoderModel:

@@ -21,8 +21,8 @@ from epinmt import pipeline as P
 from epinmt import tensor as T
 from epinmt import trainers as tr
 
-from helpers import (FD_TOL, TINY, finite_diff, greedy_reference, max_rel_err,
-                     record_criterion, tiny_config)
+from helpers import (FD_TOL, TINY, episodic_update_footprint, finite_diff,
+                     greedy_reference, max_rel_err, record_criterion, tiny_config)
 
 
 # ---------------------------------------------------------------------------
@@ -227,22 +227,15 @@ def test_criterion_02_freeze_and_locality():
                         episodes=episodes)
     seen = sorted(ds.seen_ids)
 
-    # (b) the standalone episodic steps touch exactly one module
+    # (b) epi_train's episodic update of each agg module (its backward through
+    # the partner's frozen other module, then its step) gives gradients to
+    # that module alone and moves only it
     state = tr.init_state(vanilla, ds.seen_ids, plan, hp)
-    spec_cs = {d: state.specialists[d].checksum() for d in seen}
-    enc_cs, dec_cs = state.agg.encoder.checksum(), state.agg.decoder.checksum()
     batch = ds.splits[seen[0]].training[:8]
-    tr.episodic_encoder_step(state, seen[0], batch, np.random.default_rng(0))
-    only_theta = (state.agg.encoder.checksum() != enc_cs
-                  and state.agg.decoder.checksum() == dec_cs
-                  and all(state.specialists[d].checksum() == spec_cs[d]
-                          for d in seen))
-    enc_cs = state.agg.encoder.checksum()
-    tr.episodic_decoder_step(state, seen[0], batch, np.random.default_rng(0))
-    only_phi = (state.agg.decoder.checksum() != dec_cs
-                and state.agg.encoder.checksum() == enc_cs
-                and all(state.specialists[d].checksum() == spec_cs[d]
-                        for d in seen))
+    only_theta = episodic_update_footprint(state, "encoder", batch, seen[1]) == (
+        ["agg.encoder"], ["agg.encoder"])
+    only_phi = episodic_update_footprint(state, "decoder", batch, seen[1]) == (
+        ["agg.decoder"], ["agg.decoder"])
 
     # reference run of the full policy
     ref = tr.init_state(vanilla, ds.seen_ids, plan, hp)
@@ -299,8 +292,8 @@ def test_criterion_02_freeze_and_locality():
     ok = only_theta and only_phi and partners_ok and locality_ok and replication_ok
     record_criterion(2, "freeze/locality suite", ok,
                      f"{episodes} episodes, exact checksum checks")
-    assert only_theta, "episodic_encoder_step touched more than theta"
-    assert only_phi, "episodic_decoder_step touched more than phi"
+    assert only_theta, "the episodic encoder update touched more than theta"
+    assert only_phi, "the episodic decoder update touched more than phi"
     assert partners_ok, "logged partner k == i"
     assert locality_ok, "a frozen module moved during an episode"
     assert replication_ok, "instrumented replication diverged from epi_train"

@@ -121,6 +121,18 @@ class TestConfig:
                                        "eval": {"seeds": [3, 4], "noise_seeds": [5]}})
         assert (cfg.master_seed, cfg.eval.seeds, cfg.eval.noise_seeds) == (7, (3, 4), (5,))
 
+    @pytest.mark.parametrize("raw, key, source", [
+        ({"training": {"seed": 3}}, "training.seed", "master_seed"),
+        ({"training": {"overrides": {"agg": {"seed": 3}}}}, "training.overrides.agg.seed",
+         "master_seed"),
+        ({"model": {"vocab_size": 40}}, "model.vocab_size", "vocabulary")])
+    def test_derived_values_cannot_be_set(self, raw, key, source):
+        """A value that every stage sets itself is refused with its source,
+        not silently overridden (it would still change the config hash)."""
+        with pytest.raises(cfgmod.UsageError, match=key) as e:
+            cfgmod.config_from_dict(raw)
+        assert source in str(e.value)
+
     def test_output_dir_does_not_change_hash(self):
         a = cfgmod.config_from_dict({"output_dir": "runs"})
         b = cfgmod.config_from_dict({"output_dir": "elsewhere/runs"})
@@ -209,7 +221,14 @@ class TestCliUsage:
         pytest.param("gen-data", '{"master_seed": 1,', id="gen-data-not-json"),
         pytest.param("gen-data", "[1, 2]", id="gen-data-root-not-object"),
         pytest.param("gen-data", {"dataset": {**TINY["dataset"], "len_min": -3}},
-                     id="gen-data-negative-len-min")])
+                     id="gen-data-negative-len-min"),
+        pytest.param("gen-data", {"training": {**TINY["training"], "seed": 3}},
+                     id="gen-data-training-seed"),
+        pytest.param("gen-data", {"model": {**TINY["model"], "vocab_size": 40}},
+                     id="gen-data-model-vocab-size"),
+        pytest.param("gen-data", {"training": {**TINY["training"],
+                                               "overrides": {"agg": {"seed": 1}}}},
+                     id="gen-data-override-seed")])
     def test_invalid_config_values_are_usage_errors(self, tmp_path, capsys,
                                                      monkeypatch, command, section):
         """`section` is merged into TINY, or, as a string, is the whole file."""
@@ -324,6 +343,17 @@ class TestCliPipeline:
         assert {p.name: p.read_bytes() for p in sorted(score_dir.iterdir())} == before
         with open(ckpt, "rb") as a, open(fresh_ckpt, "rb") as b:
             assert a.read() == b.read()
+
+    def test_truncated_plan_is_data_error(self, tiny_config_file, capsys):
+        """A stage file cut short is a data error that names it."""
+        assert cli.main(["score", "--config", tiny_config_file]) == cli.EXIT_OK
+        plan = Path(P.run_dir(cfgmod.load_config(tiny_config_file), 0), "score",
+                    "plan.json")
+        plan.write_bytes(plan.read_bytes()[:300])
+        capsys.readouterr()
+        assert cli.main(["train", "--config", tiny_config_file,
+                         "--method", "epi_curriculum"]) == cli.EXIT_DATA
+        assert f"data error: {plan} is damaged" in capsys.readouterr().err
 
     def test_nonfinite_loss_is_internal_error(self, tmp_path, capsys):
         path = _tiny_with_training(tmp_path, overrides={"agg": {"alpha": 1e100}})

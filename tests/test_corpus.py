@@ -239,6 +239,16 @@ class TestBuildDataset:
         b = [(p.source, p.target) for p in ds2.all_seen_training()]
         assert a != b
 
+    def test_short_length_band_is_kept(self):
+        """Every length of [len_min, len_max] reaches the splits, below 5 too."""
+        cfg = C.DatasetConfig(n_content=24, n_seen=2, n_unseen=1, len_min=3, len_max=6,
+                              train_tokens=200, finetune_tokens=60, test_tokens=60,
+                              generic_train_tokens=200, trusted_count=5)
+        _, ds = C.build_dataset(cfg, seed=0)
+        lengths = {len(p.source) for sp in ds.splits.values()
+                   for p in sp.training + sp.finetune + sp.testing}
+        assert lengths == {3, 4, 5, 6}
+
 
 class TestTsv:
     def test_roundtrip(self, tmp_path):

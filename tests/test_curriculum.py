@@ -97,7 +97,7 @@ class TestScoreFormulas:
         against a uniform base gives log(V / 2) on every all-4 sentence,
         whatever its length."""
         cfg = tiny_config()
-        scorer = cur.DivergenceScorer(_uniform_lm(cfg), {1: _peaked_lm(cfg)})
+        scorer = cur.Scorer(_uniform_lm(cfg), {1: _peaked_lm(cfg)})
         pairs = [C.SentencePair([4] * n, [4], 1) for n in (1, 3, 6)]
         d = cur.divergence_score_pairs(pairs, scorer)
         assert d == pytest.approx([np.log(cfg.vocab_size / 2)] * 3, abs=1e-12)
@@ -107,7 +107,7 @@ class TestScoreFormulas:
         the sentence more probability, negative where it gives it less."""
         cfg = tiny_config()
         uniform = _uniform_lm(cfg)
-        scorer = cur.DivergenceScorer(uniform, {1: uniform, 2: _peaked_lm(cfg)})
+        scorer = cur.Scorer(uniform, {1: uniform, 2: _peaked_lm(cfg)})
         pairs = [C.SentencePair(s, [4], d) for s, d in (([4, 4], 2), ([4, 4], 1),
                                                         ([4, 5], 2))]
         d = cur.divergence_score_pairs(pairs, scorer)
@@ -382,7 +382,7 @@ class TestScorers:
         p = ds.all_seen_training()[0]
         got = cur.denoise_score_pairs([p], scorer)[0]
         nb = float(M.nll_per_pair(base, [p.source], [p.target])[0])
-        nz = float(M.nll_per_pair(scorer.domain_models[p.domain_id],
+        nz = float(M.nll_per_pair(scorer.domains[p.domain_id],
                                   [p.source], [p.target])[0])
         assert got == pytest.approx(nb - nz, abs=1e-12)
 
@@ -394,7 +394,7 @@ class TestScorers:
         with pytest.raises(KeyError, match="domain 99"):
             cur.denoise_score_pairs([stray], scorer)
         with pytest.raises(KeyError, match="domain 99"):
-            cur.divergence_score_pairs([stray], cur.DivergenceScorer(_uniform_lm(mcfg), {}))
+            cur.divergence_score_pairs([stray], cur.Scorer(_uniform_lm(mcfg), {}))
 
     def test_score_corpus_without_denoise_keeps_everything(self, setup):
         vocab, ds, mcfg, base = setup

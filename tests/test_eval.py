@@ -180,28 +180,38 @@ class TestProtocol:
 
 
 class TestSwap:
-    def test_matching_specialist_excluded(self, world):
+    def test_matching_specialist_excluded(self, world, monkeypatch):
+        """One report per part and method, encoder first; each covers every
+        test domain with every other specialist, and a specialist's own BLEU
+        is decoded once per domain, not once per report."""
         _, ds, _, hp, vanilla, agg = world
         specialists = {d: vanilla for d in ds.seen_ids}
-        report = E.swap_experiment(agg, specialists, ds, "encoder",
-                                   beam_width=1, max_steps=8)
-        for d, rows in report.improvements.items():
-            assert all(sd != d for sd, _ in rows)
-        assert set(report.improvements) == set(ds.seen_ids + ds.unseen_ids)
-
-    def test_bad_part_rejected(self, world):
-        _, ds, _, _, vanilla, agg = world
-        with pytest.raises(ValueError):
-            E.swap_experiment(agg, {1: vanilla}, ds, "attention")
+        decoded = []
+        bleu = E.test_bleu
+        monkeypatch.setattr(E, "test_bleu", lambda m, *a: decoded.append(m) or bleu(m, *a))
+        reports = E.swap_experiment({"agg": agg, "vanilla": vanilla}, specialists, ds,
+                                    beam_width=1, max_steps=8)
+        assert [r.part for r in reports] == ["encoder:agg", "encoder:vanilla",
+                                             "decoder:agg", "decoder:vanilla"]
+        domains = ds.seen_ids + ds.unseen_ids
+        for r in reports:
+            assert list(r.improvements) == domains
+            for d, rows in r.improvements.items():
+                assert [sd for sd, _ in rows] == [sd for sd in ds.seen_ids if sd != d]
+        cells = sum(sd != d for d in domains for sd in ds.seen_ids)
+        assert sum(m is vanilla for m in decoded) == cells
+        assert len(decoded) == cells * (1 + len(reports))
 
     def test_identity_swap_is_neutral(self, world):
-        """Grafting a model's own encoder onto itself changes nothing."""
+        """Grafting a model's own encoder or decoder onto itself changes nothing."""
         _, ds, _, _, vanilla, agg = world
-        report = E.swap_experiment(agg, {99: agg}, ds, "encoder",
-                                   beam_width=1, max_steps=8)
-        for rows in report.improvements.values():
-            for _, imp in rows:
-                assert imp == pytest.approx(0.0, abs=1e-12)
+        reports = E.swap_experiment({"agg": agg}, {99: agg}, ds,
+                                    beam_width=1, max_steps=8)
+        assert [r.part for r in reports] == ["encoder:agg", "decoder:agg"]
+        for r in reports:
+            for rows in r.improvements.values():
+                for _, imp in rows:
+                    assert imp == pytest.approx(0.0, abs=1e-12)
 
 
 class TestPerturb:

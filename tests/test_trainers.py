@@ -11,7 +11,7 @@ from epinmt import model as M
 from epinmt import tensor as T
 from epinmt import trainers as tr
 
-from helpers import tiny_config
+from helpers import episodic_update_footprint, tiny_config
 
 
 @pytest.fixture(scope="module")
@@ -138,41 +138,31 @@ class TestSpecialistStep:
 
 
 class TestEpisodicFreezing:
+    """epi_train's episodic update of one agg module: its backward gives
+    gradients to that module alone, through the partner's frozen other
+    module, and its step moves only that module."""
+
     def test_encoder_step_touches_only_agg_encoder(self, world):
         _, ds, _, vanilla, plan = world
         state = tr.init_state(vanilla, ds.seen_ids, plan, _hp())
-        i = ds.seen_ids[0]
-        dec_before = state.agg.decoder.checksum()
-        spec_before = {d: state.specialists[d].checksum() for d in ds.seen_ids}
-        enc_before = state.agg.encoder.checksum()
-        tr.episodic_encoder_step(state, i, ds.splits[i].training[:4],
-                                 np.random.default_rng(0))
-        assert state.agg.encoder.checksum() != enc_before
-        assert state.agg.decoder.checksum() == dec_before
-        for d in ds.seen_ids:
-            assert state.specialists[d].checksum() == spec_before[d]
+        i, k = ds.seen_ids[:2]
+        holders, moved = episodic_update_footprint(state, "encoder",
+                                                   ds.splits[i].training[:4], k)
+        assert holders == moved == ["agg.encoder"]
 
     def test_decoder_step_touches_only_agg_decoder(self, world):
         _, ds, _, vanilla, plan = world
         state = tr.init_state(vanilla, ds.seen_ids, plan, _hp())
-        i = ds.seen_ids[1]
-        enc_before = state.agg.encoder.checksum()
-        spec_before = {d: state.specialists[d].checksum() for d in ds.seen_ids}
-        dec_before = state.agg.decoder.checksum()
-        tr.episodic_decoder_step(state, i, ds.splits[i].training[:4],
-                                 np.random.default_rng(0))
-        assert state.agg.decoder.checksum() != dec_before
-        assert state.agg.encoder.checksum() == enc_before
-        for d in ds.seen_ids:
-            assert state.specialists[d].checksum() == spec_before[d]
+        k, i = ds.seen_ids[:2]
+        holders, moved = episodic_update_footprint(state, "decoder",
+                                                   ds.splits[i].training[:4], k)
+        assert holders == moved == ["agg.decoder"]
 
     def test_needs_two_domains(self, world):
         _, ds, _, vanilla, plan = world
-        state = tr.init_state(vanilla, [ds.seen_ids[0]], plan, _hp())
-        with pytest.raises(ValueError):
-            tr.episodic_encoder_step(state, ds.seen_ids[0],
-                                     ds.splits[ds.seen_ids[0]].training[:4],
-                                     np.random.default_rng(0))
+        state = tr.init_state(vanilla, [ds.seen_ids[0]], plan, _hp(episodes=1))
+        with pytest.raises(ValueError, match="at least 2 seen domains"):
+            tr.epi_train(state)
 
 
 class TestEpiTrain:

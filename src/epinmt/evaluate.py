@@ -35,7 +35,7 @@ class BleuScore:
 
 
 def _ngrams(tokens: list[int], n: int) -> Counter:
-    return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+    return Counter(zip(*(tokens[i:] for i in range(n))))
 
 
 def corpus_bleu(hypotheses: list[list[int]], references: list[list[int]]) -> BleuScore:
@@ -51,7 +51,7 @@ def corpus_bleu(hypotheses: list[list[int]], references: list[list[int]]) -> Ble
         for hyp, ref in zip(hypotheses, references):
             hc, rc = _ngrams(hyp, n), _ngrams(ref, n)
             den += max(len(hyp) - n + 1, 0)
-            num += sum(min(c, rc[g]) for g, c in hc.items())
+            num += (hc & rc).total()
         if den == 0:
             precisions.append(0.0)
             continue  # effective order: corpus has no n-grams of this size

@@ -274,11 +274,11 @@ def encode_batch(theta: ParameterSet, cfg: ModelConfig, src_ids: np.ndarray) -> 
     return _stack(theta, cfg, src_ids, _pad_mask(src_ids), ENCODER)
 
 
-def decoder_logits(phi: ParameterSet, cfg: ModelConfig, memory: Tensor,
+def decoder_logits(phi: ParameterSet, cfg: ModelConfig, memory: Tensor | None,
                    src_ids: np.ndarray, dec_in: np.ndarray,
                    cache: _DecodeCache | None = None) -> Tensor:
     """Teacher-forced decoder logits [B, Lt, V]. With a cache, dec_in holds
-    the positions from cache.start on, and the logits are theirs."""
+    the positions from cache.start on, and cache.cross_kv stands for memory."""
     start = cache.start if cache else 0
     mask = _causal_mask(start + dec_in.shape[-1])[:, :, start:]
     x = _stack(phi, cfg, dec_in, mask, DECODER, memory, _pad_mask(src_ids), cache)
@@ -394,6 +394,12 @@ def beam_decode_batch(model: EncoderDecoderModel, sources: list[list[int]],
     earlier position is computed once, over the keys of its own step, not
     over each step's longer masked key axis, so scores may move in the last
     bits.
+
+    Only live rows are decoded: beams not finished and above NEG_INF (at the
+    first step, beam 0 alone); the rest get NEG_INF log-probabilities. No
+    result moves: a finished beam only extends with PAD, and the rest rank
+    below every live or finished beam's candidates. Nor do a live row's bits:
+    numpy runs a batched matmul one item at a time, and layer ops row by row.
     """
     if beam_width < 1:
         raise ValueError("beam_width must be >= 1")
@@ -403,33 +409,34 @@ def beam_decode_batch(model: EncoderDecoderModel, sources: list[list[int]],
     dec = model.decoder.frozen_view()
     src = _pad_batch([s + [EOS] for s in sources])
     memory = encode_batch(enc, cfg, src)
-    # replicate memory and source mask across beams: [B*W, ...]
-    mem = Tensor(np.repeat(memory.data, w, axis=0))
-    src_rep = np.repeat(src, w, axis=0)
-    cache = _DecodeCache(np.zeros((cfg.n_layers, 2, b * w, cfg.max_len, cfg.d_model)), [
-        (T.linear(mem, dec[f"l{i}.cross.wk"]), T.linear(mem, dec[f"l{i}.cross.wv"]))
-        for i in range(cfg.n_layers)])
+    # per-sentence cross-attention K/V, gathered for the live rows each step
+    cross = [(T.linear(memory, dec[f"l{i}.cross.wk"]).data,
+              T.linear(memory, dec[f"l{i}.cross.wv"]).data) for i in range(cfg.n_layers)]
+    kv = np.zeros((cfg.n_layers, 2, b * w, cfg.max_len, cfg.d_model))
 
     tokens = np.full((b, w, 1), BOS, dtype=np.int64)
     sums = np.zeros((b, w))
     sums[:, 1:] = NEG_INF          # only beam 0 live at the start
     finished = np.zeros((b, w), dtype=bool)
     lengths = np.zeros((b, w), dtype=np.int64)
+    live = np.arange(b) * w        # flat (sentence * w + beam) ids of the live rows
 
     banned = np.array([PAD, BOS, UNK])
     rows = np.arange(b)[:, None]
-    # candidate keys of one sentence's flattened [W, V] scores
+    # candidate keys of one sentence's flattened [W, V] scores, and their tie order
     tok_ids, beam_ids = np.tile(np.arange(v), w), np.repeat(np.arange(w), v)
-    is_eos = (tok_ids == EOS).astype(np.int64)
+    ties = np.lexsort((beam_ids, tok_ids, tok_ids == EOS))
     max_steps = min(max_steps, cfg.max_len - 1)
     for _ in range(max_steps):
-        if finished.all():
+        if not live.size:
             break
-        t = tokens.shape[-1]                               # emitted so far = t-1
-        cache.start = max(t - 2, 0)
-        window = tokens[:, :, cache.start:].reshape(b * w, -1)
-        logits = decoder_logits(dec, cfg, mem, src_rep, window, cache).data
-        logp = _log_softmax(logits[:, -1, :]).reshape(b, w, v)
+        t, sent = tokens.shape[-1], live // w              # emitted so far = t-1
+        cache = _DecodeCache(kv[:, :, :live.size], [
+            (Tensor(k[sent]), Tensor(vv[sent])) for k, vv in cross], max(t - 2, 0))
+        window = tokens.reshape(b * w, -1)[live, cache.start:]
+        logits = decoder_logits(dec, cfg, None, src[sent], window, cache).data
+        logp = np.full((b, w, v), NEG_INF)
+        logp.reshape(b * w, v)[live] = _log_softmax(logits[:, -1, :])
         logp[:, :, banned] = NEG_INF
         cand = sums[:, :, None] + logp                     # [B, W, V]
         norm = cand / t                                    # hypotheses of length t
@@ -440,29 +447,30 @@ def beam_decode_batch(model: EncoderDecoderModel, sources: list[list[int]],
         norm[fin_b, fin_w, :] = NEG_INF
         norm[fin_b, fin_w, PAD] = sums[fin_b, fin_w] / np.maximum(lengths[fin_b, fin_w], 1)
 
-        keys = np.broadcast_arrays(beam_ids, tok_ids, is_eos, -norm.reshape(b, w * v))
-        pick = np.lexsort(keys, axis=-1)[:, :w]
+        order = np.argsort(-norm.reshape(b, w * v)[:, ties], axis=-1, kind="stable")
+        pick = ties[order[:, :w]]
         pb, pt = beam_ids[pick], tok_ids[pick]             # [B, W]
         was_fin = finished[rows, pb]
         tokens = np.concatenate([tokens[rows, pb], pt[..., None]], axis=-1)
         sums = cand[rows, pb, pt]
         finished = was_fin | (pt == EOS)
         lengths = np.where(was_fin, lengths[rows, pb], t)
-        cache.kv[:, :, :, :t] = cache.kv[:, :, (rows * w + pb).reshape(-1), :t]
+        # a live beam's parent was live: its K/V moves to the beam's new row
+        parent = np.searchsorted(live, (rows * w + pb).reshape(-1))
+        live = np.flatnonzero(~finished & (sums > NEG_INF))
+        kv[:, :, :live.size, :t] = kv[:, :, parent[live], :t]
 
+    ln = np.where(finished, np.maximum(lengths, 1), max(tokens.shape[-1] - 1, 1))
+    norm_final = sums / ln
     results = []
-    for s_i in range(b):
-        ln = np.where(finished[s_i], np.maximum(lengths[s_i], 1),
-                      np.maximum(tokens.shape[-1] - 1, 1))
-        norm_final = sums[s_i] / ln
-        best = int(np.lexsort((np.arange(w), -norm_final))[0])
+    for s_i, best in enumerate(norm_final.argmax(axis=-1)):   # ties: lowest beam
         seq = [int(x) for x in tokens[s_i, best, 1:]]
         if EOS in seq:
             seq = seq[: seq.index(EOS) + 1]
             trunc = False
         else:
             trunc = True
-        results.append(DecodeResult(seq, float(norm_final[best]), trunc))
+        results.append(DecodeResult(seq, float(norm_final[s_i, best]), trunc))
     return results
 
 

@@ -328,14 +328,14 @@ def evaluate(cfg: RunConfig, seed: int) -> str:
         models, dataset, cfg.training.hp, seed, cfg.eval.beam_width, cfg.eval.max_steps))
 
 
-def _scored_base(cfg: RunConfig, seed: int):
-    """The seed's `Base`, plan and denoise scorer, and copies of its seen
-    test pairs that carry their divergence scores."""
+def _scored_base(cfg: RunConfig, seed: int, keep_denoise: bool):
+    """The seed's `Base`, plan, denoise scorer (None unless `keep_denoise`)
+    and copies of its seen test pairs that carry their divergence scores."""
     base = _base(cfg, seed)
     plan, denoise, divergence = score(cfg, seed, base)
     ds = base.dataset
     test_pairs = [p for d in ds.seen_ids for p in ds.splits[d].testing]
-    return base, plan, denoise, [
+    return base, plan, denoise if keep_denoise else None, [
         replace(p, d_score=float(dv))
         for p, dv in zip(test_pairs, CU.divergence_score_pairs(test_pairs, divergence))]
 
@@ -356,20 +356,22 @@ def _specialist(cfg: RunConfig, seed: int, base: Base, d: int) -> M.EncoderDecod
 
 def experiment(cfg: RunConfig) -> dict:
     """Train every configured method and run the fine-tuning protocol per eval
-    seed; swap, perturbation and bins (and the returned denoise scorer) cover
-    the first eval seed only.
+    seed; swap, perturbation and bins (and the returned denoise scorer, the
+    only one a task sends back) cover the first eval seed only.
 
     Pool tasks, in three rounds: per seed, data, vanilla and scoring; per
     (seed, method), training and the protocol, plus the first seed's swap
-    specialists; once the first seed's models are back, its swap study,
-    perturbation and bins, queued behind the later seeds' training. The pool
-    has a worker per core, but no more than the largest round has tasks.
+    specialists if a method is grafted; once the first seed's models are
+    back, its swap study, perturbation and bins, queued behind the later
+    seeds' training. The pool has a worker per core, but no more than the
+    largest round has tasks.
     """
     ev, methods, first = cfg.eval, sorted(set(cfg.training.methods)), cfg.eval.seeds[0]
-    rounds = (len(ev.seeds), len(ev.seeds) * len(methods) + cfg.dataset.n_seen, 3)
+    grafts = [m for m in ("epi_curriculum", "agg") if m in methods]   # for the swap study
+    rounds = (len(ev.seeds), len(ev.seeds) * len(methods) + cfg.dataset.n_seen * bool(grafts), 3)
     with _pool(max(rounds)) as pool:
-        scored = _results(_submit(pool, [(f"scoring (seed {s})", _scored_base, cfg, s)
-                                         for s in ev.seeds]))
+        scored = _results(_submit(pool, [(f"scoring (seed {s})", _scored_base, cfg, s,
+                                          s == first) for s in ev.seeds]))
         base, plan, denoise, test_pairs = scored[0]
         dataset = base.dataset
 
@@ -381,12 +383,12 @@ def experiment(cfg: RunConfig) -> dict:
         trained = [training(first, base, plan)]
         specialists = _submit(pool, [(f"swap specialist for domain {d} (seed {first})",
                                       _specialist, cfg, first, base, d)
-                                     for d in dataset.seen_ids])
+                                     for d in dataset.seen_ids if grafts])
         trained += [training(s, b, p) for s, (b, p, _, _) in zip(ev.seeds[1:], scored[1:])]
         models = {m: model for m, (model, _) in zip(methods, _results(trained[0]))}
         specialists = dict(zip(dataset.seen_ids, _results(specialists)))
         width, steps = ev.experiment_beam_width, ev.max_steps
-        grafted = {m: models[m] for m in ("epi_curriculum", "agg") if m in models}
+        grafted = {m: models[m] for m in grafts}
         experiments = _submit(pool, [
             (f"swap study (seed {first})", E.swap_experiment, grafted, specialists,
              dataset, width, steps),

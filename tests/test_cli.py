@@ -13,6 +13,7 @@ import pytest
 from epinmt import cli
 from epinmt import config as cfgmod
 from epinmt import corpus as C
+from epinmt import curriculum as CU
 from epinmt import evaluate as E
 from epinmt import model as M
 from epinmt import pipeline as P
@@ -20,6 +21,10 @@ from epinmt import tensor as T
 from epinmt import trainers as TR
 
 from helpers import TINY, child_env
+
+# a file handle left open fails the suite instead of warning
+pytestmark = [pytest.mark.filterwarnings("error::ResourceWarning"),
+              pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")]
 
 
 def _tiny_with_training(tmp_path, **training) -> str:
@@ -29,6 +34,24 @@ def _tiny_with_training(tmp_path, **training) -> str:
     path = tmp_path / "tweaked.json"
     path.write_text(json.dumps(cfg))
     return str(path)
+
+
+def _tiny_run(tmp_path, methods, seeds=(0,)) -> cfgmod.RunConfig:
+    """TINY with its own methods and eval seeds, writing under tmp_path."""
+    return cfgmod.config_from_dict({
+        **TINY, "output_dir": str(tmp_path / "runs"),
+        "training": {**TINY["training"], "methods": methods},
+        "eval": {**TINY["eval"], "seeds": list(seeds)}})
+
+
+def _logged(log: Path, fn):
+    """fn, appending its name to `log` at each call. Installed before a pool
+    forks, it logs the workers' calls too."""
+    def logged(*args, **kwargs):
+        with open(log, "a") as f:
+            f.write(fn.__name__ + "\n")
+        return fn(*args, **kwargs)
+    return logged
 
 
 @pytest.fixture()
@@ -278,7 +301,7 @@ class TestCliPipeline:
         assert rc == cli.EXIT_OK
         out = capsys.readouterr().out.strip()
         assert os.path.isfile(os.path.join(out, "vocab.txt"))
-        manifest = json.loads(open(os.path.join(out, "manifest.json")).read())
+        manifest = json.loads(Path(out, "manifest.json").read_text())
         assert set(manifest["domains"]) == {"0", "1", "2", "3"}
         assert manifest["domains"]["1"]["noise_pairs"] > 0
         assert manifest["domains"]["3"]["train_pairs"] == 0
@@ -287,10 +310,10 @@ class TestCliPipeline:
     def test_gen_data_deterministic_bytes(self, tiny_config_file, capsys):
         cli.main(["gen-data", "--config", tiny_config_file])
         out = capsys.readouterr().out.strip()
-        first = open(os.path.join(out, "domain_1.train.tsv"), "rb").read()
+        first = Path(out, "domain_1.train.tsv").read_bytes()
         cli.main(["gen-data", "--config", tiny_config_file])
         capsys.readouterr()
-        assert open(os.path.join(out, "domain_1.train.tsv"), "rb").read() == first
+        assert Path(out, "domain_1.train.tsv").read_bytes() == first
 
     def test_score_writes_plan(self, tiny_config_file, capsys):
         rc = cli.main(["score", "--config", tiny_config_file])
@@ -456,15 +479,32 @@ class TestExperiment:
         rc = cli.main(["experiment", "--config", tiny_config_file])
         assert rc == cli.EXIT_OK
         out = capsys.readouterr().out.strip()
-        report = json.loads(open(os.path.join(out, "report.json")).read())
+        report = json.loads(Path(out, "report.json").read_text())
         methods = {row["method"] for row in report["protocol"]}
         assert methods == {"vanilla", "agg", "epi_curriculum"}
         assert "swap" in report and "perturbation" in report
         assert "divergence_bins" in report
-        csv_lines = open(os.path.join(out, "report.csv")).read().splitlines()
+        csv_lines = Path(out, "report.csv").read_text().splitlines()
         assert csv_lines[0] == "method,domain,seen_flag,metric,value,seed"
         # 3 methods x 3 domains x 3 metrics rows
         assert len(csv_lines) == 1 + 3 * 3 * 3
+
+    def test_no_swap_specialists_without_a_grafted_method(self, tmp_path, monkeypatch):
+        """With only vanilla configured, the swap study grafts nothing, so no
+        swap specialist (one `train_agg` call each) is trained."""
+        log = tmp_path / "calls.log"
+        monkeypatch.setattr(TR, "train_agg", _logged(log, TR.train_agg))
+        result = P.experiment(_tiny_run(tmp_path, methods=["vanilla"]))
+        assert result["swaps"] == [] and not log.exists()
+
+    def test_only_the_first_seed_sends_its_denoise_scorer_back(self, tmp_path, monkeypatch):
+        """Each eval seed is scored in a pool task; only the first seed's
+        denoise scorer, the one `experiment` returns, is pickled back."""
+        log = tmp_path / "calls.log"
+        monkeypatch.setattr(CU.Scorer, "__getstate__", _logged(log, vars), raising=False)
+        result = P.experiment(_tiny_run(tmp_path, methods=["vanilla"], seeds=[0, 1]))
+        assert isinstance(result["denoise"], CU.Scorer)
+        assert log.read_text().splitlines() == ["vars"]   # one scorer pickled
 
 
 class TestTaskRunner:

@@ -149,10 +149,27 @@ class TestNll:
         assert np.array_equal(la[0, :2], lb[0, :2])
 
 
+def _few_tokens_case(n_layers):
+    """Width 5 over a vocabulary of 6, where only EOS, 4 and 5 can be
+    emitted: beam 0's three candidates leave two beams at NEG_INF after the
+    first step."""
+    model = tiny_model(3, n_layers=n_layers, vocab_size=6)
+    return model, [[4], [5, 4], [4, 4, 5], [5, 5, 5, 4]], 5, 8
+
+
+def _early_finish_case(n_layers):
+    """A batch in which every beam of [6], [8] and [10] has emitted EOS
+    within 5 steps, while the other sentences run to max_steps."""
+    model = tiny_model(19, n_layers=n_layers)
+    model.decoder["out.w"].data[:, M.EOS] *= 3
+    return model, [[4], [6], [7, 7], [8], [5], [10]], 5, 12
+
+
 def _decode_cases(n_layers):
     """(model, sources, width, max_steps): widths 1, 2 and 5, ragged batches
     that hold length-1 sources, max_steps below and beyond what max_len
-    allows, and two uniform models, where every token ties at every step."""
+    allows, two uniform models, where every token ties at every step, and
+    the two cases above."""
     rng = _rng(50)
     for seed in range(8):
         model = tiny_model(seed, n_layers=n_layers)
@@ -163,6 +180,23 @@ def _decode_cases(n_layers):
         for width in (1, 2, 5):
             for max_steps in (6, 2 * model.config.max_len):
                 yield model, srcs, width, max_steps
+    yield _few_tokens_case(n_layers)
+    yield _early_finish_case(n_layers)
+
+
+def _decoder_inputs(model, srcs, width, max_steps):
+    """(src_ids, dec_in) of every `decoder_logits` call that one
+    `beam_decode_batch` makes."""
+    calls, decoder_logits = [], M.decoder_logits
+
+    def spy(phi, cfg, memory, src_ids, dec_in, cache=None):
+        calls.append((src_ids, dec_in))
+        return decoder_logits(phi, cfg, memory, src_ids, dec_in, cache)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(M, "decoder_logits", spy)
+        M.beam_decode_batch(model, srcs, width, max_steps)
+    return calls
 
 
 class TestDecode:
@@ -177,6 +211,25 @@ class TestDecode:
             stops += sum(not r.truncated for r in got)
             truncs += sum(r.truncated for r in got)
         assert stops > 0 and truncs > 0
+
+    def test_decodes_only_live_rows(self):
+        """The first step decodes beam 0 of each sentence alone. Later steps
+        decode only beams whose last token is a content token: none that has
+        finished (EOS or PAD last) and none at NEG_INF (a banned token last)."""
+        for case in _decode_cases(n_layers=1):
+            calls = _decoder_inputs(*case)
+            assert calls[0][1].tolist() == [[M.BOS]] * len(case[1])
+            for _, dec_in in calls[1:]:
+                assert (dec_in[:, -1] >= len(M.RESERVED_TOKENS)).all()
+
+    def test_finished_sentences_leave_the_batch(self):
+        """In the early-finish case, [6], [8] and [10] are gone from the
+        decoder's rows after step 5; the other three run on to step 12."""
+        model, srcs, width, max_steps = _early_finish_case(n_layers=1)
+        calls = _decoder_inputs(model, srcs, width, max_steps)
+        live = [{tuple(s[s != M.PAD][:-1]) for s in src_ids} for src_ids, _ in calls]
+        assert live[:4] == [set(map(tuple, srcs))] * 4 and len(live) == max_steps
+        assert live[5:] == [{(4,), (7, 7), (5,)}] * (max_steps - 5)
 
     def test_cached_decoding_keeps_the_tokens_at_two_layers(self):
         """At two layers the second layer's K/V of earlier positions are

@@ -56,7 +56,7 @@ class TrainingConfig:
     # unlisted fields fall back to `hp`
     overrides: dict = field(default_factory=dict)
 
-    def validate(self):
+    def __post_init__(self):
         for m in self.methods:
             if m not in METHODS:
                 raise UsageError(
@@ -224,7 +224,6 @@ def config_from_dict(raw: dict) -> RunConfig:
                      ("curriculum", CurriculumConfig), ("eval", EvalConfig)):
         if key in raw:
             setattr(cfg, key, _build(cls, raw[key], key))
-    _checked("dataset", cfg.dataset.validate)
     if "training" in raw:
         t = dict(_object(raw["training"], "training"))
         methods = _checked("training.methods", lambda: tuple(t.pop("methods", METHODS)))
@@ -232,5 +231,12 @@ def config_from_dict(raw: dict) -> RunConfig:
                      _object(t.pop("overrides", {}), "training.overrides").items()}
         cfg.training = TrainingConfig(_build(Hyperparams, t, "training"), methods,
                                       overrides)
-    cfg.training.validate()
+    # a source is fed as its tokens + EOS, a target as BOS + its tokens
+    if cfg.model.max_len < cfg.dataset.len_max + 1:
+        raise UsageError(f"model.max_len {cfg.model.max_len} is below dataset.len_max + 1 "
+                         f"({cfg.dataset.len_max + 1}), the longest sequence the model reads")
+    cu = cfg.curriculum
+    if cu.denoise and cu.scorer_steps > 0 and cfg.dataset.trusted_count == 0:
+        raise UsageError("curriculum.denoise adapts its scorer on dataset.trusted_count "
+                         "trusted pairs per seen domain, which is 0")
     return cfg

@@ -197,7 +197,7 @@ class DatasetConfig:
     # familiar pieces rather than an entirely alien mapping.
     unseen_like: tuple[int, ...] | None = None
 
-    def validate(self):
+    def __post_init__(self):
         if self.len_min < 1:
             raise ConfigError(f"len_min must be >= 1, got {self.len_min}")
         if self.n_content < 4:
@@ -236,7 +236,6 @@ def build_dataset(cfg: DatasetConfig, seed: int) -> tuple[Vocabulary, MultiDomai
     Noise is injected into seen-domain training splits only, after the
     trusted pairs have been recorded.
     """
-    cfg.validate()
     vocab = make_vocabulary(cfg.n_content)
     generic_id = 0
     seen_ids = list(range(1, 1 + cfg.n_seen))
@@ -267,21 +266,11 @@ def build_dataset(cfg: DatasetConfig, seed: int) -> tuple[Vocabulary, MultiDomai
     splits: dict[int, DatasetSplits] = {}
     trusted: dict[int, list[SentencePair]] = {}
     for d, spec in specs.items():
-        if d == generic_id:
-            want = cfg.generic_train_tokens + cfg.test_tokens
-            budgets = {"train_tokens": cfg.generic_train_tokens,
-                       "finetune_tokens": 0, "test_tokens": cfg.test_tokens}
-        elif d in seen_ids:
-            want = cfg.train_tokens + cfg.finetune_tokens + cfg.test_tokens
-            budgets = {"train_tokens": cfg.train_tokens,
-                       "finetune_tokens": cfg.finetune_tokens,
-                       "test_tokens": cfg.test_tokens}
-        else:
-            want = cfg.finetune_tokens + cfg.test_tokens
-            budgets = {"train_tokens": 0,
-                       "finetune_tokens": cfg.finetune_tokens,
-                       "test_tokens": cfg.test_tokens}
-        n_pairs = int(want / avg_len * 1.3) + 10
+        budgets = {"train_tokens": (cfg.generic_train_tokens if d == generic_id else
+                                    cfg.train_tokens if d in seen_ids else 0),
+                   "finetune_tokens": 0 if d == generic_id else cfg.finetune_tokens,
+                   "test_tokens": cfg.test_tokens}
+        n_pairs = int(sum(budgets.values()) / avg_len * 1.3) + 10
         pairs = generate_domain(spec, n_pairs, seed, vocab)
         sp = split(pairs, budgets, seed + d)
         if d in seen_ids:

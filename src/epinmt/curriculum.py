@@ -20,7 +20,7 @@ import numpy as np
 
 from . import model as M
 from . import tensor as T
-from .corpus import MultiDomainDataset, SentencePair
+from .corpus import BudgetError, MultiDomainDataset, SentencePair
 
 N_SHARDS = 5
 
@@ -231,7 +231,8 @@ def build_plan(kept_pairs: list[SentencePair], policy: SchedulerPolicy,
     """Stable ascending sort by d score, then 5 contiguous shards (sizes
     differ by at most 1; the remainder goes to the earliest shards)."""
     if len(kept_pairs) < N_SHARDS:
-        raise ValueError(f"need at least {N_SHARDS} pairs, got {len(kept_pairs)}")
+        raise BudgetError(f"the curriculum needs at least {N_SHARDS} kept pairs to shard, "
+                          f"got {len(kept_pairs)} kept ({filtered_count} filtered as noise)")
     for p in kept_pairs:
         if p.d_score is None:
             raise T.ContractError("build_plan: pair without d_score")

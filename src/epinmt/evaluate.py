@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from . import model as M
 from . import tensor as T
 from .corpus import MultiDomainDataset, SentencePair
 from .curriculum import bin_testset
-from .trainers import Hyperparams, finetune, protocol_hp
+from .trainers import Hyperparams, finetune
 
 MAX_NGRAM = 4
 SMOOTH_EPS = 0.1
@@ -129,9 +129,16 @@ class EvalReport:
                  "delta_ft": c.delta_ft} for c in self.cells]
 
 
+def adapted(model: M.EncoderDecoderModel, dataset: MultiDomainDataset, hp: Hyperparams,
+            seed: int, domain: int) -> M.EncoderDecoderModel:
+    """The model that the protocol cell (training seed, domain) scores after
+    fine-tuning: `model` fine-tuned on the domain's fine-tuning split."""
+    return finetune(model, dataset.splits[domain].finetune,
+                    replace(hp, seed=seed * 1000 + domain))
+
+
 def run_protocol(models: dict[str, M.EncoderDecoderModel], dataset: MultiDomainDataset,
-                 hp: Hyperparams, seed: int, beam_width: int = 5,
-                 max_steps: int = 32) -> EvalReport:
+                 hp: Hyperparams, seed: int, beam_width: int, max_steps: int) -> EvalReport:
     """Decode before fine-tuning, fine-tune per domain, decode again.
 
     `models` maps method name -> the checkpoint trained with `seed`. Every
@@ -143,9 +150,8 @@ def run_protocol(models: dict[str, M.EncoderDecoderModel], dataset: MultiDomainD
         for d in dataset.seen_ids + dataset.unseen_ids:
             sp = dataset.splits[d]
             b_before = test_bleu(model, sp.testing, beam_width, max_steps)
-            adapted = finetune(model, sp.finetune, protocol_hp(hp, seed, d)) \
-                if hp.finetune_epochs > 0 else model
-            b_after = test_bleu(adapted, sp.testing, beam_width, max_steps)
+            b_after = test_bleu(adapted(model, dataset, hp, seed, d), sp.testing,
+                                beam_width, max_steps)
             report.cells.append(EvalCell(name, d, d in dataset.seen_ids,
                                          seed, b_before, b_after))
         if model.checksum() != before_cs:
@@ -172,8 +178,8 @@ class SwapReport:
 
 def swap_experiment(trained: dict[str, M.EncoderDecoderModel],
                     specialists: dict[int, M.EncoderDecoderModel],
-                    dataset: MultiDomainDataset, beam_width: int = 5,
-                    max_steps: int = 32) -> list[SwapReport]:
+                    dataset: MultiDomainDataset, beam_width: int,
+                    max_steps: int) -> list[SwapReport]:
     """BLEU gain from grafting each trained model's encoder (or decoder) onto
     each specialist, on test domains the specialist has never trained on.
 
@@ -234,17 +240,14 @@ def _perturbed_copy(model: M.EncoderDecoderModel, sigma: float, rng):
 
 
 def perturb_experiment(models: dict[str, M.EncoderDecoderModel],
-                       dataset: MultiDomainDataset,
-                       sigmas=(0.01, 0.02, 0.03), noise_seeds=(0, 1, 2),
-                       beam_width: int = 5, max_steps: int = 32,
-                       domains: list[int] | None = None) -> PerturbReport:
-    """Decode after adding zero-mean Gaussian noise of std sigma to every
-    parameter of a copy; sigma=0 is always included as the reference point."""
+                       dataset: MultiDomainDataset, sigmas, noise_seeds,
+                       beam_width: int, max_steps: int) -> PerturbReport:
+    """Decode each seen domain after adding zero-mean Gaussian noise of std
+    sigma to every parameter of a copy; sigma=0 is always included as the
+    reference point."""
     report = PerturbReport()
-    if domains is None:
-        domains = dataset.seen_ids
     for name, model in sorted(models.items()):
-        for d in domains:
+        for d in dataset.seen_ids:
             testing = dataset.splits[d].testing
             report.cells[(name, 0.0, d)] = test_bleu(model, testing,
                                                      beam_width, max_steps)
@@ -300,7 +303,7 @@ def _spearman(x: np.ndarray, y: np.ndarray) -> float:
 
 def bin_report(models: dict[str, M.EncoderDecoderModel], thresholds: list[float],
                scored_test_pairs: list[SentencePair],
-               beam_width: int = 5, max_steps: int = 32) -> BinReport:
+               beam_width: int, max_steps: int) -> BinReport:
     """Per-method BLEU across the 5 divergence bins of the scored test set."""
     bins = bin_testset(scored_test_pairs, thresholds)
     report = BinReport(bin_sizes=[len(b) for b in bins])

@@ -97,13 +97,6 @@ class ModelConfig:
         if self.vocab_size <= len(RESERVED_TOKENS):
             raise ValueError("vocab_size too small")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**d)
-
 
 # ---------------------------------------------------------------------------
 # parameter construction
@@ -378,7 +371,7 @@ class DecodeResult:
 
 
 def beam_decode_batch(model: EncoderDecoderModel, sources: list[list[int]],
-                      beam_width: int = 5, max_steps: int = 32) -> list[DecodeResult]:
+                      beam_width: int, max_steps: int) -> list[DecodeResult]:
     """Batched beam search over all sources at once.
 
     Scores are length-normalized sums of log-probabilities. Exact ties are
@@ -486,7 +479,7 @@ def save_model(model: EncoderDecoderModel, path) -> None:
     runs the C encoder (`json.dump` runs Python's), and per module it never
     holds the whole file in memory."""
     with open(path, "w", encoding="utf-8") as f:
-        f.write('{"config": ' + json.dumps(model.config.to_dict()))
+        f.write('{"config": ' + json.dumps(asdict(model.config)))
         for key, ps in (("encoder", model.encoder), ("decoder", model.decoder)):
             f.write(f', "{key}": [' + ", ".join(json.dumps(
                 {"name": k, "shape": list(v.shape), "values": v.data.reshape(-1).tolist()})
@@ -500,4 +493,4 @@ def load_model(path) -> EncoderDecoderModel:
     encoder, decoder = (ParameterSet({
         e["name"]: Tensor(np.array(e["values"]).reshape(e["shape"]), grad_enabled=True)
         for e in payload[key]}) for key in ("encoder", "decoder"))
-    return EncoderDecoderModel(ModelConfig.from_dict(payload["config"]), encoder, decoder)
+    return EncoderDecoderModel(ModelConfig(**payload["config"]), encoder, decoder)

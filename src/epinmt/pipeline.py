@@ -235,10 +235,13 @@ def score(cfg: RunConfig, seed: int, base: Base | None = None):
 # training and fine-tuning
 
 
-def _trainer(method: str):
-    """(needs a plan, trainer) for a method name."""
+def _trainer(cfg: RunConfig, method: str):
+    """(needs a plan, trainer) for a method name that the config's data can train."""
     if method not in TR.TRAINERS:
         raise UsageError(f"unknown method '{method}'; valid methods: {', '.join(METHODS)}")
+    if method in TR.EPISODIC and cfg.dataset.n_seen < 2:
+        raise UsageError(f"{method} pairs each seen domain with another, so it needs "
+                         f"dataset.n_seen >= 2, got {cfg.dataset.n_seen}")
     return TR.TRAINERS[method]
 
 
@@ -256,8 +259,8 @@ def _load_trained(cfg: RunConfig, seed: int, method: str) -> M.EncoderDecoderMod
 def _train_method(cfg: RunConfig, method: str, seed: int, base: Base,
                   plan: CU.CurriculumPlan | None) -> M.EncoderDecoderModel:
     log.info("training %s (seed %d)", method, seed)
-    return _trainer(method)[1](base.vanilla, base.dataset, plan,
-                               cfg.training.method_hp(method, seed))
+    return _trainer(cfg, method)[1](base.vanilla, base.dataset, plan,
+                                    cfg.training.method_hp(method, seed))
 
 
 def train(cfg: RunConfig, method: str, seed: int, build_deps: bool = True) -> str:
@@ -266,7 +269,7 @@ def train(cfg: RunConfig, method: str, seed: int, build_deps: bool = True) -> st
     Curriculum methods read `score/plan.json`; with `build_deps` a missing
     plan is built (an existing one is reused, never re-scored).
     """
-    needs_plan = _trainer(method)[0]
+    needs_plan = _trainer(cfg, method)[0]
     plan_path = os.path.join(run_dir(cfg, seed), "score", "plan.json")
     have_plan = os.path.exists(plan_path)
     if needs_plan and not (have_plan or build_deps):
@@ -286,23 +289,23 @@ def train(cfg: RunConfig, method: str, seed: int, build_deps: bool = True) -> st
 
 
 def _finetune_domain(cfg: RunConfig, method: str, seed: int, model: M.EncoderDecoderModel,
-                     pairs: list[C.SentencePair], d: int) -> None:
-    adapted = TR.finetune(model, pairs, TR.protocol_hp(cfg.training.hp, seed, d))
-    M.save_model(adapted, _checkpoint(cfg, seed, f"{method}.ft_domain{d}"))
+                     dataset: C.MultiDomainDataset, d: int) -> None:
+    M.save_model(E.adapted(model, dataset, cfg.training.hp, seed, d),
+                 _checkpoint(cfg, seed, f"{method}.ft_domain{d}"))
 
 
 def finetune(cfg: RunConfig, method: str, seed: int) -> str:
     """Fine-tune a trained checkpoint on each seen and unseen domain, as the
     protocol does; returns the directory of the `ft_domain` checkpoints."""
-    _trainer(method)
+    _trainer(cfg, method)
     model = _load_trained(cfg, seed, method)
     _, dataset, _ = gen_data(cfg, seed)
     out = _stage_dir(cfg, seed, "train")
     domains = dataset.seen_ids + dataset.unseen_ids
     with _pool(len(domains)) as pool:
         _results(_submit(pool, [(f"{method} fine-tuned on domain {d} (seed {seed})",
-                                 _finetune_domain, cfg, method, seed, model,
-                                 dataset.splits[d].finetune, d) for d in domains]))
+                                 _finetune_domain, cfg, method, seed, model, dataset, d)
+                                for d in domains]))
     return out
 
 
@@ -367,6 +370,8 @@ def experiment(cfg: RunConfig) -> dict:
     largest round has tasks.
     """
     ev, methods, first = cfg.eval, sorted(set(cfg.training.methods)), cfg.eval.seeds[0]
+    for m in methods:
+        _trainer(cfg, m)
     grafts = [m for m in ("epi_curriculum", "agg") if m in methods]   # for the swap study
     rounds = (len(ev.seeds), len(ev.seeds) * len(methods) + cfg.dataset.n_seen * bool(grafts), 3)
     with _pool(max(rounds)) as pool:

@@ -45,7 +45,6 @@ __all__ = [
     "gather_rows",
     "softmax_cross_entropy",
     "linear",
-    "attention",
     "embed",
     "masked_cross_entropy",
     "attn_block",
@@ -427,31 +426,11 @@ def _linear_backward(g: np.ndarray, x: np.ndarray, w: Tensor, b: Tensor | None,
     return np.matmul(g, w.data.swapaxes(-1, -2)) if need_x else None
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None,
-              n_heads: int) -> Tensor:
-    """Multi-head scaled dot-product attention over projected inputs.
-
-    q is [B, Lq, d], k and v are [B, Lk, d]; the additive mask broadcasts
-    against the [B, H, Lq, Lk] scores. Split heads, scale, mask, softmax,
-    both batched matmuls and merge heads form one node. Returns [B, Lq, d].
-    """
-    if (q.data.ndim != 3 or k.data.ndim != 3 or k.shape != v.shape
-            or q.shape[0] != k.shape[0] or q.shape[2] != k.shape[2] or q.shape[2] % n_heads):
-        raise DimensionError(f"attention: shapes {q.shape}, {k.shape}, {v.shape} "
-                             f"for {n_heads} heads")
-    out, cache = _attn_forward(q.data, k.data, v.data, mask, n_heads)
-
-    def back(g):
-        gq, gk, gv = _attn_backward(g, cache, *(t.grad_enabled for t in (q, k, v)))
-        for t, gt in ((v, gv), (q, gq), (k, gk)):
-            _accumulate(t, gt)
-
-    return _node(out, (q, k, v), back)
-
-
 def _attn_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray, mask: np.ndarray | None,
                   n_heads: int):
-    """attention's numpy: (output [B, Lq, d], the cache its backward reads)."""
+    """Multi-head scaled dot-product attention of q [B, Lq, d] over k and v
+    [B, Lk, d]; the additive mask broadcasts against the [B, H, Lq, Lk] scores.
+    Returns (output [B, Lq, d], the cache its backward reads)."""
     b, lq, d = q.shape
     lk = k.shape[1]
     dk = d // n_heads
@@ -470,7 +449,7 @@ def _attn_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray, mask: np.ndarray 
 
 
 def _attn_backward(g: np.ndarray, cache, need_q: bool, need_k: bool, need_v: bool):
-    """The gradients of attention's q, k and v; None where not needed."""
+    """The gradients of `_attn_forward`'s q, k and v; None where not needed."""
     qh, kh, vh, s, c = cache
     b, n_heads, lq, dk = qh.shape
     lk, d = kh.shape[2], n_heads * dk

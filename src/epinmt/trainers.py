@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -45,11 +45,6 @@ class Hyperparams:
     @property
     def ft_lr(self) -> float:
         return self.alpha if self.finetune_lr is None else self.finetune_lr
-
-
-def protocol_hp(hp: Hyperparams, seed: int, domain: int) -> Hyperparams:
-    """Fine-tuning hyperparameters of the protocol cell (training seed, domain)."""
-    return replace(hp, seed=seed * 1000 + domain)
 
 
 @dataclass
@@ -260,10 +255,8 @@ def maml_train(vanilla: M.EncoderDecoderModel,
         T.backward(loss)
         for ps, aps in ((model.encoder, adapted.encoder), (model.decoder, adapted.decoder)):
             for name, p in ps.items():
-                g = aps[name].grad
-                if g is None:
-                    raise T.ContractError(f"maml_train: no query gradient for '{name}'")
-                p.data -= hp.alpha * g
+                p.grad = aps[name].grad
+        _sgd_model(model, hp.alpha)
     return model
 
 
@@ -294,6 +287,9 @@ def write_episode_log(records: list[EpisodeRecord], path) -> None:
 
 # ---------------------------------------------------------------------------
 # method registry
+
+# the methods that pair each seen domain with another, so need two of them
+EPISODIC = ("epi_nmt", "epi_curriculum")
 
 # method -> (needs a curriculum plan, trainer(vanilla, dataset, plan, hp) -> model);
 # the order is the default method order of a run

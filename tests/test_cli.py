@@ -251,15 +251,25 @@ class TestCliUsage:
                      id="gen-data-model-vocab-size"),
         pytest.param("gen-data", {"training": {**TINY["training"],
                                                "overrides": {"agg": {"seed": 1}}}},
-                     id="gen-data-override-seed")])
+                     id="gen-data-override-seed"),
+        # a source of len_max tokens is fed with its EOS, a target after BOS
+        pytest.param("score", {"model": {**TINY["model"], "max_len": 9}},
+                     id="score-max-len-below-len-max-plus-one"),
+        pytest.param("train --method epi_nmt", {"dataset": {**TINY["dataset"], "n_seen": 1}},
+                     id="train-episodic-with-one-seen-domain"),
+        pytest.param("experiment", {"dataset": {**TINY["dataset"], "n_seen": 1}},
+                     id="experiment-episodic-with-one-seen-domain"),
+        pytest.param("score", {"dataset": {**TINY["dataset"], "trusted_count": 0}},
+                     id="score-denoise-without-trusted-pairs")])
     def test_invalid_config_values_are_usage_errors(self, tmp_path, capsys,
                                                      monkeypatch, command, section):
-        """`section` is merged into TINY, or, as a string, is the whole file."""
+        """`command` is split on spaces into its arguments; `section` is merged
+        into TINY, or, as a string, is the whole file."""
         monkeypatch.chdir(tmp_path)   # where the default output_dir would go
         path = tmp_path / "bad.json"
         path.write_text(section if isinstance(section, str) else
                         json.dumps({**TINY, **section, "output_dir": "runs"}))
-        assert cli.main([command, "--config", str(path)]) == cli.EXIT_USAGE
+        assert cli.main([*command.split(), "--config", str(path)]) == cli.EXIT_USAGE
         assert "usage error" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
 
@@ -279,6 +289,16 @@ class TestCliUsage:
         assert cli.main(["gen-data", "--config", str(path)]) == cli.EXIT_USAGE
         assert "takes integers only" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
+
+    def test_too_few_kept_pairs_is_a_data_error(self, tmp_path, capsys):
+        """A corpus too small to cut into the curriculum's 5 shards is a data
+        error that names its kept and filtered pair counts."""
+        cfg = {**TINY, "output_dir": str(tmp_path / "runs"),
+               "dataset": {**TINY["dataset"], "train_tokens": 5}}
+        path = tmp_path / "small.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["score", "--config", str(path)]) == cli.EXIT_DATA
+        assert "5 kept pairs to shard, got 2 kept (0 filtered" in capsys.readouterr().err
 
     def test_negative_seed_flag_is_usage_error(self, tiny_config_file, tmp_path, capsys):
         assert cli.main(["gen-data", "--config", tiny_config_file,
@@ -440,7 +460,6 @@ class TestCliPipeline:
         _, ds = C.build_dataset(cfg.dataset, 2)
         for d in ds.seen_ids + ds.unseen_ids:
             hp = replace(cfg.training.hp, seed=2 * 1000 + d)
-            assert hp == TR.protocol_hp(cfg.training.hp, 2, d)
             want = TR.finetune(trained, ds.splits[d].finetune, hp)
             got = M.load_model(os.path.join(out, f"agg.ft_domain{d}.model.json"))
             assert got.checksum() == want.checksum(), d
@@ -509,7 +528,8 @@ class TestExperiment:
 
 class TestTaskRunner:
     @pytest.mark.parametrize("task, error, message", [
-        (("agg (seed 3)", P._trainer, "warp_drive"), cfgmod.UsageError, "warp_drive"),
+        (("agg (seed 3)", P._trainer, cfgmod.RunConfig(), "warp_drive"), cfgmod.UsageError,
+         "warp_drive"),
         (("agg (seed 3)", E.corpus_bleu, [[4]], []), T.ContractError,
          "^agg \\(seed 3\\): corpus_bleu"),
         (("agg (seed 3)", P._load_trained, cfgmod.RunConfig(output_dir="no-such-runs"),

@@ -290,9 +290,8 @@ class TestTsv:
 
 class TestConfigValidation:
     def test_noise_fraction_range(self):
-        cfg = C.DatasetConfig(noise_fraction=1.5)
         with pytest.raises(C.ConfigError):
-            cfg.validate()
+            C.DatasetConfig(noise_fraction=1.5)
 
     def test_bad_rule_in_spec(self):
         with pytest.raises(C.ConfigError):
@@ -306,5 +305,5 @@ class TestConfigValidation:
     def test_sentences_have_at_least_one_token(self, len_min):
         # a negative len_min reached rng.choice as a negative size
         with pytest.raises(C.ConfigError, match="len_min"):
-            C.DatasetConfig(len_min=len_min).validate()
-        C.DatasetConfig(len_min=1).validate()
+            C.DatasetConfig(len_min=len_min)
+        C.DatasetConfig(len_min=1)

@@ -218,8 +218,7 @@ class TestPerturb:
     def test_reference_sigma_always_present(self, world):
         _, ds, _, _, vanilla, agg = world
         report = E.perturb_experiment({"agg": agg}, ds, sigmas=(0.05,),
-                                      noise_seeds=(0,), beam_width=1,
-                                      max_steps=8, domains=[ds.seen_ids[0]])
+                                      noise_seeds=(0,), beam_width=1, max_steps=8)
         d = ds.seen_ids[0]
         assert ("agg", 0.0, d) in report.cells
         assert ("agg", 0.05, d) in report.cells
@@ -238,8 +237,7 @@ class TestPerturb:
         _, ds, _, _, vanilla, agg = world
         d = ds.seen_ids[0]
         report = E.perturb_experiment({"agg": agg}, ds, sigmas=(1.0,),
-                                      noise_seeds=(0, 1), beam_width=1,
-                                      max_steps=8, domains=[d])
+                                      noise_seeds=(0, 1), beam_width=1, max_steps=8)
         assert report.cells[("agg", 1.0, d)] <= report.cells[("agg", 0.0, d)]
 
 

@@ -13,6 +13,7 @@ from epinmt import evaluate as E
 from epinmt import model as M
 from epinmt import tensor as T
 
+import reference_ops as R
 from helpers import (beam_reference, child_env, greedy_reference, tiny_config, tiny_model,
                      random_pair)
 
@@ -293,7 +294,7 @@ class TestDecode:
 
     def test_beam_width_validated(self):
         with pytest.raises(ValueError):
-            M.beam_decode_batch(tiny_model(12), [[4]], 0)
+            M.beam_decode_batch(tiny_model(12), [[4]], 0, 6)
 
     def test_decoding_does_not_mutate(self):
         model = tiny_model(13)
@@ -416,10 +417,10 @@ class TestTraining:
 
 
 # The op chains that the fused layer ops replace: the layers as they were
-# composed before `tensor.linear`, `attention`, `embed` and
-# `masked_cross_entropy` existed, and the sublayers as they were composed of
-# those ops before `attn_block` and `ff_block`. Patched in together, every
-# sublayer runs as fine-grained ops.
+# composed before `tensor.linear`, `attention` (now `reference_ops.attention`),
+# `embed` and `masked_cross_entropy` existed, and the sublayers as they were
+# composed of those ops before `attn_block` and `ff_block`. Patched in
+# together, every sublayer runs as fine-grained ops.
 
 
 def _chain_linear(x, w, b=None):
@@ -462,7 +463,7 @@ def _chain_attn_block(x, gain, bias, wq, wk, wv, wo, mask, n_heads, kv=None, cac
         end = start + x.shape[1]
         kbuf[:, start:end], vbuf[:, start:end] = k.data, v.data
         k, v = T.Tensor(kbuf[:, :end]), T.Tensor(vbuf[:, :end])
-    return T.add(x, T.linear(T.attention(q, k, v, mask, n_heads), wo))
+    return T.add(x, T.linear(R.attention(q, k, v, mask, n_heads), wo))
 
 
 def _chain_ff_block(x, gain, bias, w1, b1, w2, b2):
@@ -470,9 +471,9 @@ def _chain_ff_block(x, gain, bias, w1, b1, w2, b2):
     return T.add(x, T.linear(h, w2, b2))
 
 
-CHAINS = {"linear": _chain_linear, "attention": _chain_attention,
-          "embed": _chain_embed, "masked_cross_entropy": _chain_masked_xent,
-          "attn_block": _chain_attn_block, "ff_block": _chain_ff_block}
+CHAINS = {(T, "linear"): _chain_linear, (R, "attention"): _chain_attention,
+          (T, "embed"): _chain_embed, (T, "masked_cross_entropy"): _chain_masked_xent,
+          (T, "attn_block"): _chain_attn_block, (T, "ff_block"): _chain_ff_block}
 
 
 def _graph_nodes(loss: T.Tensor) -> int:
@@ -529,8 +530,8 @@ class TestFusedLayerOps:
 
     def test_bit_identical_to_the_op_chains(self, monkeypatch):
         fused, fused_beams = self._run()
-        for name, fn in CHAINS.items():
-            monkeypatch.setattr(T, name, fn)
+        for (module, name), fn in CHAINS.items():
+            monkeypatch.setattr(module, name, fn)
         chained, chained_beams = self._run()
         assert fused_beams == chained_beams
         assert list(fused) == list(chained)
@@ -545,8 +546,8 @@ class TestFusedLayerOps:
         # 2 embeds, 2 encoder and 3 decoder blocks, the cross-attention's K and
         # V projections, 2 final norms, the output projection and the loss
         assert _graph_nodes(M.nll_batch(model, srcs, tgts)) <= 13
-        for name, fn in CHAINS.items():
-            monkeypatch.setattr(T, name, fn)
+        for (module, name), fn in CHAINS.items():
+            monkeypatch.setattr(module, name, fn)
         assert _graph_nodes(M.nll_batch(model, srcs, tgts)) == 86
 
 

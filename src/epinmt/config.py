@@ -61,6 +61,9 @@ class TrainingConfig:
             if m not in METHODS:
                 raise UsageError(
                     f"unknown method '{m}'; valid methods: {', '.join(METHODS)}")
+        if not self.methods or len(set(self.methods)) != len(self.methods):
+            raise UsageError(f"training.methods must be nonempty and distinct, "
+                             f"got {list(self.methods)}")
         for m, ov in self.overrides.items():
             if m not in METHODS:
                 raise UsageError(

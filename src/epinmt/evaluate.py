@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from .trainers import Hyperparams, finetune
 
 MAX_NGRAM = 4
 SMOOTH_EPS = 0.1
+DECODE_CHUNK = 64   # sources beam-decoded together
 
 
 @dataclass
@@ -71,12 +72,11 @@ def corpus_bleu(hypotheses: list[list[int]], references: list[list[int]]) -> Ble
 
 
 def translate_corpus(model: M.EncoderDecoderModel, pairs: list[SentencePair],
-                     beam_width: int, max_steps: int,
-                     chunk: int = 64) -> list[list[int]]:
+                     beam_width: int, max_steps: int) -> list[list[int]]:
     """Beam-decode all sources; EOS is stripped from the returned sequences."""
     hyps = []
-    for start in range(0, len(pairs), chunk):
-        batch = pairs[start:start + chunk]
+    for start in range(0, len(pairs), DECODE_CHUNK):
+        batch = pairs[start:start + DECODE_CHUNK]
         results = M.beam_decode_batch(model, [p.source for p in batch],
                                       beam_width, max_steps)
         for r in results:
@@ -97,38 +97,6 @@ def test_bleu(model, pairs: list[SentencePair], beam_width: int,
 # Before FT / After FT protocol
 
 
-@dataclass
-class EvalCell:
-    method: str
-    domain: int
-    seen: bool
-    seed: int
-    bleu_before: float
-    bleu_after: float
-
-    @property
-    def delta_ft(self) -> float:
-        return self.bleu_after - self.bleu_before
-
-
-@dataclass
-class EvalReport:
-    cells: list[EvalCell] = field(default_factory=list)
-
-    def mean(self, method: str, metric: str, seen: bool | None = None,
-             domain: int | None = None) -> float:
-        vals = [getattr(c, metric) for c in self.cells
-                if c.method == method
-                and (seen is None or c.seen == seen)
-                and (domain is None or c.domain == domain)]
-        return float(np.mean(vals))
-
-    def to_rows(self) -> list[dict]:
-        return [{"method": c.method, "domain": c.domain, "seen": c.seen, "seed": c.seed,
-                 "bleu_before": c.bleu_before, "bleu_after": c.bleu_after,
-                 "delta_ft": c.delta_ft} for c in self.cells]
-
-
 def adapted(model: M.EncoderDecoderModel, dataset: MultiDomainDataset, hp: Hyperparams,
             seed: int, domain: int) -> M.EncoderDecoderModel:
     """The model that the protocol cell (training seed, domain) scores after
@@ -138,13 +106,13 @@ def adapted(model: M.EncoderDecoderModel, dataset: MultiDomainDataset, hp: Hyper
 
 
 def run_protocol(models: dict[str, M.EncoderDecoderModel], dataset: MultiDomainDataset,
-                 hp: Hyperparams, seed: int, beam_width: int, max_steps: int) -> EvalReport:
+                 hp: Hyperparams, seed: int, beam_width: int, max_steps: int) -> list[dict]:
     """Decode before fine-tuning, fine-tune per domain, decode again.
 
-    `models` maps method name -> the checkpoint trained with `seed`. Every
-    (method, domain) cell appears once in the report.
+    `models` maps method name -> the checkpoint trained with `seed`. Returns
+    one row per (method, domain) cell, as report.json's "protocol" holds it.
     """
-    report = EvalReport()
+    rows = []
     for name, model in sorted(models.items()):
         before_cs = model.checksum()
         for d in dataset.seen_ids + dataset.unseen_ids:
@@ -152,83 +120,54 @@ def run_protocol(models: dict[str, M.EncoderDecoderModel], dataset: MultiDomainD
             b_before = test_bleu(model, sp.testing, beam_width, max_steps)
             b_after = test_bleu(adapted(model, dataset, hp, seed, d), sp.testing,
                                 beam_width, max_steps)
-            report.cells.append(EvalCell(name, d, d in dataset.seen_ids,
-                                         seed, b_before, b_after))
+            rows.append({"method": name, "domain": d, "seen": d in dataset.seen_ids,
+                         "seed": seed, "bleu_before": b_before, "bleu_after": b_after,
+                         "delta_ft": b_after - b_before})
         if model.checksum() != before_cs:
             raise T.ContractError(f"evaluation mutated model '{name}'")
-    return report
+    return rows
 
 
 # ---------------------------------------------------------------------------
 # module-swap experiment
 
 
-@dataclass
-class SwapReport:
-    part: str
-    # target domain -> list of (specialist domain, improvement)
-    improvements: dict[int, list[tuple[int, float]]] = field(default_factory=dict)
-
-    def domain_mean(self, domain: int) -> float:
-        return float(np.mean([v for _, v in self.improvements[domain]]))
-
-    def overall_mean(self) -> float:
-        return float(np.mean([self.domain_mean(d) for d in self.improvements]))
-
-
 def swap_experiment(trained: dict[str, M.EncoderDecoderModel],
                     specialists: dict[int, M.EncoderDecoderModel],
                     dataset: MultiDomainDataset, beam_width: int,
-                    max_steps: int) -> list[SwapReport]:
+                    max_steps: int) -> list[dict]:
     """BLEU gain from grafting each trained model's encoder (or decoder) onto
     each specialist, on test domains the specialist has never trained on.
 
-    One report per part and method, "encoder:<method>" reports first, in the
-    order of `trained`; a specialist's own BLEU is decoded once per test
-    domain and shared by every report.
+    One row per part and method, {"part": "<encoder|decoder>:<method>",
+    "improvements": {"<test domain>": [(specialist domain, gain), ...]}},
+    the encoder rows first, in the order of `trained`; a specialist's own
+    BLEU is decoded once per test domain and shared by every row.
     """
     if not trained:
         return []
-    reports = {(part, m): SwapReport(f"{part}:{m}")
-               for part in ("encoder", "decoder") for m in trained}
+    rows = {(part, m): {"part": f"{part}:{m}", "improvements": {}}
+            for part in ("encoder", "decoder") for m in trained}
     for d in dataset.seen_ids + dataset.unseen_ids:
         testing = dataset.splits[d].testing
-        for r in reports.values():
-            r.improvements[d] = []
+        for r in rows.values():
+            r["improvements"][str(d)] = []
         for sd, spec in sorted(specialists.items()):
             if sd == d:
                 continue  # specialist matching the target domain is excluded
             base = test_bleu(spec, testing, beam_width, max_steps)
-            for (part, m), r in reports.items():
+            for (part, m), r in rows.items():
                 model = trained[m]
                 hybrid = (M.compose(model.encoder, spec.decoder, model.config)
                           if part == "encoder" else
                           M.compose(spec.encoder, model.decoder, model.config))
                 swapped = test_bleu(hybrid, testing, beam_width, max_steps)
-                r.improvements[d].append((sd, swapped - base))
-    return list(reports.values())
+                r["improvements"][str(d)].append((sd, swapped - base))
+    return list(rows.values())
 
 
 # ---------------------------------------------------------------------------
 # parameter perturbation
-
-
-@dataclass
-class PerturbReport:
-    # (method, sigma, domain) -> mean BLEU over noise seeds
-    cells: dict[tuple[str, float, int], float] = field(default_factory=dict)
-
-    def degradation(self, method: str, sigma: float, domains: list[int]) -> float:
-        """Relative BLEU loss of the domain-mean score under perturbation.
-
-        Normalizing by the unperturbed score makes models with different
-        base strength comparable; a model at 0 BLEU degrades by 0.
-        """
-        base = float(np.mean([self.cells[(method, 0.0, d)] for d in domains]))
-        noisy = float(np.mean([self.cells[(method, sigma, d)] for d in domains]))
-        if base <= 0.0:
-            return 0.0
-        return (base - noisy) / base
 
 
 def _perturbed_copy(model: M.EncoderDecoderModel, sigma: float, rng):
@@ -241,113 +180,66 @@ def _perturbed_copy(model: M.EncoderDecoderModel, sigma: float, rng):
 
 def perturb_experiment(models: dict[str, M.EncoderDecoderModel],
                        dataset: MultiDomainDataset, sigmas, noise_seeds,
-                       beam_width: int, max_steps: int) -> PerturbReport:
+                       beam_width: int, max_steps: int) -> list[dict]:
     """Decode each seen domain after adding zero-mean Gaussian noise of std
     sigma to every parameter of a copy; sigma=0 is always included as the
-    reference point."""
-    report = PerturbReport()
+    reference point. One {"method", "sigma", "domain", "bleu"} row per cell,
+    the BLEU averaged over noise seeds, sorted by (method, sigma, domain)."""
+    bleu = {}
     for name, model in sorted(models.items()):
         for d in dataset.seen_ids:
             testing = dataset.splits[d].testing
-            report.cells[(name, 0.0, d)] = test_bleu(model, testing,
-                                                     beam_width, max_steps)
+            bleu[(name, 0.0, d)] = test_bleu(model, testing, beam_width, max_steps)
             for sigma in sigmas:
                 scores = []
                 for ns in noise_seeds:
                     rng = np.random.default_rng(np.random.SeedSequence([ns, 31, d]))
                     noisy = _perturbed_copy(model, sigma, rng)
                     scores.append(test_bleu(noisy, testing, beam_width, max_steps))
-                report.cells[(name, float(sigma), d)] = float(np.mean(scores))
-    return report
+                bleu[(name, float(sigma), d)] = float(np.mean(scores))
+    return [{"method": m, "sigma": s, "domain": d, "bleu": v}
+            for (m, s, d), v in sorted(bleu.items())]
 
 
 # ---------------------------------------------------------------------------
 # divergence-bin report
 
 
-@dataclass
-class BinReport:
-    # method -> list of 5 BLEU values, bin 1 (lowest divergence) first
-    bleu_by_bin: dict[str, list[float]] = field(default_factory=dict)
-    bin_sizes: list[int] = field(default_factory=list)
-
-    def spearman(self, method: str) -> float:
-        """Spearman rho of BLEU against bin index; NaN (empty) bins are skipped.
-
-        NaN when fewer than two bins remain or the scores are constant.
-        """
-        scores = self.bleu_by_bin[method]
-        idx = [i for i, s in enumerate(scores) if not math.isnan(s)]
-        return _spearman(np.array(idx, dtype=np.float64),
-                         np.array([scores[i] for i in idx], dtype=np.float64))
-
-
-def _average_ranks(x: np.ndarray) -> np.ndarray:
-    """1-based ranks; tied values share the mean of the ranks they span."""
-    _, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
-    upper = np.cumsum(counts)
-    return (upper - (counts - 1) / 2.0)[inverse]
-
-
-def _spearman(x: np.ndarray, y: np.ndarray) -> float:
-    """Pearson correlation of average ranks (scipy.stats.spearmanr's statistic)."""
-    if len(x) < 2:
-        return float("nan")
-    rx = _average_ranks(x) - (len(x) + 1) / 2.0
-    ry = _average_ranks(y) - (len(y) + 1) / 2.0
-    den = math.sqrt(float(rx @ rx) * float(ry @ ry))
-    if den == 0.0:
-        return float("nan")
-    return float(np.clip((rx @ ry) / den, -1.0, 1.0))
-
-
 def bin_report(models: dict[str, M.EncoderDecoderModel], thresholds: list[float],
                scored_test_pairs: list[SentencePair],
-               beam_width: int, max_steps: int) -> BinReport:
-    """Per-method BLEU across the 5 divergence bins of the scored test set."""
+               beam_width: int, max_steps: int) -> dict:
+    """Per-method BLEU across the 5 divergence bins of the scored test set,
+    bin 1 (lowest divergence) first: {"sizes": [...], "bleu": {method:
+    [BLEU per bin, NaN if the bin is empty]}}."""
     bins = bin_testset(scored_test_pairs, thresholds)
-    report = BinReport(bin_sizes=[len(b) for b in bins])
-    for name, model in sorted(models.items()):
-        report.bleu_by_bin[name] = [test_bleu(model, b, beam_width, max_steps)
-                                    if b else float("nan") for b in bins]
-    return report
+    return {"sizes": [len(b) for b in bins],
+            "bleu": {name: [test_bleu(model, b, beam_width, max_steps)
+                            if b else float("nan") for b in bins]
+                     for name, model in sorted(models.items())}}
 
 
 # ---------------------------------------------------------------------------
 # report output
 
 
-def report_bundle_json(path, eval_report: EvalReport | None = None,
-                       swap_reports: list[SwapReport] | None = None,
-                       perturb: PerturbReport | None = None,
-                       bins: BinReport | None = None, meta: dict | None = None) -> None:
-    bundle: dict = {"meta": meta or {},
-                    "tokenization": "artifact token ids, no retokenization"}
-    if eval_report is not None:
-        bundle["protocol"] = eval_report.to_rows()
-    if swap_reports:
-        bundle["swap"] = [
-            {"part": r.part,
-             "improvements": {str(d): rows for d, rows in r.improvements.items()}}
-            for r in swap_reports]
-    if perturb is not None:
-        bundle["perturbation"] = [
-            {"method": m, "sigma": s, "domain": d, "bleu": v}
-            for (m, s, d), v in sorted(perturb.cells.items())]
-    if bins is not None:
-        bundle["divergence_bins"] = {"sizes": bins.bin_sizes,
-                                     "bleu": bins.bleu_by_bin}
+def report_bundle_json(path, protocol: list[dict], swap: list[dict] | None = None,
+                       perturbation: list[dict] | None = None,
+                       divergence_bins: dict | None = None, meta: dict | None = None) -> None:
+    """The studies' rows as one JSON file; an empty swap study is left out."""
+    bundle = {"meta": meta or {}, "tokenization": "artifact token ids, no retokenization",
+              "protocol": protocol, "swap": swap or None, "perturbation": perturbation,
+              "divergence_bins": divergence_bins}
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(bundle, f, indent=1, sort_keys=True)
+        json.dump({k: v for k, v in bundle.items() if v is not None}, f, indent=1,
+                  sort_keys=True)
 
 
-def report_csv(path, eval_report: EvalReport) -> None:
+def report_csv(path, protocol: list[dict]) -> None:
     import csv as _csv
     with open(path, "w", encoding="utf-8", newline="") as f:
         w = _csv.writer(f)
         w.writerow(["method", "domain", "seen_flag", "metric", "value", "seed"])
-        for c in eval_report.cells:
-            for metric, value in (("bleu_before", c.bleu_before),
-                                  ("bleu_after", c.bleu_after),
-                                  ("delta_ft", c.delta_ft)):
-                w.writerow([c.method, c.domain, int(c.seen), metric, value, c.seed])
+        for r in protocol:
+            for metric in ("bleu_before", "bleu_after", "delta_ft"):
+                w.writerow([r["method"], r["domain"], int(r["seen"]), metric, r[metric],
+                            r["seed"]])

@@ -313,7 +313,7 @@ def finetune(cfg: RunConfig, method: str, seed: int) -> str:
 # evaluation
 
 
-def _write_report(cfg: RunConfig, seeds, protocol: E.EvalReport, *experiments) -> str:
+def _write_report(cfg: RunConfig, seeds, protocol: list[dict], *experiments) -> str:
     """eval/report.json and report.csv, in the first seed's run directory."""
     out = _stage_dir(cfg, seeds[0], "eval")
     E.report_bundle_json(os.path.join(out, "report.json"), protocol, *experiments,
@@ -344,11 +344,11 @@ def _scored_base(cfg: RunConfig, seed: int, keep_denoise: bool):
 
 
 def _trained(cfg: RunConfig, method: str, seed: int, base: Base,
-             plan: CU.CurriculumPlan) -> tuple[M.EncoderDecoderModel, list[E.EvalCell]]:
-    """One method trained on one seed, and its protocol cells."""
+             plan: CU.CurriculumPlan) -> tuple[M.EncoderDecoderModel, list[dict]]:
+    """One method trained on one seed, and its protocol rows."""
     model = _train_method(cfg, method, seed, base, plan)
     return model, E.run_protocol({method: model}, base.dataset, cfg.training.hp, seed,
-                                 cfg.eval.beam_width, cfg.eval.max_steps).cells
+                                 cfg.eval.beam_width, cfg.eval.max_steps)
 
 
 def _specialist(cfg: RunConfig, seed: int, base: Base, d: int) -> M.EncoderDecoderModel:
@@ -360,7 +360,8 @@ def _specialist(cfg: RunConfig, seed: int, base: Base, d: int) -> M.EncoderDecod
 def experiment(cfg: RunConfig) -> dict:
     """Train every configured method and run the fine-tuning protocol per eval
     seed; swap, perturbation and bins (and the returned denoise scorer, the
-    only one a task sends back) cover the first eval seed only.
+    only one a task sends back) cover the first eval seed only. Returns the
+    report directory and that scorer.
 
     Pool tasks, in three rounds: per seed, data, vanilla and scoring; per
     (seed, method), training and the protocol, plus the first seed's swap
@@ -369,7 +370,7 @@ def experiment(cfg: RunConfig) -> dict:
     seeds' training. The pool has a worker per core, but no more than the
     largest round has tasks.
     """
-    ev, methods, first = cfg.eval, sorted(set(cfg.training.methods)), cfg.eval.seeds[0]
+    ev, methods, first = cfg.eval, sorted(cfg.training.methods), cfg.eval.seeds[0]
     for m in methods:
         _trainer(cfg, m)
     grafts = [m for m in ("epi_curriculum", "agg") if m in methods]   # for the swap study
@@ -401,9 +402,8 @@ def experiment(cfg: RunConfig) -> dict:
              ev.sigmas, ev.noise_seeds, width, steps),
             (f"divergence bins (seed {first})", E.bin_report, models,
              plan.shard_thresholds, test_pairs, width, steps)])
-        protocol = E.EvalReport([c for seed_tasks in trained
-                                 for _, cells in _results(seed_tasks) for c in cells])
-        swaps, perturb, bins = _results(experiments)
-    out = _write_report(cfg, ev.seeds, protocol, swaps, perturb, bins)
-    return {"protocol": protocol, "swaps": swaps, "perturb": perturb, "bins": bins,
-            "denoise": denoise, "report_dir": out}
+        protocol = [row for seed_tasks in trained
+                    for _, rows in _results(seed_tasks) for row in rows]
+        studies = _results(experiments)
+    return {"report_dir": _write_report(cfg, ev.seeds, protocol, *studies),
+            "denoise": denoise}

@@ -1,6 +1,7 @@
 """Shared test utilities: finite-difference oracle, tiny model builders and a
 tiny run config."""
 
+import math
 import os
 import sys
 
@@ -42,6 +43,48 @@ def record_criterion(number: int, name: str, passed: bool, detail: str = "") -> 
         line += f" ({detail})"
     ACCEPTANCE_RESULTS.append(line)
     print(line, file=sys.stderr, flush=True)
+
+
+# the statistics that the acceptance criteria take of an eval/report.json
+
+def protocol_mean(protocol: list[dict], method: str, metric: str, seen: bool) -> float:
+    """Mean of a protocol metric over the method's seen (or unseen) cells."""
+    return float(np.mean([r[metric] for r in protocol
+                          if r["method"] == method and r["seen"] == seen]))
+
+
+def swap_mean(swap: list[dict], part: str) -> float:
+    """Mean over test domains of the mean gain from grafting `part`
+    ("<encoder|decoder>:<method>") onto the other domains' specialists."""
+    (improvements,) = [r["improvements"] for r in swap if r["part"] == part]
+    return float(np.mean([np.mean([gain for _, gain in rows])
+                          for rows in improvements.values()]))
+
+
+def degradation(perturbation: list[dict], method: str, sigma: float,
+                domains: list[int]) -> float:
+    """Relative BLEU loss of the domain-mean score under perturbation.
+
+    Normalizing by the unperturbed score makes models with different base
+    strength comparable; a model at 0 BLEU degrades by 0.
+    """
+    bleu = {(r["method"], r["sigma"], r["domain"]): r["bleu"] for r in perturbation}
+    base = float(np.mean([bleu[(method, 0.0, d)] for d in domains]))
+    noisy = float(np.mean([bleu[(method, sigma, d)] for d in domains]))
+    return 0.0 if base <= 0.0 else (base - noisy) / base
+
+
+def spearman(scores: list[float]) -> float:
+    """Spearman rho of BLEU against bin index; NaN (empty) bins are skipped.
+
+    NaN when fewer than two bins remain or the scores are constant.
+    """
+    from scipy import stats
+    idx = [i for i, s in enumerate(scores) if not math.isnan(s)]
+    vals = [scores[i] for i in idx]
+    if len(set(vals)) < 2:
+        return float("nan")
+    return float(stats.spearmanr(idx, vals).statistic)
 
 
 def child_env(**extra) -> dict:

@@ -22,8 +22,9 @@ from epinmt import tensor as T
 from epinmt import trainers as tr
 
 import reference_ops as R
-from helpers import (FD_TOL, TINY, episodic_update_footprint, finite_diff,
-                     greedy_reference, max_rel_err, record_criterion, tiny_config)
+from helpers import (FD_TOL, TINY, degradation, episodic_update_footprint, finite_diff,
+                     greedy_reference, max_rel_err, protocol_mean, record_criterion,
+                     spearman, swap_mean, tiny_config)
 
 
 # ---------------------------------------------------------------------------
@@ -485,11 +486,13 @@ def _lab_seed(seed, output_dir):
     pairs10 = ds10.all_seen_training()
     dropped = np.asarray(cur.denoise_score_pairs(pairs10, result["denoise"])) < 0
     noisy = np.array([p.is_noise for p in pairs10])
-    return dict(seen_ids=ds10.seen_ids, protocol=result["protocol"],
+    # criteria 07-11 read the report file the run ships; JSON floats
+    # round-trip exactly, and NaN loads back as nan
+    with open(os.path.join(result["report_dir"], "report.json"), encoding="utf-8") as f:
+        report = json.load(f)
+    return dict(report, seen_ids=ds10.seen_ids,
                 filter10=(float(np.mean(dropped[noisy])),
-                          float(np.mean(dropped[~noisy]))),
-                swaps={tuple(r.part.split(":")): r for r in result["swaps"]},
-                perturb=result["perturb"], bins=result["bins"])
+                          float(np.mean(dropped[~noisy]))))
 
 
 @pytest.fixture(scope="module")
@@ -516,10 +519,10 @@ def test_criterion_06_noise_filter(lab):
 
 @pytest.mark.lab
 def test_criterion_07_before_ft_ordering(lab):
-    seen = {m: _lab_mean(lab, lambda L, m=m: L["protocol"].mean(
-        m, "bleu_before", seen=True)) for m in LAB_METHODS}
-    unseen = {m: _lab_mean(lab, lambda L, m=m: L["protocol"].mean(
-        m, "bleu_before", seen=False)) for m in LAB_METHODS}
+    seen = {m: _lab_mean(lab, lambda L, m=m: protocol_mean(
+        L["protocol"], m, "bleu_before", seen=True)) for m in LAB_METHODS}
+    unseen = {m: _lab_mean(lab, lambda L, m=m: protocol_mean(
+        L["protocol"], m, "bleu_before", seen=False)) for m in LAB_METHODS}
     order_ok = (seen["epi_curriculum"] >= seen["epi_nmt"] >= seen["agg"])
     unseen_ok = unseen["epi_curriculum"] >= unseen["vanilla"]
     ok = order_ok and unseen_ok
@@ -535,8 +538,8 @@ def test_criterion_07_before_ft_ordering(lab):
 
 @pytest.mark.lab
 def test_criterion_08_finetune_gain(lab):
-    gain = {m: _lab_mean(lab, lambda L, m=m: L["protocol"].mean(
-        m, "delta_ft", seen=False)) for m in ("meta_mt", "agg")}
+    gain = {m: _lab_mean(lab, lambda L, m=m: protocol_mean(
+        L["protocol"], m, "delta_ft", seen=False)) for m in ("meta_mt", "agg")}
     ok = gain["meta_mt"] >= gain["agg"]
     record_criterion(8, "unseen fine-tuning gain", ok,
                      f"meta_mt {gain['meta_mt']:.2f} >= agg {gain['agg']:.2f}")
@@ -546,7 +549,7 @@ def test_criterion_08_finetune_gain(lab):
 @pytest.mark.lab
 def test_criterion_09_module_swap(lab):
     means = {(part, m): _lab_mean(
-        lab, lambda L, part=part, m=m: L["swaps"][(part, m)].overall_mean())
+        lab, lambda L, part=part, m=m: swap_mean(L["swap"], f"{part}:{m}"))
         for part in ("encoder", "decoder") for m in ("epi_curriculum", "agg")}
     enc_ok = means[("encoder", "epi_curriculum")] > means[("encoder", "agg")]
     dec_ok = means[("decoder", "epi_curriculum")] > means[("decoder", "agg")]
@@ -563,8 +566,8 @@ def test_criterion_09_module_swap(lab):
 
 @pytest.mark.lab
 def test_criterion_10_perturbation_robustness(lab):
-    deg = {m: _lab_mean(lab, lambda L, m=m: L["perturb"].degradation(
-        m, 0.03, L["seen_ids"]))
+    deg = {m: _lab_mean(lab, lambda L, m=m: degradation(
+        L["perturbation"], m, 0.03, L["seen_ids"]))
         for m in ("agg", "epi_nmt", "epi_curriculum")}
     episodic = (deg["epi_nmt"] + deg["epi_curriculum"]) / 2.0
     ok = episodic < deg["agg"]
@@ -575,7 +578,7 @@ def test_criterion_10_perturbation_robustness(lab):
 
 @pytest.mark.lab
 def test_criterion_11_divergence_bins(lab):
-    rho = {m: _lab_mean(lab, lambda L, m=m: L["bins"].spearman(m))
+    rho = {m: _lab_mean(lab, lambda L, m=m: spearman(L["divergence_bins"]["bleu"][m]))
            for m in TRAINED_METHODS}
     ok = all(v < 0.0 for v in rho.values())
     record_criterion(11, "divergence-bin correlation", ok,

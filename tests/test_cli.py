@@ -260,7 +260,12 @@ class TestCliUsage:
         pytest.param("experiment", {"dataset": {**TINY["dataset"], "n_seen": 1}},
                      id="experiment-episodic-with-one-seen-domain"),
         pytest.param("score", {"dataset": {**TINY["dataset"], "trusted_count": 0}},
-                     id="score-denoise-without-trusted-pairs")])
+                     id="score-denoise-without-trusted-pairs"),
+        pytest.param("experiment", {"training": {**TINY["training"], "methods": []}},
+                     id="experiment-no-methods"),
+        pytest.param("experiment", {"training": {**TINY["training"],
+                                                 "methods": ["agg", "agg"]}},
+                     id="experiment-repeated-method")])
     def test_invalid_config_values_are_usage_errors(self, tmp_path, capsys,
                                                      monkeypatch, command, section):
         """`command` is split on spaces into its arguments; `section` is merged
@@ -510,11 +515,13 @@ class TestExperiment:
 
     def test_no_swap_specialists_without_a_grafted_method(self, tmp_path, monkeypatch):
         """With only vanilla configured, the swap study grafts nothing, so no
-        swap specialist (one `train_agg` call each) is trained."""
+        swap specialist (one `train_agg` call each) is trained and the report
+        has no swap section."""
         log = tmp_path / "calls.log"
         monkeypatch.setattr(TR, "train_agg", _logged(log, TR.train_agg))
         result = P.experiment(_tiny_run(tmp_path, methods=["vanilla"]))
-        assert result["swaps"] == [] and not log.exists()
+        report = json.loads(Path(result["report_dir"], "report.json").read_text())
+        assert "swap" not in report and not log.exists()
 
     def test_only_the_first_seed_sends_its_denoise_scorer_back(self, tmp_path, monkeypatch):
         """Each eval seed is scored in a pool task; only the first seed's

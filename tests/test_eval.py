@@ -12,7 +12,7 @@ from epinmt import model as M
 from epinmt import tensor as T
 from epinmt import trainers as tr
 
-from helpers import tiny_config
+from helpers import degradation, protocol_mean, spearman, tiny_config
 
 
 class TestBleu:
@@ -127,39 +127,46 @@ class TestTranslateCorpus:
         for h in hyps:
             assert M.EOS not in h
 
-    def test_chunking_invariant(self, world):
+    def test_chunking_invariant(self, world, monkeypatch):
         _, ds, _, _, vanilla, _ = world
         pairs = ds.splits[ds.seen_ids[0]].testing[:7]
-        a = E.translate_corpus(vanilla, pairs, 1, 8, chunk=3)
-        b = E.translate_corpus(vanilla, pairs, 1, 8, chunk=64)
+        monkeypatch.setattr(E, "DECODE_CHUNK", 3)
+        a = E.translate_corpus(vanilla, pairs, 1, 8)
+        monkeypatch.setattr(E, "DECODE_CHUNK", 64)
+        b = E.translate_corpus(vanilla, pairs, 1, 8)
         assert a == b
+
+
+def _row(method, domain, seen, before, after, seed=0):
+    """A protocol row as run_protocol returns it."""
+    return {"method": method, "domain": domain, "seen": seen, "seed": seed,
+            "bleu_before": before, "bleu_after": after, "delta_ft": after - before}
 
 
 class TestProtocol:
     def test_cell_grid_complete(self, world):
         _, ds, _, hp, vanilla, agg = world
-        report = E.run_protocol({"vanilla": vanilla, "agg": agg}, ds, hp, 0,
-                                beam_width=1, max_steps=8)
-        assert len(report.cells) == 2 * (len(ds.seen_ids) + len(ds.unseen_ids))
-        seen_cells = [c for c in report.cells if c.seen]
-        assert {c.domain for c in seen_cells} == set(ds.seen_ids)
-        for c in report.cells:
-            assert c.delta_ft == pytest.approx(c.bleu_after - c.bleu_before)
+        rows = E.run_protocol({"vanilla": vanilla, "agg": agg}, ds, hp, 0,
+                              beam_width=1, max_steps=8)
+        assert len(rows) == 2 * (len(ds.seen_ids) + len(ds.unseen_ids))
+        assert {r["domain"] for r in rows if r["seen"]} == set(ds.seen_ids)
+        for r in rows:
+            assert set(r) == {"method", "domain", "seen", "seed", "bleu_before",
+                              "bleu_after", "delta_ft"}
+            assert r["delta_ft"] == r["bleu_after"] - r["bleu_before"]
 
     def test_finetuning_helps_trained_model(self, world):
         _, ds, _, hp, vanilla, agg = world
         hp2 = tr.Hyperparams(**{**hp.__dict__, "finetune_epochs": 25})
-        report = E.run_protocol({"agg": agg}, ds, hp2, 0,
-                                beam_width=1, max_steps=8)
-        assert report.mean("agg", "delta_ft", seen=False) > 0.0
+        rows = E.run_protocol({"agg": agg}, ds, hp2, 0, beam_width=1, max_steps=8)
+        assert protocol_mean(rows, "agg", "delta_ft", seen=False) > 0.0
 
     def test_zero_finetune_epochs_skips_adaptation(self, world):
         _, ds, _, hp, vanilla, _ = world
         hp0 = tr.Hyperparams(**{**hp.__dict__, "finetune_epochs": 0})
-        report = E.run_protocol({"vanilla": vanilla}, ds, hp0, 0,
-                                beam_width=1, max_steps=8)
-        for c in report.cells:
-            assert c.bleu_after == c.bleu_before
+        rows = E.run_protocol({"vanilla": vanilla}, ds, hp0, 0, beam_width=1, max_steps=8)
+        for r in rows:
+            assert r["bleu_after"] == r["bleu_before"]
 
     def test_models_not_mutated(self, world):
         _, ds, _, hp, vanilla, agg = world
@@ -169,152 +176,128 @@ class TestProtocol:
         assert vanilla.checksum() == cs_v and agg.checksum() == cs_a
 
     def test_report_aggregation(self):
-        report = E.EvalReport([
-            E.EvalCell("m", 1, True, 0, 10.0, 14.0),
-            E.EvalCell("m", 2, True, 0, 20.0, 22.0),
-            E.EvalCell("m", 3, False, 0, 5.0, 9.0),
-        ])
-        assert report.mean("m", "bleu_before", seen=True) == pytest.approx(15.0)
-        assert report.mean("m", "delta_ft", seen=False) == pytest.approx(4.0)
-        assert report.mean("m", "bleu_after", domain=2) == pytest.approx(22.0)
+        rows = [_row("m", 1, True, 10.0, 14.0), _row("m", 2, True, 20.0, 22.0),
+                _row("m", 3, False, 5.0, 9.0), _row("other", 1, True, 0.0, 0.0)]
+        assert protocol_mean(rows, "m", "bleu_before", seen=True) == pytest.approx(15.0)
+        assert protocol_mean(rows, "m", "delta_ft", seen=False) == pytest.approx(4.0)
 
 
 class TestSwap:
     def test_matching_specialist_excluded(self, world, monkeypatch):
-        """One report per part and method, encoder first; each covers every
-        test domain with every other specialist, and a specialist's own BLEU
-        is decoded once per domain, not once per report."""
+        """One row per part and method, encoder first; each covers every test
+        domain with every other specialist, and a specialist's own BLEU is
+        decoded once per domain, not once per row."""
         _, ds, _, hp, vanilla, agg = world
         specialists = {d: vanilla for d in ds.seen_ids}
         decoded = []
         bleu = E.test_bleu
         monkeypatch.setattr(E, "test_bleu", lambda m, *a: decoded.append(m) or bleu(m, *a))
-        reports = E.swap_experiment({"agg": agg, "vanilla": vanilla}, specialists, ds,
-                                    beam_width=1, max_steps=8)
-        assert [r.part for r in reports] == ["encoder:agg", "encoder:vanilla",
+        swap = E.swap_experiment({"agg": agg, "vanilla": vanilla}, specialists, ds,
+                                 beam_width=1, max_steps=8)
+        assert [r["part"] for r in swap] == ["encoder:agg", "encoder:vanilla",
                                              "decoder:agg", "decoder:vanilla"]
         domains = ds.seen_ids + ds.unseen_ids
-        for r in reports:
-            assert list(r.improvements) == domains
-            for d, rows in r.improvements.items():
-                assert [sd for sd, _ in rows] == [sd for sd in ds.seen_ids if sd != d]
+        for r in swap:
+            assert list(r["improvements"]) == [str(d) for d in domains]
+            for d, gains in zip(domains, r["improvements"].values()):
+                assert [sd for sd, _ in gains] == [sd for sd in ds.seen_ids if sd != d]
         cells = sum(sd != d for d in domains for sd in ds.seen_ids)
         assert sum(m is vanilla for m in decoded) == cells
-        assert len(decoded) == cells * (1 + len(reports))
+        assert len(decoded) == cells * (1 + len(swap))
 
     def test_identity_swap_is_neutral(self, world):
         """Grafting a model's own encoder or decoder onto itself changes nothing."""
         _, ds, _, _, vanilla, agg = world
-        reports = E.swap_experiment({"agg": agg}, {99: agg}, ds,
-                                    beam_width=1, max_steps=8)
-        assert [r.part for r in reports] == ["encoder:agg", "decoder:agg"]
-        for r in reports:
-            for rows in r.improvements.values():
-                for _, imp in rows:
-                    assert imp == pytest.approx(0.0, abs=1e-12)
+        swap = E.swap_experiment({"agg": agg}, {99: agg}, ds, beam_width=1, max_steps=8)
+        assert [r["part"] for r in swap] == ["encoder:agg", "decoder:agg"]
+        for r in swap:
+            for gains in r["improvements"].values():
+                for _, gain in gains:
+                    assert gain == pytest.approx(0.0, abs=1e-12)
+
+
+def _cell(method, sigma, domain, bleu):
+    """A perturbation row as perturb_experiment returns it."""
+    return {"method": method, "sigma": sigma, "domain": domain, "bleu": bleu}
 
 
 class TestPerturb:
     def test_reference_sigma_always_present(self, world):
         _, ds, _, _, vanilla, agg = world
-        report = E.perturb_experiment({"agg": agg}, ds, sigmas=(0.05,),
-                                      noise_seeds=(0,), beam_width=1, max_steps=8)
-        d = ds.seen_ids[0]
-        assert ("agg", 0.0, d) in report.cells
-        assert ("agg", 0.05, d) in report.cells
+        rows = E.perturb_experiment({"agg": agg}, ds, sigmas=(0.05,),
+                                    noise_seeds=(0,), beam_width=1, max_steps=8)
+        assert [(r["method"], r["sigma"], r["domain"]) for r in rows] == [
+            ("agg", s, d) for s in (0.0, 0.05) for d in sorted(ds.seen_ids)]
 
     def test_degradation_arithmetic(self):
-        report = E.PerturbReport({("m", 0.0, 1): 30.0, ("m", 0.1, 1): 22.0,
-                                  ("m", 0.0, 2): 40.0, ("m", 0.1, 2): 36.0})
+        rows = [_cell("m", 0.0, 1, 30.0), _cell("m", 0.1, 1, 22.0),
+                _cell("m", 0.0, 2, 40.0), _cell("m", 0.1, 2, 36.0)]
         # domain-mean 35 -> 29: a relative loss of 6/35
-        assert report.degradation("m", 0.1, [1, 2]) == pytest.approx(6.0 / 35.0)
+        assert degradation(rows, "m", 0.1, [1, 2]) == pytest.approx(6.0 / 35.0)
 
     def test_degradation_of_zero_base_is_zero(self):
-        report = E.PerturbReport({("m", 0.0, 1): 0.0, ("m", 0.1, 1): 0.0})
-        assert report.degradation("m", 0.1, [1]) == 0.0
+        rows = [_cell("m", 0.0, 1, 0.0), _cell("m", 0.1, 1, 0.0)]
+        assert degradation(rows, "m", 0.1, [1]) == 0.0
 
     def test_large_noise_hurts(self, world):
         _, ds, _, _, vanilla, agg = world
         d = ds.seen_ids[0]
-        report = E.perturb_experiment({"agg": agg}, ds, sigmas=(1.0,),
-                                      noise_seeds=(0, 1), beam_width=1, max_steps=8)
-        assert report.cells[("agg", 1.0, d)] <= report.cells[("agg", 0.0, d)]
+        rows = E.perturb_experiment({"agg": agg}, ds, sigmas=(1.0,),
+                                    noise_seeds=(0, 1), beam_width=1, max_steps=8)
+        bleu = {(r["sigma"], r["domain"]): r["bleu"] for r in rows}
+        assert bleu[(1.0, d)] <= bleu[(0.0, d)]
 
 
 class TestBins:
     def test_spearman_of_monotone_sequences(self):
-        report = E.BinReport({"down": [50.0, 40.0, 30.0, 20.0, 10.0],
-                              "up": [1.0, 2.0, 3.0, 4.0, 5.0]},
-                             [10, 10, 10, 10, 10])
-        assert report.spearman("down") == pytest.approx(-1.0)
-        assert report.spearman("up") == pytest.approx(1.0)
+        assert spearman([50.0, 40.0, 30.0, 20.0, 10.0]) == pytest.approx(-1.0)
+        assert spearman([1.0, 2.0, 3.0, 4.0, 5.0]) == pytest.approx(1.0)
 
     def test_nan_bins_skipped(self):
-        report = E.BinReport({"m": [30.0, float("nan"), 20.0, 10.0, float("nan")]},
-                             [5, 0, 5, 5, 0])
-        assert report.spearman("m") == pytest.approx(-1.0)
+        assert spearman([30.0, float("nan"), 20.0, 10.0, float("nan")]) == \
+            pytest.approx(-1.0)
 
     def test_ties_get_average_ranks(self):
         # ranks of y: 1, 2.5, 2.5, 4, 5 against x ranks 1..5
-        report = E.BinReport({"m": [1.0, 2.0, 2.0, 4.0, 5.0]}, [5] * 5)
         rx = np.arange(5.0) - 2.0
         ry = np.array([1.0, 2.5, 2.5, 4.0, 5.0]) - 3.0
         want = float(rx @ ry / math.sqrt((rx @ rx) * (ry @ ry)))
-        assert report.spearman("m") == pytest.approx(want, abs=1e-15)
+        assert spearman([1.0, 2.0, 2.0, 4.0, 5.0]) == pytest.approx(want, abs=1e-15)
         assert want == pytest.approx(0.9746794344808963, abs=1e-12)
 
     def test_fewer_than_two_bins_is_nan(self):
-        report = E.BinReport({"one": [float("nan"), 7.0, float("nan")],
-                              "none": [float("nan")] * 5}, [0, 5, 0])
-        assert math.isnan(report.spearman("one"))
-        assert math.isnan(report.spearman("none"))
+        assert math.isnan(spearman([float("nan"), 7.0, float("nan")]))
+        assert math.isnan(spearman([float("nan")] * 5))
 
     def test_constant_scores_are_nan(self):
-        report = E.BinReport({"m": [3.0, 3.0, float("nan"), 3.0, 3.0]}, [5] * 5)
-        assert math.isnan(report.spearman("m"))
-
-    def test_matches_scipy_on_random_scores(self):
-        from scipy import stats
-        rng = np.random.default_rng(0)
-        for _ in range(300):
-            n = int(rng.integers(2, 9))
-            # coarse values make ties common; NaN marks empty bins
-            scores = rng.integers(0, 4, size=n).astype(float)
-            scores[rng.random(n) < 0.2] = float("nan")
-            report = E.BinReport({"m": list(scores)}, [1] * n)
-            idx = [i for i in range(n) if not math.isnan(scores[i])]
-            vals = scores[idx]
-            if len(idx) < 2 or np.all(vals == vals[0]):
-                assert math.isnan(report.spearman("m"))
-                continue
-            want = stats.spearmanr(idx, vals).statistic
-            assert report.spearman("m") == pytest.approx(want, abs=1e-12)
+        assert math.isnan(spearman([3.0, 3.0, float("nan"), 3.0, 3.0]))
 
     def test_bin_report_shape(self, world):
         _, ds, _, _, vanilla, agg = world
         pairs = [C.SentencePair(list(p.source), list(p.target), p.domain_id,
                                 d_score=float(i))
                  for i, p in enumerate(ds.splits[ds.seen_ids[0]].testing[:10])]
-        report = E.bin_report({"agg": agg}, [1.5, 3.5, 5.5, 7.5], pairs,
-                              beam_width=1, max_steps=8)
-        assert len(report.bleu_by_bin["agg"]) == 5
-        assert sum(report.bin_sizes) == 10
+        bins = E.bin_report({"agg": agg}, [1.5, 3.5, 5.5, 7.5], pairs,
+                            beam_width=1, max_steps=8)
+        assert list(bins) == ["sizes", "bleu"] and list(bins["bleu"]) == ["agg"]
+        assert len(bins["bleu"]["agg"]) == 5
+        assert sum(bins["sizes"]) == 10
 
 
 class TestReportOutput:
     def test_json_bundle(self, tmp_path):
-        report = E.EvalReport([E.EvalCell("m", 1, True, 0, 10.0, 12.0)])
+        protocol = [_row("m", 1, True, 10.0, 12.0)]
         path = tmp_path / "report.json"
-        E.report_bundle_json(path, eval_report=report, meta={"run": "x"})
+        E.report_bundle_json(path, protocol, swap=[], meta={"run": "x"})
         bundle = json.loads(path.read_text())
+        assert sorted(bundle) == ["meta", "protocol", "tokenization"]
         assert bundle["meta"] == {"run": "x"}
-        assert bundle["protocol"][0]["method"] == "m"
+        assert bundle["protocol"] == protocol
         assert "token" in bundle["tokenization"]
 
     def test_csv_rows(self, tmp_path):
-        report = E.EvalReport([E.EvalCell("m", 1, True, 7, 10.0, 12.0)])
         path = tmp_path / "report.csv"
-        E.report_csv(path, report)
+        E.report_csv(path, [_row("m", 1, True, 10.0, 12.0, seed=7)])
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "method,domain,seen_flag,metric,value,seed"
         assert len(lines) == 4  # header + before/after/delta

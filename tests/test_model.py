@@ -244,7 +244,7 @@ class TestDecode:
                 (r.tokens, r.truncated) for r in want]
             assert max(abs(a.logprob - b.logprob) for a, b in zip(got, want)) <= 1e-12
 
-    def test_translate_corpus_does_not_depend_on_the_chunk(self):
+    def test_translate_corpus_does_not_depend_on_the_chunk(self, monkeypatch):
         model = tiny_model(14)
         rng = _rng(51)
         pairs = [C.SentencePair(s, t, 0) for s, t in
@@ -252,7 +252,8 @@ class TestDecode:
         want = [r.tokens[:-1] if not r.truncated else r.tokens
                 for r in beam_reference(model, [p.source for p in pairs], 5, 8)]
         for chunk in (3, 64):
-            assert E.translate_corpus(model, pairs, 5, 8, chunk) == want
+            monkeypatch.setattr(E, "DECODE_CHUNK", chunk)
+            assert E.translate_corpus(model, pairs, 5, 8) == want
 
     def test_beam1_equals_greedy_over_seeded_cases(self):
         """Beam width 1 against the independent greedy reference: 100 cases

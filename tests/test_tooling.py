@@ -70,27 +70,41 @@ UNCALLED_BUT_KEPT = {
 }
 
 
+def _public_defs(tree: ast.Module):
+    """(qualified name, definition) of each public module-level function and
+    each public method of a module-level class."""
+    for stmt in tree.body:
+        if isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("_"):
+            yield stmt.name, stmt
+        elif isinstance(stmt, ast.ClassDef):
+            yield from ((f"{stmt.name}.{f.name}", f) for f in stmt.body
+                        if isinstance(f, ast.FunctionDef) and not f.name.startswith("_"))
+
+
 @pytest.mark.skipif(not TRACER.exists(), reason="perfbench/ is absent")
 def test_every_public_function_has_a_caller(monkeypatch):
-    """Each public module-level function in src/ is named somewhere in src/
-    besides its own definition (and `__all__`), is a tracer target, or is
-    kept on purpose; code that only tests call does not belong in src/."""
+    """Each public module-level function, and each public method of a
+    module-level class, in src/ is named somewhere in src/ besides its own
+    definition (and `__all__`), is a tracer target, or is kept on purpose;
+    code that only tests call does not belong in src/."""
     tracer = _load(monkeypatch, TRACER, "perfbench_tracer")
     targets = {f"{module}.{name}" for module, names in tracer.TARGETS.items()
                for name in names}
-    defined, named = [], set()       # named: (identifier, module, statement index)
+    defined, named = [], []          # named: (identifier, node that names it)
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        for i, stmt in enumerate(tree.body):
-            if isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("_"):
-                defined.append((path.stem, stmt.name, i))
-            for node in ast.walk(stmt):   # __all__'s entries are strings, not names
-                if isinstance(node, ast.Name):
-                    named.add((node.id, path.stem, i))
-                elif isinstance(node, ast.Attribute):
-                    named.add((node.attr, path.stem, i))
-    uncalled = [f"{module}.{name}" for module, name, i in defined
-                if not any(n == name and (m, j) != (module, i) for n, m, j in named)]
+        defined += [(f"{path.stem}.{name}", node) for name, node in _public_defs(tree)]
+        for node in ast.walk(tree):   # __all__'s entries are strings, not names
+            if isinstance(node, ast.Name):
+                named.append((node.id, node))
+            elif isinstance(node, ast.Attribute):
+                named.append((node.attr, node))
+    uncalled = []
+    for qualname, definition in defined:
+        own = {id(n) for n in ast.walk(definition)}
+        name = qualname.rsplit(".", 1)[1]
+        if not any(n == name and id(node) not in own for n, node in named):
+            uncalled.append(qualname)
     assert sorted(set(uncalled) - targets - set(UNCALLED_BUT_KEPT)) == []
     # the allowlist holds nothing that has a caller or a tracer hook by now
     assert set(UNCALLED_BUT_KEPT) <= set(uncalled) - targets

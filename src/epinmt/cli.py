@@ -1,8 +1,8 @@
 """Command-line entry point.
 
 Subcommands: gen-data, score, train, finetune, eval, experiment.
-Exit codes: 0 success, 1 usage error, 2 data/dependency error,
-3 internal invariant violation.
+Exit codes: 0 success, 1 usage error, 2 data/dependency error, 3 internal
+error (an invariant violated, or a pool worker died), 130 interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_INTERNAL = 3
+EXIT_INTERRUPTED = 130
 
 
 def _setup_logging() -> None:
@@ -114,9 +115,12 @@ def main(argv=None) -> int:
             FileNotFoundError, OSError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
-    except (T.ContractError, T.DimensionError, AssertionError) as e:
+    except (T.ContractError, T.DimensionError, AssertionError, P.WorkerLost) as e:
         print(f"internal error: {e}", file=sys.stderr)
         return EXIT_INTERNAL
+    except KeyboardInterrupt:   # caught here, after every pool has shut down
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ import hashlib
 import json
 import types
 import typing
-from dataclasses import dataclass, field, asdict, fields
+from dataclasses import dataclass, field, asdict, fields, replace
 
 from .corpus import DatasetConfig
 from .curriculum import SchedulerPolicy
@@ -74,7 +74,6 @@ class TrainingConfig:
             _checked(f"training.overrides.{m}", lambda: self.method_hp(m, 0))
 
     def method_hp(self, method: str, seed: int) -> Hyperparams:
-        from dataclasses import replace
         return replace(self.hp, seed=seed, **self.overrides.get(method, {}))
 
 
@@ -111,10 +110,10 @@ class RunConfig:
     eval: EvalConfig = field(default_factory=EvalConfig)
 
     def canonical_json(self) -> str:
-        """Every field except `output_dir`, which says where results go, not
-        what they are."""
+        """Every field except `output_dir`, which says where results go, and
+        `master_seed`, which the run directory's name carries."""
         payload = asdict(self)
-        del payload["output_dir"]
+        del payload["output_dir"], payload["master_seed"]
         return json.dumps(payload, sort_keys=True, default=list)
 
     def config_hash(self) -> str:

@@ -1,16 +1,16 @@
 """The stages of a run: data, score, train, finetune, evaluate and experiment.
 
-Every stage is a function of (config, seed) that writes into a
-config-hash-named run directory, so re-running a stage reproduces its
-outputs byte for byte. This module is the only one that knows the layout:
+Each stage is a function of (config, seed) that writes the same files into
+that pair's run directory, whichever command runs it; re-running a stage
+reproduces them byte for byte. This module alone knows the layout:
 
     run-<config hash>-seed<seed>/
       data/   vocab.txt, manifest.json, domain_<d>.<split>.tsv
-      base/   vanilla.model.json, summary.json (its step count)
+      base/   vanilla.model.json, summary.json (its pre-training step count)
       score/  scored.tsv, plan.json, summary.json
       train/  <method>.model.json, <method>.provenance.json,
               <method>.ft_domain<d>.model.json
-      eval/   report.json, report.csv
+      eval/   protocol.json, protocol.csv (eval); report.json, report.csv (experiment)
 
 The vanilla model is pretrained once per run directory; every later stage
 loads it from base/. `experiment` and `finetune` run their independent
@@ -49,6 +49,10 @@ class DependencyError(RuntimeError):
     pass
 
 
+class WorkerLost(RuntimeError):
+    """A pool worker died, so the result of the task it ran is lost."""
+
+
 def run_dir(cfg: RunConfig, seed: int) -> str:
     return os.path.join(cfg.output_dir, f"run-{cfg.config_hash()}-seed{seed}")
 
@@ -65,12 +69,16 @@ def _write_json(path: str, payload: dict) -> None:
 
 
 def _write_whole(path: str, write) -> None:
-    """write(a temporary path), then move that file to `path` in one step: a
-    later command finds the whole file or none, also when another process
-    writes the same one."""
+    """write(a temporary path), then move that file to `path` in one step, or
+    remove it if the write fails: a later command finds the whole file or
+    none, also when another process writes the same one."""
     tmp = f"{path}.{os.getpid()}.tmp"
-    write(tmp)
-    os.replace(tmp, path)
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def _read(path: str, load):
@@ -130,15 +138,20 @@ def _labelled(label: str, fn, *args):
         raise T.ContractError(f"{label}: {e}") from e
 
 
-def _submit(pool: ProcessPoolExecutor, tasks) -> list[Future]:
-    """Queue (label, fn, *args) tasks on the pool, in order."""
-    return [pool.submit(_labelled, *task) for task in tasks]
+def _submit(pool: ProcessPoolExecutor, tasks) -> list[tuple[str, Future]]:
+    """Queue (label, fn, *args) tasks on the pool, in order, as (label, future) pairs."""
+    return [(task[0], pool.submit(_labelled, *task)) for task in tasks]
 
 
-def _results(futures: list[Future]) -> list:
+def _results(futures: list[tuple[str, Future]]) -> list:
     """The tasks' results in task order; a failed task's exception is raised
-    here with its own type."""
-    return [f.result() for f in futures]
+    here with its own type, and the first lost one as a WorkerLost naming it."""
+    from concurrent.futures import BrokenExecutor   # loaded by _pool already
+    try:
+        return [f.result() for _, f in futures]
+    except BrokenExecutor as e:   # every task before the lost one has returned
+        lost = next(label for label, f in futures if f.exception())
+        raise WorkerLost(f"{lost}: its worker process died ({e})") from None
 
 
 # ---------------------------------------------------------------------------
@@ -259,8 +272,14 @@ def _load_trained(cfg: RunConfig, seed: int, method: str) -> M.EncoderDecoderMod
 def _train_method(cfg: RunConfig, method: str, seed: int, base: Base,
                   plan: CU.CurriculumPlan | None) -> M.EncoderDecoderModel:
     log.info("training %s (seed %d)", method, seed)
-    return _trainer(cfg, method)[1](base.vanilla, base.dataset, plan,
-                                    cfg.training.method_hp(method, seed))
+    model = _trainer(cfg, method)[1](base.vanilla, base.dataset, plan,
+                                     cfg.training.method_hp(method, seed))
+    _write_json(os.path.join(_stage_dir(cfg, seed, "train"), f"{method}.provenance.json"),
+                {"method": method, "seed": seed, "config_hash": cfg.config_hash(),
+                 "vanilla_steps": base.vanilla_steps})
+    # the checkpoint marks the stage done, so it appears last
+    _write_whole(_checkpoint(cfg, seed, method), partial(M.save_model, model))
+    return model
 
 
 def train(cfg: RunConfig, method: str, seed: int, build_deps: bool = True) -> str:
@@ -278,20 +297,14 @@ def train(cfg: RunConfig, method: str, seed: int, build_deps: bool = True) -> st
     base = _base(cfg, seed)
     plan = None if not needs_plan else (
         _read(plan_path, CU.load_plan) if have_plan else score(cfg, seed, base)[0])
-    model = _labelled(f"{method} (seed {seed})", _train_method, cfg, method, seed, base,
-                      plan)
-    out = _stage_dir(cfg, seed, "train")
-    _write_whole(_checkpoint(cfg, seed, method), partial(M.save_model, model))
-    _write_json(os.path.join(out, f"{method}.provenance.json"),
-                {"method": method, "seed": seed, "config_hash": cfg.config_hash(),
-                 "vanilla_steps": base.vanilla_steps})
+    _labelled(f"{method} (seed {seed})", _train_method, cfg, method, seed, base, plan)
     return _checkpoint(cfg, seed, method)
 
 
 def _finetune_domain(cfg: RunConfig, method: str, seed: int, model: M.EncoderDecoderModel,
                      dataset: C.MultiDomainDataset, d: int) -> None:
-    M.save_model(E.adapted(model, dataset, cfg.training.hp, seed, d),
-                 _checkpoint(cfg, seed, f"{method}.ft_domain{d}"))
+    _write_whole(_checkpoint(cfg, seed, f"{method}.ft_domain{d}"),
+                 partial(M.save_model, E.adapted(model, dataset, cfg.training.hp, seed, d)))
 
 
 def finetune(cfg: RunConfig, method: str, seed: int) -> str:
@@ -313,12 +326,12 @@ def finetune(cfg: RunConfig, method: str, seed: int) -> str:
 # evaluation
 
 
-def _write_report(cfg: RunConfig, seeds, protocol: list[dict], *experiments) -> str:
-    """eval/report.json and report.csv, in the first seed's run directory."""
+def _write_report(cfg: RunConfig, seeds, stem: str, protocol: list[dict], *studies) -> str:
+    """eval/<stem>.json and <stem>.csv, in the first seed's run directory."""
     out = _stage_dir(cfg, seeds[0], "eval")
-    E.report_bundle_json(os.path.join(out, "report.json"), protocol, *experiments,
+    E.report_bundle_json(os.path.join(out, f"{stem}.json"), protocol, *studies,
                          meta={"config_hash": cfg.config_hash(), "seeds": list(seeds)})
-    E.report_csv(os.path.join(out, "report.csv"), protocol)
+    E.report_csv(os.path.join(out, f"{stem}.csv"), protocol)
     return out
 
 
@@ -327,7 +340,7 @@ def evaluate(cfg: RunConfig, seed: int) -> str:
     returns the report directory."""
     models = {m: _load_trained(cfg, seed, m) for m in cfg.training.methods}
     _, dataset, _ = gen_data(cfg, seed)
-    return _write_report(cfg, [seed], E.run_protocol(
+    return _write_report(cfg, [seed], "protocol", E.run_protocol(
         models, dataset, cfg.training.hp, seed, cfg.eval.beam_width, cfg.eval.max_steps))
 
 
@@ -345,7 +358,7 @@ def _scored_base(cfg: RunConfig, seed: int, keep_denoise: bool):
 
 def _trained(cfg: RunConfig, method: str, seed: int, base: Base,
              plan: CU.CurriculumPlan) -> tuple[M.EncoderDecoderModel, list[dict]]:
-    """One method trained on one seed, and its protocol rows."""
+    """One method trained on one seed and written to train/, and its protocol rows."""
     model = _train_method(cfg, method, seed, base, plan)
     return model, E.run_protocol({method: model}, base.dataset, cfg.training.hp, seed,
                                  cfg.eval.beam_width, cfg.eval.max_steps)
@@ -364,11 +377,11 @@ def experiment(cfg: RunConfig) -> dict:
     report directory and that scorer.
 
     Pool tasks, in three rounds: per seed, data, vanilla and scoring; per
-    (seed, method), training and the protocol, plus the first seed's swap
-    specialists if a method is grafted; once the first seed's models are
-    back, its swap study, perturbation and bins, queued behind the later
-    seeds' training. The pool has a worker per core, but no more than the
-    largest round has tasks.
+    (seed, method), training, which writes train/ as `train` does, and the
+    protocol, plus the first seed's swap specialists if a method is grafted;
+    once the first seed's models are back, its swap study, perturbation and
+    bins, queued behind the later seeds' training. The pool has a worker per
+    core, but no more than the largest round has tasks.
     """
     ev, methods, first = cfg.eval, sorted(cfg.training.methods), cfg.eval.seeds[0]
     for m in methods:
@@ -405,5 +418,5 @@ def experiment(cfg: RunConfig) -> dict:
         protocol = [row for seed_tasks in trained
                     for _, rows in _results(seed_tasks) for row in rows]
         studies = _results(experiments)
-    return {"report_dir": _write_report(cfg, ev.seeds, protocol, *studies),
+    return {"report_dir": _write_report(cfg, ev.seeds, "report", protocol, *studies),
             "denoise": denoise}

@@ -123,12 +123,25 @@ class TestConfig:
         assert a.config_hash() != b.config_hash()
 
     def test_hash_deterministic_and_content_sensitive(self):
-        a = cfgmod.config_from_dict({"master_seed": 1})
-        b = cfgmod.config_from_dict({"master_seed": 1})
-        c = cfgmod.config_from_dict({"master_seed": 2})
+        a = cfgmod.config_from_dict({"training": {"epochs": 1}})
+        b = cfgmod.config_from_dict({"training": {"epochs": 1}})
+        c = cfgmod.config_from_dict({"training": {"epochs": 2}})
         assert a.config_hash() == b.config_hash()
         assert a.config_hash() != c.config_hash()
         assert len(a.config_hash()) == 12
+        # where results go, and the seed that the run directory's name carries,
+        # are no part of what a run is
+        moved = cfgmod.config_from_dict({"training": {"epochs": 1}, "master_seed": 7,
+                                         "output_dir": "elsewhere"})
+        assert moved.config_hash() == a.config_hash()
+
+    def test_run_dir_names_the_seed_not_the_master_seed(self):
+        """A (config, seed) has one run directory, whether the master seed or
+        --seed or an eval seed of `experiment` names the seed."""
+        a = cfgmod.config_from_dict({"master_seed": 11})
+        b = cfgmod.config_from_dict({"master_seed": 12})
+        assert P.run_dir(a, 12) == P.run_dir(b, 12)
+        assert P.run_dir(a, 11) != P.run_dir(a, 12)
 
     @pytest.mark.parametrize("raw", [
         {"master_seed": 1.7}, {"master_seed": True}, {"master_seed": "1"},
@@ -170,6 +183,17 @@ def test_cli_import_does_not_load_scipy_stats():
          "import epinmt.cli, sys; print('scipy.stats' in sys.modules)"],
         env=child_env(), capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "False"
+
+
+def test_cli_import_loads_no_process_pool():
+    """`import epinmt.cli` loads neither concurrent.futures nor multiprocessing;
+    only a command that runs a pool does."""
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import epinmt.cli, sys; print(sorted(m for m in sys.modules "
+         "if m.split('.')[0] in ('concurrent', 'multiprocessing')))"],
+        env=child_env(), capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_cli_import_loads_no_scipy_module():
@@ -435,6 +459,30 @@ class TestCliPipeline:
         assert capsys.readouterr().out.strip() == str(ckpt)
         assert [f.read_bytes() for f in written] == fresh
 
+    @pytest.mark.parametrize("command", ["train", "finetune"])
+    def test_failed_checkpoint_write_leaves_no_file(self, tiny_config_file, monkeypatch,
+                                                    capsys, command):
+        """A checkpoint write that fails after writing leaves neither the
+        checkpoint nor its temporary file: the next command finds it absent."""
+        config = ["--config", tiny_config_file]
+        # the checkpoints that the failing command starts from
+        assert cli.main(["train", *config, "--method",
+                         "agg" if command == "finetune" else "vanilla"]) == cli.EXIT_OK
+        save = M.save_model
+
+        def write_then_fail(model, path):
+            save(model, path)
+            raise OSError("No space left on device")
+
+        monkeypatch.setattr(M, "save_model", write_then_fail)
+        assert cli.main([command, *config, "--method", "agg"]) == cli.EXIT_DATA
+        assert "No space left on device" in capsys.readouterr().err
+        run = Path(P.run_dir(cfgmod.load_config(tiny_config_file), 0))
+        assert list(run.rglob("*.tmp")) == []
+        assert sorted(p.name for p in (run / "train").iterdir()) == {
+            "train": ["agg.provenance.json", "vanilla.model.json", "vanilla.provenance.json"],
+            "finetune": ["agg.model.json", "agg.provenance.json"]}[command]
+
     def test_finetune_requires_checkpoint(self, tiny_config_file, capsys):
         rc = cli.main(["finetune", "--config", tiny_config_file,
                        "--method", "agg"])
@@ -479,7 +527,7 @@ class TestCliPipeline:
                              "--build-deps"]) == cli.EXIT_OK
         assert cli.main(["eval", "--config", tiny_config_file]) == cli.EXIT_OK
         out = capsys.readouterr().out.strip().splitlines()[-1]
-        with open(os.path.join(out, "report.json")) as f:
+        with open(os.path.join(out, "protocol.json")) as f:
             evaluated = json.load(f)
         assert evaluated["meta"]["seeds"] == [cfg.master_seed]
         assert cli.main(["experiment", "--config", tiny_config_file]) == cli.EXIT_OK
@@ -533,6 +581,59 @@ class TestExperiment:
         assert log.read_text().splitlines() == ["vars"]   # one scorer pickled
 
 
+@pytest.fixture(scope="class")
+def experimented(tmp_path_factory):
+    """A TINY config file with eval seeds (0, 1), and its output directory
+    after `experiment` alone."""
+    tmp = tmp_path_factory.mktemp("experimented")
+    path = tmp / "config.json"
+    path.write_text(json.dumps({**TINY, "output_dir": str(tmp / "runs"),
+                                "eval": {**TINY["eval"], "seeds": [0, 1]}}))
+    assert cli.main(["experiment", "--config", str(path)]) == cli.EXIT_OK
+    return str(path), tmp / "runs"
+
+
+class TestOneRunLayout:
+    """A (config, seed) has one run directory, and `experiment` writes into it
+    what the single commands write."""
+
+    def test_experiment_writes_what_train_writes(self, experimented, tmp_path, capsys):
+        path, runs = experimented
+        out = tmp_path / "trained"
+        for seed in (0, 1):
+            for m in cfgmod.load_config(path).training.methods:
+                seed_flag = ["--seed", str(seed)] if seed else []   # 0 is the master seed
+                assert cli.main(["train", "--config", path, "--method", m, "--build-deps",
+                                 "--out", str(out), *seed_flag]) == cli.EXIT_OK
+        trained = {p.relative_to(out): p.read_bytes()
+                   for p in sorted(out.rglob("*")) if p.is_file()}
+        assert sum(rel.parent.name == "train" for rel in trained) == 2 * 3 * 2
+        assert {rel: (runs / rel).read_bytes() if (runs / rel).is_file() else None
+                for rel in trained} == trained
+
+    def test_finetune_and_eval_after_experiment_alone(self, experimented, capsys):
+        path, runs = experimented
+        report = Path(P.run_dir(cfgmod.load_config(path), 0), "eval", "report.json")
+        rows = [r for r in json.loads(report.read_text())["protocol"] if r["seed"] == 1]
+        assert cli.main(["finetune", "--config", path, "--method", "agg",
+                         "--seed", "1"]) == cli.EXIT_OK
+        assert cli.main(["eval", "--config", path, "--seed", "1"]) == cli.EXIT_OK
+        out = capsys.readouterr().out.strip().splitlines()[-1]
+        assert json.loads(Path(out, "protocol.json").read_text())["protocol"] == rows
+        assert len(rows) == 3 * 3
+
+    def test_eval_keeps_the_experiment_report(self, experimented, capsys):
+        """`eval` on the first eval seed writes its own protocol files and
+        leaves the experiment's report bundle as it was."""
+        path, _ = experimented
+        report_dir = Path(P.run_dir(cfgmod.load_config(path), 0), "eval")
+        before = {n: (report_dir / n).read_bytes() for n in ("report.json", "report.csv")}
+        assert cli.main(["eval", "--config", path]) == cli.EXIT_OK
+        assert capsys.readouterr().out.strip() == str(report_dir)
+        assert {n: (report_dir / n).read_bytes() for n in before} == before
+        assert (report_dir / "protocol.json").is_file()
+
+
 class TestTaskRunner:
     @pytest.mark.parametrize("task, error, message", [
         (("agg (seed 3)", P._trainer, cfgmod.RunConfig(), "warp_drive"), cfgmod.UsageError,
@@ -545,6 +646,36 @@ class TestTaskRunner:
     def test_task_errors_keep_their_type(self, task, error, message):
         with P._pool(1) as pool, pytest.raises(error, match=message):
             P._results(P._submit(pool, [task]))
+
+    def test_dead_worker_is_an_internal_error_naming_its_task(self, tiny_config_file,
+                                                              monkeypatch, capsys):
+        """A worker that dies ends the command with exit 3 and one line that
+        names the first task whose result was lost."""
+        parent, train = os.getpid(), P._train_method
+
+        def dies_on_agg(cfg, method, *args):
+            if method == "agg" and os.getpid() != parent:
+                os._exit(9)
+            return train(cfg, method, *args)
+
+        monkeypatch.setattr(P, "_train_method", dies_on_agg)
+        assert cli.main(["experiment", "--config", tiny_config_file]) == cli.EXIT_INTERNAL
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("internal error: agg (seed 0): "), err
+
+    def test_interrupt_exits_130(self, tiny_config_file, monkeypatch, capsys):
+        """Ctrl-C while a pool runs ends the command with exit 130, once the
+        pool has shut down."""
+        def interrupted(futures):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(P, "_results", interrupted)
+        try:
+            rc = cli.main(["experiment", "--config", tiny_config_file])
+        except KeyboardInterrupt:   # would end the whole test session
+            rc = "KeyboardInterrupt escaped"
+        assert rc == 130
+        assert capsys.readouterr().err.strip() == "interrupted"
 
     def test_results_in_task_order(self, monkeypatch):
         monkeypatch.setattr(P, "_workers", lambda: 2)

@@ -1,15 +1,19 @@
 """The benchmark harness's hooks into the package still find their targets,
-and src/ holds no function that only tests call."""
+src/ holds no function that only tests call, and the README documents the run
+layout that the code describes."""
 
 import ast
 import importlib
 import importlib.util
+import itertools
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 
 from epinmt import cli
+from epinmt import pipeline
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACER = PERFBENCH / "tracer.py"
@@ -108,3 +112,24 @@ def test_every_public_function_has_a_caller(monkeypatch):
     assert sorted(set(uncalled) - targets - set(UNCALLED_BUT_KEPT)) == []
     # the allowlist holds nothing that has a caller or a tracer hook by now
     assert set(UNCALLED_BUT_KEPT) <= set(uncalled) - targets
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _layout_block(text: str) -> list[str]:
+    """The dedented lines of text's run-directory layout: from the line that
+    starts with `run-<` to the first blank line or code fence."""
+    lines = text.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.lstrip().startswith("run-<"))
+    block = itertools.takewhile(lambda line: line.strip() not in ("", "```"), lines[start:])
+    return textwrap.dedent("\n".join(block)).splitlines()
+
+
+@pytest.mark.skipif(not README.exists(), reason="README.md is absent")
+def test_readme_layout_is_the_pipeline_layout():
+    """The README shows the run-directory layout that `pipeline`'s docstring,
+    the module that writes it, describes, word for word."""
+    readme = _layout_block(README.read_text(encoding="utf-8"))
+    assert readme[0].startswith("run-<") and len(readme) > 1
+    assert readme == _layout_block(pipeline.__doc__)

@@ -37,7 +37,7 @@ def _load(args) -> RunConfig:
     cfg = load_config(args.config) if args.config else RunConfig()
     if args.out:
         cfg.output_dir = args.out
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:   # `experiment` takes no --seed
         if args.seed < 0:
             raise UsageError(f"--seed must be nonnegative, got {args.seed}")
         cfg.master_seed = args.seed
@@ -89,7 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
                      ("eval", cmd_eval), ("experiment", cmd_experiment)):
         p = sub.add_parser(name)
         p.add_argument("--config", type=str, default=None)
-        p.add_argument("--seed", type=int, default=None)
+        if name != "experiment":
+            p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", type=str, default=None)
         if name in ("train", "finetune"):
             p.add_argument("--method", type=str, required=True)

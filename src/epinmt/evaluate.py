@@ -224,7 +224,7 @@ def bin_report(models: dict[str, M.EncoderDecoderModel], thresholds: list[float]
 
 def report_bundle_json(path, protocol: list[dict], swap: list[dict] | None = None,
                        perturbation: list[dict] | None = None,
-                       divergence_bins: dict | None = None, meta: dict | None = None) -> None:
+                       divergence_bins: list | None = None, meta: dict | None = None) -> None:
     """The studies' rows as one JSON file; an empty swap study is left out."""
     bundle = {"meta": meta or {}, "tokenization": "artifact token ids, no retokenization",
               "protocol": protocol, "swap": swap or None, "perturbation": perturbation,

@@ -344,14 +344,14 @@ def evaluate(cfg: RunConfig, seed: int) -> str:
         models, dataset, cfg.training.hp, seed, cfg.eval.beam_width, cfg.eval.max_steps))
 
 
-def _scored_base(cfg: RunConfig, seed: int, keep_denoise: bool):
-    """The seed's `Base`, plan, denoise scorer (None unless `keep_denoise`)
-    and copies of its seen test pairs that carry their divergence scores."""
+def _scored_base(cfg: RunConfig, seed: int):
+    """The seed's `Base`, plan, denoise scorer and copies of its seen test
+    pairs that carry their divergence scores."""
     base = _base(cfg, seed)
     plan, denoise, divergence = score(cfg, seed, base)
     ds = base.dataset
     test_pairs = [p for d in ds.seen_ids for p in ds.splits[d].testing]
-    return base, plan, denoise if keep_denoise else None, [
+    return base, plan, denoise, [
         replace(p, d_score=float(dv))
         for p, dv in zip(test_pairs, CU.divergence_score_pairs(test_pairs, divergence))]
 
@@ -364,59 +364,58 @@ def _trained(cfg: RunConfig, method: str, seed: int, base: Base,
                                  cfg.eval.beam_width, cfg.eval.max_steps)
 
 
-def _specialist(cfg: RunConfig, seed: int, base: Base, d: int) -> M.EncoderDecoderModel:
-    """The standalone domain-d model of the swap experiment."""
-    return TR.train_agg(base.vanilla, base.dataset.splits[d].training,
-                        replace(cfg.training.hp, seed=seed * 100 + d))[0]
+def _swap_study(cfg: RunConfig, seed: int, base: Base, grafted: dict, beam_width: int,
+                max_steps: int) -> list[dict]:
+    """The seed's swap study, after training its specialist for each seen
+    domain d (agg on d alone, seed `seed * 100 + d`) if anything is grafted."""
+    specialists = {d: TR.train_agg(base.vanilla, base.dataset.splits[d].training,
+                                   replace(cfg.training.hp, seed=seed * 100 + d))[0]
+                   for d in (base.dataset.seen_ids if grafted else ())}
+    return E.swap_experiment(grafted, specialists, base.dataset, beam_width, max_steps)
+
+
+def _tagged(seed: int, study, *args) -> list[dict]:
+    """study(*args)'s rows (the bins' dict is one row), tagged with the eval seed."""
+    rows = study(*args)
+    return [{**row, "seed": seed} for row in (rows if isinstance(rows, list) else [rows])]
 
 
 def experiment(cfg: RunConfig) -> dict:
-    """Train every configured method and run the fine-tuning protocol per eval
-    seed; swap, perturbation and bins (and the returned denoise scorer, the
-    only one a task sends back) cover the first eval seed only. Returns the
-    report directory and that scorer.
+    """Train every configured method, and run the fine-tuning protocol, swap
+    study, perturbation and bins, for every eval seed; returns the report
+    directory and each seed's denoise scorer, keyed by seed.
 
     Pool tasks, in three rounds: per seed, data, vanilla and scoring; per
-    (seed, method), training, which writes train/ as `train` does, and the
-    protocol, plus the first seed's swap specialists if a method is grafted;
-    once the first seed's models are back, its swap study, perturbation and
-    bins, queued behind the later seeds' training. The pool has a worker per
-    core, but no more than the largest round has tasks.
+    (seed, method), training (written to train/ as `train` writes it) and
+    protocol, longest first: the episodic methods, then agg, over every seed;
+    per seed, once its models are back, its swap study, perturbation and bins.
+    Rows merge in seed order.
     """
-    ev, methods, first = cfg.eval, sorted(cfg.training.methods), cfg.eval.seeds[0]
+    ev, methods = cfg.eval, sorted(cfg.training.methods)
     for m in methods:
         _trainer(cfg, m)
     grafts = [m for m in ("epi_curriculum", "agg") if m in methods]   # for the swap study
-    rounds = (len(ev.seeds), len(ev.seeds) * len(methods) + cfg.dataset.n_seen * bool(grafts), 3)
-    with _pool(max(rounds)) as pool:
-        scored = _results(_submit(pool, [(f"scoring (seed {s})", _scored_base, cfg, s,
-                                          s == first) for s in ev.seeds]))
-        base, plan, denoise, test_pairs = scored[0]
-        dataset = base.dataset
-
-        def training(s, b, p):
-            return _submit(pool, [(f"{m} (seed {s})", _trained, cfg, m, s, b, p)
-                                  for m in methods])
-
-        # the first seed's tasks go first, as its experiments wait for them
-        trained = [training(first, base, plan)]
-        specialists = _submit(pool, [(f"swap specialist for domain {d} (seed {first})",
-                                      _specialist, cfg, first, base, d)
-                                     for d in dataset.seen_ids if grafts])
-        trained += [training(s, b, p) for s, (b, p, _, _) in zip(ev.seeds[1:], scored[1:])]
-        models = {m: model for m, (model, _) in zip(methods, _results(trained[0]))}
-        specialists = dict(zip(dataset.seen_ids, _results(specialists)))
-        width, steps = ev.experiment_beam_width, ev.max_steps
-        grafted = {m: models[m] for m in grafts}
-        experiments = _submit(pool, [
-            (f"swap study (seed {first})", E.swap_experiment, grafted, specialists,
-             dataset, width, steps),
-            (f"perturbation (seed {first})", E.perturb_experiment, models, dataset,
-             ev.sigmas, ev.noise_seeds, width, steps),
-            (f"divergence bins (seed {first})", E.bin_report, models,
-             plan.shard_thresholds, test_pairs, width, steps)])
-        protocol = [row for seed_tasks in trained
-                    for _, rows in _results(seed_tasks) for row in rows]
-        studies = _results(experiments)
+    order = sorted(((m, s) for m in methods for s in ev.seeds),
+                   key=lambda ms: ms[0] not in TR.EPISODIC)
+    width, steps = ev.experiment_beam_width, ev.max_steps
+    with _pool(max(len(order), 3 * len(ev.seeds))) as pool:
+        scored = dict(zip(ev.seeds, _results(_submit(
+            pool, [(f"scoring (seed {s})", _scored_base, cfg, s) for s in ev.seeds]))))
+        trained = dict(zip(order, _submit(pool, [(f"{m} (seed {s})", _trained, cfg, m, s,
+                                                  *scored[s][:2]) for m, s in order])))
+        protocol, experiments = [], []
+        for s in ev.seeds:
+            base, plan, _, test_pairs = scored[s]
+            results = _results([trained[m, s] for m in methods])
+            models = {m: model for m, (model, _) in zip(methods, results)}
+            protocol += [row for _, rows in results for row in rows]
+            experiments.append(_submit(pool, [
+                (f"swap study (seed {s})", _tagged, s, _swap_study, cfg, s, base,
+                 {m: models[m] for m in grafts}, width, steps),
+                (f"perturbation (seed {s})", _tagged, s, E.perturb_experiment, models,
+                 base.dataset, ev.sigmas, ev.noise_seeds, width, steps),
+                (f"divergence bins (seed {s})", _tagged, s, E.bin_report, models,
+                 plan.shard_thresholds, test_pairs, width, steps)]))
+        studies = [sum(rows, []) for rows in zip(*map(_results, experiments))]
     return {"report_dir": _write_report(cfg, ev.seeds, "report", protocol, *studies),
-            "denoise": denoise}
+            "denoise": {s: scored[s][2] for s in ev.seeds}}

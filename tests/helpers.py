@@ -1,6 +1,7 @@
 """Shared test utilities: finite-difference oracle, tiny model builders and a
 tiny run config."""
 
+import json
 import math
 import os
 import sys
@@ -35,14 +36,22 @@ TINY = {
 # one line per acceptance criterion, replayed in the pytest terminal summary
 ACCEPTANCE_RESULTS: list[str] = []
 
+# the detail that each criterion line prints, at its printed precision
+GOLDEN_CRITERIA = os.path.join(os.path.dirname(__file__), "golden", "criteria.json")
+
 
 def record_criterion(number: int, name: str, passed: bool, detail: str = "") -> None:
+    """Print the criterion's line, then fail if its detail is not the one in
+    tests/golden/criteria.json: a moved value fails even within its threshold."""
     status = "PASS" if passed else "FAIL"
     line = f"[criterion {number:02d}] {status} {name}"
     if detail:
         line += f" ({detail})"
     ACCEPTANCE_RESULTS.append(line)
     print(line, file=sys.stderr, flush=True)
+    with open(GOLDEN_CRITERIA, encoding="utf-8") as f:
+        golden = json.load(f)[f"{number:02d}"]
+    assert detail == golden, f"criterion {number:02d} printed {detail!r}, golden {golden!r}"
 
 
 # the statistics that the acceptance criteria take of an eval/report.json

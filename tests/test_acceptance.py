@@ -404,11 +404,11 @@ def test_criterion_05_scheduler_suite():
 # ---------------------------------------------------------------------------
 # criteria 6-11: the experiment lab — full method lineup over three seeds
 #
-# One shared fixture runs `pipeline.experiment`, the path `epinmt experiment`
-# ships, once per lab seed with that seed as the only eval seed, so the swap,
-# perturbation and bin experiments (first eval seed only) cover every lab
-# seed. The criterion tests only read from it. Hyperparameters were calibrated
-# by seed sweeps; every number in LAB_CONFIG is part of the frozen recipe.
+# One shared fixture makes one `pipeline.experiment` call, the path `epinmt
+# experiment` ships, with the lab seeds as its eval seeds; the protocol, swap,
+# perturbation and bin rows of every seed are in its report. The criterion
+# tests only read from it. Hyperparameters were calibrated by seed sweeps;
+# every number in LAB_CONFIG is part of the frozen recipe.
 
 LAB_SEEDS = (0, 1, 2)
 LAB_METHODS = ("vanilla", "agg", "meta_mt", "epi_nmt", "epi_curriculum")
@@ -438,14 +438,14 @@ LAB_CONFIG = {
 }
 
 
-def _lab_config(seed, output_dir="runs"):
+def _lab_config(output_dir="runs"):
     return cfgmod.config_from_dict({**LAB_CONFIG, "output_dir": str(output_dir),
-                                    "eval": {**LAB_CONFIG["eval"], "seeds": [seed]}})
+                                    "eval": {**LAB_CONFIG["eval"], "seeds": LAB_SEEDS}})
 
 
 def test_lab_config_is_the_frozen_recipe():
     seed = 2
-    cfg = _lab_config(seed)
+    cfg = _lab_config()
     base = dict(alpha=0.25, beta=0.25, epochs=10, batch_size=8, seed=seed,
                 finetune_epochs=6, finetune_lr=0.05)
     for m, ov in {"vanilla": {}, "agg": dict(alpha=0.15, epochs=300, batch_size=64),
@@ -473,32 +473,37 @@ def test_lab_config_is_the_frozen_recipe():
         windows=((0, 16), (10, 10), (18, 6)), unseen_like=(0, 1))
     ev = cfg.eval
     assert (ev.seeds, ev.beam_width, ev.experiment_beam_width, ev.max_steps,
-            ev.sigmas, ev.noise_seeds) == ((seed,), 5, 1, 12, (0.03,), (0, 1, 2))
+            ev.sigmas, ev.noise_seeds) == (LAB_SEEDS, 5, 1, 12, (0.03,), (0, 1, 2))
 
 
-def _lab_seed(seed, output_dir):
-    cfg = _lab_config(seed, output_dir)
-    result = P.experiment(cfg)
+def _lab_seed(cfg, seed, report, denoise):
+    """One seed's view of the lab: its rows of each report study, and the
+    share of noisy and of clean pairs that its denoise scorer drops."""
     # a 10%-noise realization of the same dataset/seed for the filter check;
     # corpus generation and the trusted pairs do not depend on noise_fraction,
     # so the run's denoise scorer applies to it unchanged
     _, ds10 = C.build_dataset(replace(cfg.dataset, noise_fraction=0.10), seed)
     pairs10 = ds10.all_seen_training()
-    dropped = np.asarray(cur.denoise_score_pairs(pairs10, result["denoise"])) < 0
+    dropped = np.asarray(cur.denoise_score_pairs(pairs10, denoise)) < 0
     noisy = np.array([p.is_noise for p in pairs10])
-    # criteria 07-11 read the report file the run ships; JSON floats
-    # round-trip exactly, and NaN loads back as nan
-    with open(os.path.join(result["report_dir"], "report.json"), encoding="utf-8") as f:
-        report = json.load(f)
-    return dict(report, seen_ids=ds10.seen_ids,
+    rows = {study: [r for r in report[study] if r["seed"] == seed]
+            for study in ("protocol", "swap", "perturbation", "divergence_bins")}
+    (bins,) = rows.pop("divergence_bins")
+    return dict(rows, divergence_bins=bins, seen_ids=ds10.seen_ids,
                 filter10=(float(np.mean(dropped[noisy])),
                           float(np.mean(dropped[~noisy]))))
 
 
 @pytest.fixture(scope="module")
 def lab(tmp_path_factory):
-    out = tmp_path_factory.mktemp("lab")
-    return {seed: _lab_seed(seed, out) for seed in LAB_SEEDS}
+    cfg = _lab_config(tmp_path_factory.mktemp("lab"))
+    result = P.experiment(cfg)
+    # criteria 07-11 read the report file the run ships; JSON floats
+    # round-trip exactly, and NaN loads back as nan
+    with open(os.path.join(result["report_dir"], "report.json"), encoding="utf-8") as f:
+        report = json.load(f)
+    return {seed: _lab_seed(cfg, seed, report, result["denoise"][seed])
+            for seed in LAB_SEEDS}
 
 
 def _lab_mean(lab, value):

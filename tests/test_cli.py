@@ -571,14 +571,54 @@ class TestExperiment:
         report = json.loads(Path(result["report_dir"], "report.json").read_text())
         assert "swap" not in report and not log.exists()
 
-    def test_only_the_first_seed_sends_its_denoise_scorer_back(self, tmp_path, monkeypatch):
-        """Each eval seed is scored in a pool task; only the first seed's
-        denoise scorer, the one `experiment` returns, is pickled back."""
+    def test_each_seed_sends_its_denoise_scorer_back_once(self, tmp_path, monkeypatch):
+        """Each eval seed is scored in a pool task, which pickles that seed's
+        denoise scorer back once; `experiment` returns them keyed by seed."""
         log = tmp_path / "calls.log"
+        cfg = _tiny_run(tmp_path, methods=["vanilla"], seeds=[0, 1])
         monkeypatch.setattr(CU.Scorer, "__getstate__", _logged(log, vars), raising=False)
-        result = P.experiment(_tiny_run(tmp_path, methods=["vanilla"], seeds=[0, 1]))
-        assert isinstance(result["denoise"], CU.Scorer)
-        assert log.read_text().splitlines() == ["vars"]   # one scorer pickled
+        denoise = P.experiment(cfg)["denoise"]
+        assert log.read_text().splitlines() == ["vars", "vars"]   # one scorer per seed
+        assert list(denoise) == [0, 1]
+        for seed, scorer in denoise.items():   # scoring again, in this process
+            assert _checksums(scorer) == _checksums(P.score(cfg, seed)[1]), seed
+        assert _checksums(denoise[0]) != _checksums(denoise[1])
+
+    def test_a_seed_does_not_depend_on_the_other_eval_seeds(self, tmp_path):
+        """Eval seed 1's report rows, its run directory outside eval/ and its
+        denoise scorer are the same whether it runs next to seed 0 or alone.
+        The config hash covers `eval.seeds`, so the two runs' hashes, which
+        the files name, are replaced by one placeholder."""
+        def seed_one(seeds):
+            cfg = _tiny_run(tmp_path / f"seeds{len(seeds)}",
+                            methods=["vanilla", "agg", "epi_curriculum"], seeds=seeds)
+            result = P.experiment(cfg)
+            report = json.loads(Path(result["report_dir"], "report.json").read_text())
+            run, tag = Path(P.run_dir(cfg, 1)), cfg.config_hash().encode()
+            files = {p.relative_to(run).as_posix(): p.read_bytes().replace(tag, b"<hash>")
+                     for p in sorted(run.rglob("*"))
+                     if p.is_file() and p.relative_to(run).parts[0] != "eval"}
+            rows = {study: [r for r in report[study] if r["seed"] == 1] for study in
+                    ("protocol", "swap", "perturbation", "divergence_bins")}
+            return rows, files, _checksums(result["denoise"][1])
+
+        (rows, files, checksums), alone = seed_one([0, 1]), seed_one([1])
+        assert all(rows.values()) and any(rel.startswith("train/") for rel in files)
+        assert rows == alone[0]
+        assert files == alone[1]
+        assert checksums == alone[2]
+
+    def test_experiment_takes_no_seed_flag(self, tiny_config_file, tmp_path):
+        """`experiment` runs every eval seed, so a --seed would name nothing."""
+        assert cli.main(["experiment", "--config", tiny_config_file,
+                         "--seed", "5"]) == cli.EXIT_USAGE
+        assert not (tmp_path / "runs").exists()
+
+
+def _checksums(scorer: CU.Scorer) -> dict:
+    """The parameter checksum of a scorer's base model and of each domain's model."""
+    return {"base": scorer.base.checksum(),
+            **{d: m.checksum() for d, m in scorer.domains.items()}}
 
 
 @pytest.fixture(scope="class")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import types
 import typing
 from dataclasses import dataclass, field, asdict, fields, replace
@@ -71,6 +72,7 @@ class TrainingConfig:
                     f"valid methods: {', '.join(METHODS)}")
             _check_keys(Hyperparams, ov, f"training.overrides.{m}")
             _check_ints(Hyperparams, ov, f"training.overrides.{m}")
+            _check_finite(ov, f"training.overrides.{m}")
             _checked(f"training.overrides.{m}", lambda: self.method_hp(m, 0))
 
     def method_hp(self, method: str, seed: int) -> Hyperparams:
@@ -170,6 +172,23 @@ def _check_ints(cls, payload: dict, where: str) -> None:
                              f"got {json.dumps(value)}")
 
 
+def _finite(value) -> bool:
+    """Whether no float in `value`, a tuple's included, is NaN or infinite."""
+    if isinstance(value, tuple):
+        return all(map(_finite, value))
+    return not isinstance(value, float) or math.isfinite(value)
+
+
+def _check_finite(payload: dict, where: str) -> None:
+    """Each of payload's values is free of NaN and infinities, which JSON
+    parsing lets through (`NaN`, `Infinity`, `1e999`) and which pass every
+    bound check; otherwise a usage error."""
+    for key, value in payload.items():
+        if not _finite(value):
+            raise UsageError(f"{where}.{key} takes finite numbers only, "
+                             f"got {json.dumps(value)}")
+
+
 def _object(value, where: str) -> dict:
     """value, which must be a JSON object."""
     if not isinstance(value, dict):
@@ -195,6 +214,7 @@ def _build(cls, payload: dict, where: str):
     _check_keys(cls, _object(payload, where), where)
     values = {k: _frozen(v) for k, v in payload.items()}
     _check_ints(cls, values, where)
+    _check_finite(values, where)
     return _checked(where, lambda: cls(**values))
 
 

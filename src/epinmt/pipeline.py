@@ -15,8 +15,10 @@ reproduces them byte for byte. This module alone knows the layout:
 The vanilla model is pretrained once per run directory; every later stage
 loads it from base/. `experiment` and `finetune` run their independent
 tasks in a process pool with at most one worker per core this process may
-run on; each task receives its inputs as arguments and results merge in a
-fixed order, so the outputs do not depend on the worker count.
+run on (an episodic training adds one process for its specialists, see
+`trainers.epi_train`); each task receives its inputs as arguments and
+results merge in a fixed order, so the outputs do not depend on the worker
+count.
 """
 
 from __future__ import annotations

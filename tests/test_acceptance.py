@@ -244,9 +244,11 @@ def test_criterion_02_freeze_and_locality():
     tr.epi_train(ref)
     partners_ok = all(r.partner_k != r.domain_i for r in ref.episode_log)
 
-    # instrumented replication: per-episode checks that (a) the partner's
-    # modules are untouched by the aggregation update and (c) specialists move
-    # only through their own steps
+    # instrumented replication in one process: per-episode checks that (a)
+    # the partner's modules are untouched by the aggregation update, (c)
+    # specialists move only through their own steps, and that each episode's
+    # record, all four losses included, is epi_train's exactly (it computes
+    # L_i in the specialists' own process)
     state = tr.init_state(vanilla, ds.seen_ids, plan, hp)
     rng = np.random.default_rng(np.random.SeedSequence([hp.seed, 5]))
     locality_ok = True
@@ -258,7 +260,9 @@ def test_criterion_02_freeze_and_locality():
         for j in seen:
             batch_j = cur.sample_batch(plan, stage, hp.batch_size, rng,
                                        domain_id=j)
-            tr.specialist_step(state, j, batch_j)
+            loss_j = tr.specialist_step(state, j, batch_j)
+            if j == i:
+                loss_spec = loss_j
             after = {d: state.specialists[d].checksum() for d in seen}
             locality_ok &= after[j] != spec_cs[j]
             locality_ok &= all(after[d] == spec_cs[d] for d in seen if d != j)
@@ -268,23 +272,26 @@ def test_criterion_02_freeze_and_locality():
         batch_i = cur.sample_batch(plan, stage, hp.batch_size, rng, domain_id=i)
         srcs = [p.source for p in batch_i]
         tgts = [p.target for p in batch_i]
-        T.backward(M.nll_batch(state.agg, srcs, tgts))
+        loss_agg = M.nll_batch(state.agg, srcs, tgts)
+        T.backward(loss_agg)
         hybrid_e = M.EncoderDecoderModel(
             state.agg.config, state.agg.encoder,
             state.specialists[k].decoder.frozen_view())
-        T.backward(M.nll_batch(hybrid_e, srcs, tgts))
+        loss_enc = M.nll_batch(hybrid_e, srcs, tgts)
+        T.backward(loss_enc)
         hybrid_d = M.EncoderDecoderModel(
             state.agg.config, state.specialists[k].encoder.frozen_view(),
             state.agg.decoder)
-        T.backward(M.nll_batch(hybrid_d, srcs, tgts))
+        loss_dec = M.nll_batch(hybrid_d, srcs, tgts)
+        T.backward(loss_dec)
         T.sgd_step(state.agg.encoder, hp.alpha)
         T.sgd_step(state.agg.decoder, hp.alpha)
         # (a) phi_k and theta_k survive the episode's aggregation update
         locality_ok &= all(state.specialists[d].checksum() == spec_cs[d]
                            for d in seen)
         locality_ok &= state.agg.checksum() != agg_cs
-        locality_ok &= ref.episode_log[ep].partner_k == k
-        locality_ok &= ref.episode_log[ep].domain_i == i
+        locality_ok &= ref.episode_log[ep] == tr.EpisodeRecord(
+            ep, stage, i, k, loss_agg.item(), loss_spec, loss_enc.item(), loss_dec.item())
         if not locality_ok:
             break
     replication_ok = state.agg.checksum() == ref.agg.checksum() and all(

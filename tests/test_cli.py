@@ -289,7 +289,22 @@ class TestCliUsage:
                      id="experiment-no-methods"),
         pytest.param("experiment", {"training": {**TINY["training"],
                                                  "methods": ["agg", "agg"]}},
-                     id="experiment-repeated-method")])
+                     id="experiment-repeated-method"),
+        # json.load reads NaN, Infinity and 1e999 (as inf), and NaN passes `< 0`
+        pytest.param("train --method agg", {"training": {**TINY["training"],
+                                                         "alpha": float("nan")}},
+                     id="train-nan-alpha"),
+        pytest.param("score", {"curriculum": {**TINY["curriculum"],
+                                              "scorer_lr": float("nan")}},
+                     id="score-nan-scorer-lr"),
+        pytest.param("score", {"curriculum": {**TINY["curriculum"], "lm_lr": float("inf")}},
+                     id="score-infinite-lm-lr"),
+        pytest.param("train --method agg",
+                     {"training": {**TINY["training"],
+                                   "overrides": {"agg": {"beta": float("inf")}}}},
+                     id="train-infinite-override"),
+        pytest.param("experiment", {"eval": {**TINY["eval"], "sigmas": [0.01, float("nan")]}},
+                     id="experiment-nan-sigma")])
     def test_invalid_config_values_are_usage_errors(self, tmp_path, capsys,
                                                      monkeypatch, command, section):
         """`command` is split on spaces into its arguments; `section` is merged

@@ -1,5 +1,9 @@
 """Training procedures: episodic updates, baselines, fine-tuning, logging."""
 
+import multiprocessing
+import os
+import signal
+import time
 import warnings
 
 import numpy as np
@@ -300,11 +304,14 @@ class TestNonFiniteLoss:
             tr.train_agg(vanilla, ds.all_seen_training(), _hp(alpha=1e100))
 
     def test_epi_train_names_the_episode(self, world):
+        """...and stops the specialists' process, which is then blocked
+        sending episodes that the caller will never read."""
         _, ds, _, vanilla, plan = world
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(T.ContractError, match="non-finite loss at episode 1"):
             tr.epi_train(tr.init_state(vanilla, ds.seen_ids, plan,
-                                       _hp(alpha=1e100, episodes=6)))
+                                       _hp(alpha=1e100, episodes=400)))
+        assert multiprocessing.active_children() == []
 
     def test_maml_train_names_the_episode(self, world):
         _, ds, _, vanilla, _ = world
@@ -312,6 +319,100 @@ class TestNonFiniteLoss:
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(T.ContractError, match="non-finite loss .* at episode 1"):
             tr.maml_train(vanilla, pools, _hp(alpha=1e100, episodes=5))
+
+
+def _failing_at_call(n: int, fail):
+    """A specialist_step that calls fail() on its n-th call (from 1)."""
+    step, calls = tr.specialist_step, [0]
+
+    def specialist_step(*args):
+        calls[0] += 1
+        if calls[0] == n:
+            fail()
+        return step(*args)
+    return specialist_step
+
+
+class TestSpecialistStream:
+    """epi_train runs the specialists in a forked process of their own; no
+    process outlives the call, however it ends."""
+
+    def test_normal_return_leaves_the_specialists_of_a_serial_run(self, world):
+        _, ds, _, vanilla, plan = world
+        state = tr.init_state(vanilla, ds.seen_ids, plan, _hp(episodes=5))
+        serial = tr.init_state(vanilla, ds.seen_ids, plan, _hp(episodes=5))
+        seen = sorted(ds.seen_ids)
+        for e in tr._draw_episodes(serial):
+            for j, batch in zip(seen, e.spec_batches):
+                tr.specialist_step(serial, j, batch)
+        tr.epi_train(state)
+        assert multiprocessing.active_children() == []
+        for d in seen:
+            assert state.specialists[d].checksum() == serial.specialists[d].checksum()
+            assert state.specialists[d].checksum() != vanilla.checksum()
+
+    def test_keyboard_interrupt_stops_the_stream(self, world, monkeypatch):
+        _, ds, _, vanilla, plan = world
+
+        def interrupted(*args):
+            raise KeyboardInterrupt
+        monkeypatch.setattr(tr, "_episodic_backward", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            tr.epi_train(tr.init_state(vanilla, ds.seen_ids, plan, _hp(episodes=200)))
+        assert multiprocessing.active_children() == []
+
+    def test_stream_exception_is_raised_with_its_type(self, world, monkeypatch):
+        _, ds, _, vanilla, plan = world
+
+        def fail():
+            raise LookupError("no such specialist")
+        monkeypatch.setattr(tr, "specialist_step", _failing_at_call(7, fail))
+        with pytest.raises(LookupError, match="no such specialist"):
+            tr.epi_train(tr.init_state(vanilla, ds.seen_ids, plan, _hp(episodes=6)))
+        assert multiprocessing.active_children() == []
+
+    def test_dead_stream_names_the_episode(self, world, monkeypatch):
+        """The 7th specialist step is the first of episode 2 (3 seen domains)."""
+        _, ds, _, vanilla, plan = world
+        monkeypatch.setattr(tr, "specialist_step", _failing_at_call(7, lambda: os._exit(5)))
+        with pytest.raises(T.ContractError,
+                           match=r"specialists' process died at episode 2 \(exit code 5\)"):
+            tr.epi_train(tr.init_state(vanilla, ds.seen_ids, plan, _hp(episodes=6)))
+        assert multiprocessing.active_children() == []
+
+    def test_stream_ends_when_its_caller_is_killed(self, world, monkeypatch):
+        """A caller killed without cleanup (a pool worker terminated, say)
+        leaves the stream to find the pipe's read end gone and exit."""
+        _, ds, _, vanilla, plan = world
+        ctx = multiprocessing.get_context("fork")
+        reader, writer = ctx.Pipe(duplex=False)
+
+        def stall(*args):   # in the caller: report the stream's pid, then hang
+            writer.send(multiprocessing.active_children()[0].pid)
+            time.sleep(120)
+        monkeypatch.setattr(tr, "_episodic_backward", stall)
+        state = tr.init_state(vanilla, ds.seen_ids, plan, _hp(episodes=400))
+        caller = ctx.Process(target=tr.epi_train, args=(state,))
+        caller.start()
+        try:
+            assert reader.poll(60)
+            pid = reader.recv()
+        finally:
+            caller.kill()
+            caller.join()
+
+        def alive() -> bool:   # an exited orphan may stay a zombie until reaped
+            try:
+                with open(f"/proc/{pid}/stat") as f:
+                    return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+            except FileNotFoundError:
+                return False
+        deadline = time.monotonic() + 30
+        while alive() and time.monotonic() < deadline:
+            time.sleep(0.05)
+        if alive():
+            os.kill(pid, signal.SIGKILL)
+            pytest.fail("the stream outlived its killed caller")
 
 
 class TestMaml:

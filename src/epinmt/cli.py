@@ -112,7 +112,7 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (P.DependencyError, C.ConfigError, C.BudgetError, C.ParseError,
+    except (P.DependencyError, C.ConfigError, C.BudgetError,
             FileNotFoundError, OSError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA

@@ -26,10 +26,6 @@ class BudgetError(ValueError):
     pass
 
 
-class ParseError(ValueError):
-    pass
-
-
 @dataclass
 class SentencePair:
     source: list[int]
@@ -292,20 +288,6 @@ def save_tsv(pairs: list[SentencePair], path, vocab: Vocabulary) -> None:
             f.write(vocab.detokenize(p.source) + "\t" + vocab.detokenize(p.target) + "\n")
 
 
-def load_tsv(path, vocab: Vocabulary, domain_id: int = 0) -> list[SentencePair]:
-    pairs = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if "\t" not in line:
-                raise ParseError(f"{path}:{lineno}: missing tab separator")
-            src, tgt = line.split("\t", 1)
-            pairs.append(SentencePair(vocab.tokenize(src), vocab.tokenize(tgt), domain_id))
-    return pairs
-
-
 def save_scored_tsv(pairs: list[SentencePair], path, vocab: Vocabulary) -> None:
     """Extended format: source<TAB>target<TAB>domain<TAB>q<TAB>d."""
     with open(path, "w", encoding="utf-8") as f:
@@ -315,19 +297,3 @@ def save_scored_tsv(pairs: list[SentencePair], path, vocab: Vocabulary) -> None:
             f.write("\t".join([vocab.detokenize(p.source), vocab.detokenize(p.target),
                                str(p.domain_id), q, d]) + "\n")
 
-
-def load_scored_tsv(path, vocab: Vocabulary) -> list[SentencePair]:
-    pairs = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            cols = line.split("\t")
-            if len(cols) != 5:
-                raise ParseError(f"{path}:{lineno}: expected 5 tab-separated columns")
-            src, tgt, dom, q, d = cols
-            pairs.append(SentencePair(vocab.tokenize(src), vocab.tokenize(tgt), int(dom),
-                                      q_score=float(q) if q else None,
-                                      d_score=float(d) if d else None))
-    return pairs

@@ -43,14 +43,13 @@ class CompatibilityError(ValueError):
 
 
 class Vocabulary:
-    """Dense token <-> id maps with fixed reserved ids 0..3."""
+    """The tokens by id, with fixed reserved ids 0..3."""
 
     def __init__(self, content_tokens: list[str]):
         tokens = list(RESERVED_TOKENS) + list(content_tokens)
         if len(set(tokens)) != len(tokens):
             raise ValueError("duplicate tokens in vocabulary")
         self.tokens = tokens
-        self.token_to_id = {t: i for i, t in enumerate(tokens)}
 
     @property
     def size(self) -> int:
@@ -60,9 +59,6 @@ class Vocabulary:
     def content_ids(self) -> list[int]:
         return list(range(len(RESERVED_TOKENS), self.size))
 
-    def tokenize(self, text: str) -> list[int]:
-        return [self.token_to_id.get(tok, UNK) for tok in text.split()]
-
     def detokenize(self, ids: list[int]) -> str:
         return " ".join(self.tokens[i] for i in ids)
 
@@ -70,14 +66,6 @@ class Vocabulary:
         with open(path, "w", encoding="utf-8") as f:
             for tok in self.tokens:
                 f.write(tok + "\n")
-
-    @classmethod
-    def load(cls, path) -> "Vocabulary":
-        with open(path, "r", encoding="utf-8") as f:
-            tokens = [line.rstrip("\n") for line in f if line.strip()]
-        if tokens[: len(RESERVED_TOKENS)] != list(RESERVED_TOKENS):
-            raise ValueError("vocabulary file does not start with the reserved tokens")
-        return cls(tokens[len(RESERVED_TOKENS):])
 
 
 @dataclass

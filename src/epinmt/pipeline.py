@@ -6,29 +6,37 @@ reproduces them byte for byte. This module alone knows the layout:
 
     run-<config hash>-seed<seed>/
       data/   vocab.txt, manifest.json, domain_<d>.<split>.tsv
-      base/   vanilla.model.json, summary.json (its pre-training step count)
-      score/  scored.tsv, plan.json, summary.json
-      train/  <method>.model.json, <method>.provenance.json,
+      base/   vanilla.model.json, summary.json (its record)
+      score/  scored.tsv, plan.json, summary.json (the plan's record)
+      train/  <method>.model.json, <method>.provenance.json (its record),
               <method>.ft_domain<d>.model.json
       eval/   protocol.json, protocol.csv (eval); report.json, report.csv (experiment)
 
-The vanilla model is pretrained once per run directory; every later stage
-loads it from base/. `experiment` and `finetune` run their independent
-tasks in a process pool with at most one worker per core this process may
-run on (an episodic training adds one process for its specialists, see
-`trainers.epi_train`); each task receives its inputs as arguments and
-results merge in a fixed order, so the outputs do not depend on the worker
-count.
+Later commands read back three stage files, each only when its record (the
+JSON written after it) names this config hash, seed, package source and
+numpy version and the file's sha256 (`_stale`): the vanilla model and the
+plan, computed again when they are not current, and each method's
+checkpoint, which `experiment` trains again and `finetune` and `eval` refuse
+(a data error). A command always computes its own stage; delete a file or
+its stage directory to have it computed again.
+
+`experiment` and `finetune` run their independent tasks in a process pool
+with at most one worker per core this process may run on (an episodic
+training adds one process for its specialists, see `trainers.epi_train`);
+each task receives its inputs as arguments and results merge in a fixed
+order, so the outputs do not depend on the worker count.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import os
+import time
 from contextlib import contextmanager
 from dataclasses import replace
-from functools import partial
+from functools import cache, partial
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -65,11 +73,6 @@ def _stage_dir(cfg: RunConfig, seed: int, stage: str) -> str:
     return path
 
 
-def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(payload, f, indent=1, sort_keys=True)
-
-
 def _write_whole(path: str, write) -> None:
     """write(a temporary path), then move that file to `path` in one step, or
     remove it if the write fails: a later command finds the whole file or
@@ -83,19 +86,56 @@ def _write_whole(path: str, write) -> None:
             os.remove(tmp)
 
 
-def _read(path: str, load):
-    """load(path) of a stage file; one that does not parse is a data error
-    naming it."""
-    try:
-        return load(path)
-    except (ValueError, KeyError, TypeError) as e:
-        raise DependencyError(f"{path} is damaged ({type(e).__name__}: {e}); "
-                              "delete it and run its stage again") from None
+def _write_json(path: str, payload: dict) -> None:
+    def dump(tmp):
+        with open(tmp, "w", encoding="utf-8") as f:
+            json.dump(payload, f, indent=1, sort_keys=True)
+    _write_whole(path, dump)
 
 
 def _load_json(path: str):
     with open(path, encoding="utf-8") as f:
         return json.load(f)
+
+
+def _sha256(path: str) -> str:
+    with open(path, "rb") as f:
+        return hashlib.sha256(f.read()).hexdigest()
+
+
+@cache
+def _source_digest() -> str:
+    """The sha256 of each package .py file's name and sha256, in name order."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    return hashlib.sha256("".join(f"{n} {_sha256(os.path.join(here, n))}\n" for n in sorted(
+        os.listdir(here)) if n.endswith(".py")).encode()).hexdigest()
+
+
+def _record(cfg: RunConfig, seed: int, path: str, **counts) -> dict:
+    """`path`'s record: the stage's counts, what names the computation that
+    wrote it (config hash, seed, source, numpy) and its sha256."""
+    return {**counts, "config_hash": cfg.config_hash(), "seed": seed,
+            "source": _source_digest(), "numpy": np.__version__, "sha256": _sha256(path)}
+
+
+@contextmanager
+def _stale(label: str, cfg: RunConfig, seed: int, record: str, path: str):
+    """Yields None when `path` is current, `record` being its `_record` now,
+    else why not: "missing", "stale (<first field that differs>)" or "damaged"
+    (a record that does not parse, or a file it does not name). The block
+    loads or computes `path`; that is logged with its wall time."""
+    start, why = time.perf_counter(), "damaged"
+    try:
+        held, now = _load_json(record), _record(cfg, seed, path)
+        field = next((k for k, v in now.items() if held.get(k) != v), None)
+        why = field and ("damaged" if field == "sha256" else f"stale ({field})")
+    except FileNotFoundError:
+        why = "missing"
+    except (ValueError, AttributeError):   # cut short, or not a JSON object
+        pass
+    yield why
+    how = "reused" if why is None else "computed" if why == "missing" else f"{why}, recomputed"
+    log.info("%s: %s in %.2f s", label, how, time.perf_counter() - start)
 
 
 # ---------------------------------------------------------------------------
@@ -188,22 +228,21 @@ class Base(NamedTuple):
 
 
 def _base(cfg: RunConfig, seed: int) -> Base:
-    """The seed's data, and its vanilla model: pretrained by the first call in
-    a run directory and written to base/, loaded by every later call (float64
-    values round-trip exactly, so both give the same model)."""
+    """The seed's data, and its vanilla model: loaded from base/ when it is
+    current there, else pretrained and written there (float64 values
+    round-trip exactly, so both give the same model)."""
     vocab, dataset, _ = gen_data(cfg, seed)
     out = _stage_dir(cfg, seed, "base")
     path, summary = (os.path.join(out, name) for name in ("vanilla.model.json",
                                                            "summary.json"))
-    if os.path.exists(path):
-        steps = _read(summary, lambda p: _load_json(p)["vanilla_steps"])
-        return Base(vocab, dataset, _read(path, M.load_model), steps)
-    vanilla, curve = TR.pretrain_vanilla(dataset.splits[dataset.generic_id].training,
-                                         replace(cfg.model, vocab_size=vocab.size),
-                                         cfg.training.method_hp("vanilla", seed))
-    _write_json(summary, {"vanilla_steps": len(curve)})
-    # the checkpoint marks the stage done, so it appears last
-    _write_whole(path, partial(M.save_model, vanilla))
+    with _stale(f"base (seed {seed})", cfg, seed, summary, path) as why:
+        if why is None:
+            return Base(vocab, dataset, M.load_model(path), _load_json(summary)["vanilla_steps"])
+        vanilla, curve = TR.pretrain_vanilla(dataset.splits[dataset.generic_id].training,
+                                             replace(cfg.model, vocab_size=vocab.size),
+                                             cfg.training.method_hp("vanilla", seed))
+        _write_whole(path, partial(M.save_model, vanilla))
+        _write_json(summary, _record(cfg, seed, path, vanilla_steps=len(curve)))
     return Base(vocab, dataset, vanilla, len(curve))
 
 
@@ -238,11 +277,11 @@ def score(cfg: RunConfig, seed: int, base: Base | None = None):
 
     out = _stage_dir(cfg, seed, "score")
     C.save_scored_tsv(pairs, os.path.join(out, "scored.tsv"), vocab)
-    _write_whole(os.path.join(out, "plan.json"), partial(CU.save_plan, plan))
-    _write_json(os.path.join(out, "summary.json"),
-                {"scored": len(pairs), "kept": len(kept),
-                 "filtered_count": plan.filtered_count,
-                 "shard_sizes": [len(s) for s in plan.shards]})
+    plan_path = os.path.join(out, "plan.json")
+    _write_whole(plan_path, partial(CU.save_plan, plan))
+    _write_json(os.path.join(out, "summary.json"), _record(
+        cfg, seed, plan_path, scored=len(pairs), kept=len(kept),
+        filtered_count=plan.filtered_count, shard_sizes=[len(s) for s in plan.shards]))
     return plan, denoise, divergence
 
 
@@ -260,15 +299,20 @@ def _trainer(cfg: RunConfig, method: str):
     return TR.TRAINERS[method]
 
 
-def _checkpoint(cfg: RunConfig, seed: int, name: str) -> str:
-    return os.path.join(run_dir(cfg, seed), "train", f"{name}.model.json")
+def _checkpoint(cfg: RunConfig, seed: int, name: str, kind: str = "model") -> str:
+    return os.path.join(run_dir(cfg, seed), "train", f"{name}.{kind}.json")
 
 
-def _load_trained(cfg: RunConfig, seed: int, method: str) -> M.EncoderDecoderModel:
+def _load_trained(cfg: RunConfig, seed: int, method: str, base: Base | None = None,
+                  plan: CU.CurriculumPlan | None = None) -> M.EncoderDecoderModel:
+    """`method`'s checkpoint when it is current; else trained from `base` (and
+    `plan`) and written, or without a `base` a data error naming it."""
     path = _checkpoint(cfg, seed, method)
-    if not os.path.exists(path):
-        raise DependencyError(f"missing checkpoint {path}; run 'train' first")
-    return _read(path, M.load_model)
+    with _stale(f"train/{method} (seed {seed})", cfg, seed,
+                _checkpoint(cfg, seed, method, "provenance"), path) as why:
+        if why and not base:
+            raise DependencyError(f"{why} checkpoint {path}; run 'train --method {method}' first")
+        return _train_method(cfg, method, seed, base, plan) if why else M.load_model(path)
 
 
 def _train_method(cfg: RunConfig, method: str, seed: int, base: Base,
@@ -276,29 +320,30 @@ def _train_method(cfg: RunConfig, method: str, seed: int, base: Base,
     log.info("training %s (seed %d)", method, seed)
     model = _trainer(cfg, method)[1](base.vanilla, base.dataset, plan,
                                      cfg.training.method_hp(method, seed))
-    _write_json(os.path.join(_stage_dir(cfg, seed, "train"), f"{method}.provenance.json"),
-                {"method": method, "seed": seed, "config_hash": cfg.config_hash(),
-                 "vanilla_steps": base.vanilla_steps})
-    # the checkpoint marks the stage done, so it appears last
-    _write_whole(_checkpoint(cfg, seed, method), partial(M.save_model, model))
+    path = _checkpoint(cfg, seed, method)
+    _stage_dir(cfg, seed, "train")
+    _write_whole(path, partial(M.save_model, model))
+    _write_json(_checkpoint(cfg, seed, method, "provenance"), _record(
+        cfg, seed, path, method=method, vanilla_steps=base.vanilla_steps))
     return model
 
 
 def train(cfg: RunConfig, method: str, seed: int, build_deps: bool = True) -> str:
     """Train one method end to end and write its checkpoint; returns the path.
 
-    Curriculum methods read `score/plan.json`; with `build_deps` a missing
-    plan is built (an existing one is reused, never re-scored).
+    Curriculum methods read `score/plan.json` when it is current; with
+    `build_deps` a plan that is not is built, without it that is a data error.
     """
     needs_plan = _trainer(cfg, method)[0]
-    plan_path = os.path.join(run_dir(cfg, seed), "score", "plan.json")
-    have_plan = os.path.exists(plan_path)
-    if needs_plan and not (have_plan or build_deps):
-        raise DependencyError(
-            f"{method} requires a plan; run 'score' first or pass --build-deps")
-    base = _base(cfg, seed)
-    plan = None if not needs_plan else (
-        _read(plan_path, CU.load_plan) if have_plan else score(cfg, seed, base)[0])
+    base, plan, out = _base(cfg, seed), None, os.path.join(run_dir(cfg, seed), "score")
+    if needs_plan:
+        plan_path = os.path.join(out, "plan.json")
+        with _stale(f"score (seed {seed})", cfg, seed, os.path.join(out, "summary.json"),
+                    plan_path) as why:
+            if why and not build_deps:
+                raise DependencyError(
+                    f"{plan_path} is {why}; run 'score' first or pass --build-deps")
+            plan = score(cfg, seed, base)[0] if why else CU.load_plan(plan_path)
     _labelled(f"{method} (seed {seed})", _train_method, cfg, method, seed, base, plan)
     return _checkpoint(cfg, seed, method)
 
@@ -331,8 +376,8 @@ def finetune(cfg: RunConfig, method: str, seed: int) -> str:
 def _write_report(cfg: RunConfig, seeds, stem: str, protocol: list[dict], *studies) -> str:
     """eval/<stem>.json and <stem>.csv, in the first seed's run directory."""
     out = _stage_dir(cfg, seeds[0], "eval")
-    E.report_bundle_json(os.path.join(out, f"{stem}.json"), protocol, *studies,
-                         meta={"config_hash": cfg.config_hash(), "seeds": list(seeds)})
+    _write_whole(os.path.join(out, f"{stem}.json"), lambda tmp: E.report_bundle_json(
+        tmp, protocol, *studies, meta={"config_hash": cfg.config_hash(), "seeds": list(seeds)}))
     E.report_csv(os.path.join(out, f"{stem}.csv"), protocol)
     return out
 
@@ -360,8 +405,8 @@ def _scored_base(cfg: RunConfig, seed: int):
 
 def _trained(cfg: RunConfig, method: str, seed: int, base: Base,
              plan: CU.CurriculumPlan) -> tuple[M.EncoderDecoderModel, list[dict]]:
-    """One method trained on one seed and written to train/, and its protocol rows."""
-    model = _train_method(cfg, method, seed, base, plan)
+    """One method on one seed, from `_load_trained`, and its protocol rows."""
+    model = _load_trained(cfg, seed, method, base, plan)
     return model, E.run_protocol({method: model}, base.dataset, cfg.training.hp, seed,
                                  cfg.eval.beam_width, cfg.eval.max_steps)
 

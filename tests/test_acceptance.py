@@ -6,7 +6,9 @@ terminal summary) and then asserts, so a red run still shows the scoreboard.
 
 import json
 import os
+import shutil
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -612,14 +614,18 @@ def test_criterion_12_determinism(tmp_path, capsys, monkeypatch):
 
     tracked = {}
 
-    def run_and_compare(args, artifacts):
+    def run_and_compare(args, artifacts, recompute=None):
         """Run a command twice; artifacts maps label -> run-dir-relative path.
-        The second run overwrites the first, so bytes are snapshotted."""
+        The second run overwrites the first, so bytes are snapshotted. The
+        run-dir-relative directory `recompute` is removed before the second
+        run, so that it computes what the first one could load from there."""
         results = []
-        for _ in range(2):
+        for i in range(2):
+            if i and recompute:
+                shutil.rmtree(os.path.join(run, recompute))
             assert cli.main(args) == cli.EXIT_OK
             capsys.readouterr()
-            results.append({label: open(os.path.join(run, rel), "rb").read()
+            results.append({label: Path(run, rel).read_bytes()
                             for label, rel in artifacts.items()})
         for label in artifacts:
             tracked[f"{args[0]}:{label}"] = results[0][label] == results[1][label]
@@ -633,7 +639,7 @@ def test_criterion_12_determinism(tmp_path, capsys, monkeypatch):
                     {"checkpoint": "train/agg.model.json"})
     run_and_compare(["experiment", "--config", str(cfg_path)],
                     {"report_json": "eval/report.json",
-                     "report_csv": "eval/report.csv"})
+                     "report_csv": "eval/report.csv"}, recompute="train")
 
     # every file `experiment` writes into a fresh directory, with a pool of
     # one worker and of two

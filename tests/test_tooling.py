@@ -68,8 +68,6 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "epinmt"
 
 # Public functions that no shipped path calls, kept on purpose, and why.
 UNCALLED_BUT_KEPT = {
-    "corpus.load_tsv": "a cached data stage would read data/ back (ROADMAP item 5)",
-    "corpus.load_scored_tsv": "a cached score stage would read it back (ROADMAP item 5)",
     "trainers.write_episode_log": "episodic runs are to write episodes.csv (ROADMAP item 6)",
 }
 

@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Subcommands: gen-data, score, train, finetune, eval, experiment.
-Exit codes: 0 success, 1 usage error, 2 data/dependency error, 3 internal
-error (an invariant violated, or a pool worker died), 130 interrupted (Ctrl-C).
+Exit codes: 0 success, 1 `UsageError`, 2 `DataError` or an `OSError`, 3
+`InternalError` (an invariant violated, or a pool worker died), 130
+interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -13,15 +14,14 @@ import logging
 import os
 import sys
 
-from . import corpus as C
 from . import pipeline as P
-from . import tensor as T
-from .config import RunConfig, UsageError, load_config
+from .config import RunConfig, load_config
+from .errors import DataError, InternalError, UsageError
 
 EXIT_OK = 0
-EXIT_USAGE = 1
-EXIT_DATA = 2
-EXIT_INTERNAL = 3
+EXIT_USAGE = UsageError.exit_code
+EXIT_DATA = DataError.exit_code
+EXIT_INTERNAL = InternalError.exit_code
 EXIT_INTERRUPTED = 130
 
 
@@ -109,16 +109,12 @@ def main(argv=None) -> int:
         return EXIT_USAGE if e.code else EXIT_OK
     try:
         return args.handler(args)
-    except UsageError as e:
-        print(f"usage error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except (P.DependencyError, C.ConfigError, C.BudgetError,
-            FileNotFoundError, OSError) as e:
-        print(f"data error: {e}", file=sys.stderr)
+    except (UsageError, DataError, InternalError) as e:
+        print(f"{e.prefix}: {e}", file=sys.stderr)
+        return e.exit_code
+    except OSError as e:   # a file that cannot be read or written
+        print(f"{DataError.prefix}: {e}", file=sys.stderr)
         return EXIT_DATA
-    except (T.ContractError, T.DimensionError, AssertionError, P.WorkerLost) as e:
-        print(f"internal error: {e}", file=sys.stderr)
-        return EXIT_INTERNAL
     except KeyboardInterrupt:   # caught here, after every pool has shut down
         print("interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED

@@ -16,14 +16,11 @@ from dataclasses import dataclass, field, asdict, fields, replace
 
 from .corpus import DatasetConfig
 from .curriculum import SchedulerPolicy
+from .errors import UsageError
 from .model import ModelConfig
 from .trainers import TRAINERS, Hyperparams
 
 METHODS = tuple(TRAINERS)
-
-
-class UsageError(ValueError):
-    pass
 
 
 @dataclass
@@ -197,10 +194,11 @@ def _object(value, where: str) -> dict:
 
 
 def _checked(where: str, make):
-    """make(); a TypeError or ValueError it raises is a usage error."""
+    """make(); a TypeError, ValueError or UsageError it raises is a usage
+    error that names `where`."""
     try:
         return make()
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, UsageError) as e:
         raise UsageError(f"{where}: {e}") from None
 
 

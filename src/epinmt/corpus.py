@@ -13,17 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import DataError, UsageError
 from .model import Vocabulary
 
 STRUCTURAL_RULES = ("identity", "reverse", "rotate", "swap")
-
-
-class ConfigError(ValueError):
-    pass
-
-
-class BudgetError(ValueError):
-    pass
 
 
 @dataclass
@@ -49,11 +42,11 @@ class DomainSpec:
 
     def __post_init__(self):
         if self.rule not in STRUCTURAL_RULES:
-            raise ConfigError(f"unknown structural rule '{self.rule}'")
+            raise UsageError(f"unknown structural rule '{self.rule}'")
         if self.len_max < 5:
-            raise ConfigError("degenerate length distribution: len_max < 5")
+            raise UsageError("degenerate length distribution: len_max < 5")
         if self.len_min > self.len_max:
-            raise ConfigError("len_min > len_max")
+            raise UsageError("len_min > len_max")
 
     def build_substitution(self, vocab: Vocabulary) -> dict[int, int]:
         if self.substitution is not None:
@@ -78,7 +71,7 @@ def apply_rule(rule: str, tokens: list[int], rotate_by: int = 1) -> list[int]:
         for i in range(0, len(out) - 1, 2):
             out[i], out[i + 1] = out[i + 1], out[i]
         return out
-    raise ConfigError(f"unknown structural rule '{rule}'")
+    raise UsageError(f"unknown structural rule '{rule}'")
 
 
 def domain_target(spec: DomainSpec, source: list[int], sub: dict[int, int]) -> list[int]:
@@ -89,7 +82,7 @@ def generate_domain(spec: DomainSpec, n_pairs: int, seed: int,
                     vocab: Vocabulary) -> list[SentencePair]:
     """Draw n_pairs sources from the length distribution; targets follow the rule."""
     if n_pairs <= 0:
-        raise ConfigError("n_pairs must be positive")
+        raise UsageError("n_pairs must be positive")
     rng = np.random.default_rng(np.random.SeedSequence([seed, spec.domain_id]))
     sub = spec.build_substitution(vocab)
     content = np.array(spec.source_ids if spec.source_ids is not None
@@ -110,6 +103,10 @@ def inject_noise(pairs: list[SentencePair], fraction: float, seed: int) -> list[
     out = [SentencePair(p.source, p.target, p.domain_id, is_noise=False) for p in pairs]
     if k == 0:
         return out
+    if n < 2:
+        raise DataError(f"domain {pairs[0].domain_id} has {n} training pair, so "
+                        f"noise_fraction {fraction} asks for a noisy pair with no other "
+                        f"pair's target to take")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 11]))
     victims = rng.choice(n, size=k, replace=False)
     originals = [p.target for p in pairs]
@@ -142,8 +139,7 @@ def split(pairs: list[SentencePair], budgets: dict[str, int], seed: int) -> Data
         count = 0
         while count < budget:
             if cursor >= len(pairs):
-                raise BudgetError(
-                    f"insufficient data for {name}: short {budget - count} tokens")
+                raise DataError(f"insufficient data for {name}: short {budget - count} tokens")
             p = pairs[order[cursor]]
             cursor += 1
             result[name].append(p)
@@ -195,27 +191,27 @@ class DatasetConfig:
 
     def __post_init__(self):
         if self.len_min < 1:
-            raise ConfigError(f"len_min must be >= 1, got {self.len_min}")
+            raise UsageError(f"len_min must be >= 1, got {self.len_min}")
         if self.n_content < 4:
-            raise ConfigError("n_content too small")
+            raise UsageError("n_content too small")
         if not 0.0 <= self.noise_fraction <= 1.0:
-            raise ConfigError("noise_fraction must lie in [0, 1]")
+            raise UsageError("noise_fraction must lie in [0, 1]")
         if min(self.n_seen, self.train_tokens, self.finetune_tokens, self.test_tokens,
                self.generic_train_tokens) < 1 or min(self.n_unseen, self.trusted_count) < 0:
-            raise ConfigError("n_seen and the token budgets must be >= 1, "
-                              "n_unseen and trusted_count >= 0")
+            raise UsageError("n_seen and the token budgets must be >= 1, "
+                             "n_unseen and trusted_count >= 0")
         for name in ("rules", "windows", "unseen_like"):  # cycled, so never empty
             if getattr(self, name) is not None and not getattr(self, name):
-                raise ConfigError(f"{name} must not be empty")
+                raise UsageError(f"{name} must not be empty")
         for rule in self.rules:  # DomainSpec checks the rule and the length band
             DomainSpec(0, rule=rule, len_min=self.len_min, len_max=self.len_max)
         for pos in self.unseen_like or ():
             if not 0 <= pos < self.n_seen:
-                raise ConfigError(f"unseen_like position {pos} out of range")
+                raise UsageError(f"unseen_like position {pos} out of range")
         if self.windows is not None:
             for start, size in self.windows:
                 if start < 0 or size < 1 or start + size > self.n_content:
-                    raise ConfigError(
+                    raise UsageError(
                         f"window ({start}, {size}) outside the content vocabulary")
 
 

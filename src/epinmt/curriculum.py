@@ -20,7 +20,8 @@ import numpy as np
 
 from . import model as M
 from . import tensor as T
-from .corpus import BudgetError, MultiDomainDataset, SentencePair
+from .corpus import MultiDomainDataset, SentencePair
+from .errors import DataError, InternalError
 
 N_SHARDS = 5
 
@@ -201,7 +202,7 @@ def filter_noise(scored_pairs: list[SentencePair]) -> list[SentencePair]:
     """Drop pairs with strictly negative q; zero is kept, order preserved."""
     for p in scored_pairs:
         if p.q_score is None:
-            raise T.ContractError("filter_noise: pair without q_score")
+            raise InternalError("filter_noise: pair without q_score")
     return [p for p in scored_pairs if p.q_score >= 0.0]
 
 
@@ -231,11 +232,11 @@ def build_plan(kept_pairs: list[SentencePair], policy: SchedulerPolicy,
     """Stable ascending sort by d score, then 5 contiguous shards (sizes
     differ by at most 1; the remainder goes to the earliest shards)."""
     if len(kept_pairs) < N_SHARDS:
-        raise BudgetError(f"the curriculum needs at least {N_SHARDS} kept pairs to shard, "
-                          f"got {len(kept_pairs)} kept ({filtered_count} filtered as noise)")
+        raise DataError(f"the curriculum needs at least {N_SHARDS} kept pairs to shard, "
+                        f"got {len(kept_pairs)} kept ({filtered_count} filtered as noise)")
     for p in kept_pairs:
         if p.d_score is None:
-            raise T.ContractError("build_plan: pair without d_score")
+            raise InternalError("build_plan: pair without d_score")
     order = sorted(range(len(kept_pairs)), key=lambda i: (kept_pairs[i].d_score, i))
     ordered = [kept_pairs[i] for i in order]
     n = len(ordered)
@@ -303,7 +304,7 @@ def bin_testset(test_pairs: list[SentencePair],
     bins: list[list[SentencePair]] = [[] for _ in range(len(thresholds) + 1)]
     for p in test_pairs:
         if p.d_score is None:
-            raise T.ContractError("bin_testset: pair without d_score")
+            raise InternalError("bin_testset: pair without d_score")
         k = 0
         while k < len(thresholds) and p.d_score > thresholds[k]:
             k += 1

@@ -16,9 +16,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import model as M
-from . import tensor as T
 from .corpus import MultiDomainDataset, SentencePair
 from .curriculum import bin_testset
+from .errors import InternalError
 from .trainers import Hyperparams, finetune
 
 MAX_NGRAM = 4
@@ -41,7 +41,7 @@ def _ngrams(tokens: list[int], n: int) -> Counter:
 
 def corpus_bleu(hypotheses: list[list[int]], references: list[list[int]]) -> BleuScore:
     if len(hypotheses) != len(references):
-        raise T.ContractError(
+        raise InternalError(
             f"corpus_bleu: {len(hypotheses)} hypotheses vs {len(references)} references")
     hyp_len = sum(len(h) for h in hypotheses)
     ref_len = sum(len(r) for r in references)
@@ -124,7 +124,7 @@ def run_protocol(models: dict[str, M.EncoderDecoderModel], dataset: MultiDomainD
                          "seed": seed, "bleu_before": b_before, "bleu_after": b_after,
                          "delta_ft": b_after - b_before})
         if model.checksum() != before_cs:
-            raise T.ContractError(f"evaluation mutated model '{name}'")
+            raise InternalError(f"evaluation mutated model '{name}'")
     return rows
 
 

@@ -26,20 +26,13 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import tensor as T
+from .errors import InternalError
 from .tensor import ParameterSet, Tensor
 
 PAD, BOS, EOS, UNK = 0, 1, 2, 3
 RESERVED_TOKENS = ("<pad>", "<bos>", "<eos>", "<unk>")
 
 NEG_INF = -1e9
-
-
-class LengthError(ValueError):
-    """Input sequence exceeds the configured maximum length."""
-
-
-class CompatibilityError(ValueError):
-    """Encoder and decoder come from different model configurations."""
 
 
 class Vocabulary:
@@ -168,14 +161,13 @@ def init_lm(cfg: ModelConfig, rng) -> LanguageModel:
 def compose(theta: ParameterSet, phi: ParameterSet, cfg: ModelConfig) -> EncoderDecoderModel:
     """Pair an encoder with a decoder by reference; no parameters are copied."""
     if "out.w" not in phi or "emb" not in theta:
-        raise CompatibilityError("compose: arguments look swapped or incomplete")
+        raise InternalError("compose: arguments look swapped or incomplete")
     if theta["emb"].shape != (cfg.vocab_size, cfg.d_model):
-        raise CompatibilityError(
+        raise InternalError(
             f"encoder embedding {theta['emb'].shape} does not match config "
             f"({cfg.vocab_size}, {cfg.d_model})")
     if phi["out.w"].shape != (cfg.d_model, cfg.vocab_size):
-        raise CompatibilityError(
-            f"decoder projection {phi['out.w'].shape} does not match config")
+        raise InternalError(f"decoder projection {phi['out.w'].shape} does not match config")
     return EncoderDecoderModel(cfg, theta, phi)
 
 
@@ -232,7 +224,7 @@ def _stack(p: ParameterSet, cfg: ModelConfig, ids: np.ndarray, self_mask: np.nda
     positions from cache.start on, and self-attention extends the cached K/V."""
     start = cache.start if cache else 0
     if start + ids.shape[-1] > cfg.max_len:
-        raise LengthError(f"sequence length {start + ids.shape[-1]} > max_len {cfg.max_len}")
+        raise InternalError(f"sequence length {start + ids.shape[-1]} > max_len {cfg.max_len}")
     x = _embed(p, ids, cfg, start)
     for i in range(cfg.n_layers):
         for j, kind in enumerate(sublayers, 1):
@@ -315,7 +307,7 @@ def nll_batch(model: EncoderDecoderModel, sources: list[list[int]],
               targets: list[list[int]]) -> Tensor:
     """Mean per-token teacher-forced negative log-likelihood over the batch."""
     if not sources or any(len(s) == 0 for s in sources) or any(len(t) == 0 for t in targets):
-        raise T.ContractError("nll: empty batch or empty sequence")
+        raise InternalError("nll: empty batch or empty sequence")
     cfg = model.config
     src, dec_in, tgt_out, _ = prepare_batch(sources, targets)
     memory = encode_batch(model.encoder, cfg, src)
@@ -341,7 +333,7 @@ def lm_nll_batch(lm: LanguageModel, sentences: list[list[int]]) -> Tensor:
 def lm_logprob_batch(lm: LanguageModel, sentences: list[list[int]]) -> np.ndarray:
     """log P(sentence) per sentence: BOS-conditioned, EOS included. No grads."""
     if any(len(s) == 0 for s in sentences):
-        raise T.ContractError("lm_logprob: empty sentence")
+        raise InternalError("lm_logprob: empty sentence")
     dec_in, tgt = _teacher_force(sentences)
     logits = lm_logits(lm.params.frozen_view(), lm.config, dec_in).data
     return _target_logprobs(logits, tgt).sum(axis=-1)

@@ -45,22 +45,14 @@ from . import corpus as C
 from . import curriculum as CU
 from . import evaluate as E
 from . import model as M
-from . import tensor as T
 from . import trainers as TR
-from .config import METHODS, RunConfig, UsageError
+from .config import METHODS, RunConfig
+from .errors import DataError, InternalError, UsageError
 
 if TYPE_CHECKING:
     from concurrent.futures import Future, ProcessPoolExecutor
 
 log = logging.getLogger(__name__)
-
-
-class DependencyError(RuntimeError):
-    pass
-
-
-class WorkerLost(RuntimeError):
-    """A pool worker died, so the result of the task it ran is lost."""
 
 
 def run_dir(cfg: RunConfig, seed: int) -> str:
@@ -172,12 +164,13 @@ def _pool(tasks: int):
 
 
 def _labelled(label: str, fn, *args):
-    """fn(*args); a ContractError it raises is re-raised with `label` (which
+    """fn(*args); an InternalError it raises (a broken contract, a shape or
+    length mismatch, a non-finite loss) is re-raised with `label` (which
     names the task's method and seed) in front of its message."""
     try:
         return fn(*args)
-    except T.ContractError as e:
-        raise T.ContractError(f"{label}: {e}") from e
+    except InternalError as e:
+        raise InternalError(f"{label}: {e}") from e
 
 
 def _submit(pool: ProcessPoolExecutor, tasks) -> list[tuple[str, Future]]:
@@ -187,13 +180,13 @@ def _submit(pool: ProcessPoolExecutor, tasks) -> list[tuple[str, Future]]:
 
 def _results(futures: list[tuple[str, Future]]) -> list:
     """The tasks' results in task order; a failed task's exception is raised
-    here with its own type, and the first lost one as a WorkerLost naming it."""
+    here with its own type, and the first lost one as an InternalError naming it."""
     from concurrent.futures import BrokenExecutor   # loaded by _pool already
     try:
         return [f.result() for _, f in futures]
     except BrokenExecutor as e:   # every task before the lost one has returned
         lost = next(label for label, f in futures if f.exception())
-        raise WorkerLost(f"{lost}: its worker process died ({e})") from None
+        raise InternalError(f"{lost}: its worker process died ({e})") from None
 
 
 # ---------------------------------------------------------------------------
@@ -203,12 +196,13 @@ def _results(futures: list[tuple[str, Future]]) -> list:
 def gen_data(cfg: RunConfig, seed: int) -> tuple[M.Vocabulary, C.MultiDomainDataset, str]:
     vocab, dataset = C.build_dataset(cfg.dataset, seed)
     out = _stage_dir(cfg, seed, "data")
-    vocab.save(os.path.join(out, "vocab.txt"))
+    _write_whole(os.path.join(out, "vocab.txt"), vocab.save)
     manifest = {"seed": seed, "config_hash": cfg.config_hash(), "domains": {}}
     for d, sp in sorted(dataset.splits.items()):
         for split_name, pairs in (("train", sp.training), ("finetune", sp.finetune),
                                   ("test", sp.testing)):
-            C.save_tsv(pairs, os.path.join(out, f"domain_{d}.{split_name}.tsv"), vocab)
+            _write_whole(os.path.join(out, f"domain_{d}.{split_name}.tsv"),
+                         partial(C.save_tsv, pairs, vocab=vocab))
         manifest["domains"][str(d)] = {
             "kind": ("generic" if d == dataset.generic_id
                      else "seen" if d in dataset.seen_ids else "unseen"),
@@ -276,7 +270,8 @@ def score(cfg: RunConfig, seed: int, base: Base | None = None):
     plan = CU.build_plan(kept, cfg.curriculum.policy(), len(pairs) - len(kept))
 
     out = _stage_dir(cfg, seed, "score")
-    C.save_scored_tsv(pairs, os.path.join(out, "scored.tsv"), vocab)
+    _write_whole(os.path.join(out, "scored.tsv"),
+                 partial(C.save_scored_tsv, pairs, vocab=vocab))
     plan_path = os.path.join(out, "plan.json")
     _write_whole(plan_path, partial(CU.save_plan, plan))
     _write_json(os.path.join(out, "summary.json"), _record(
@@ -311,7 +306,7 @@ def _load_trained(cfg: RunConfig, seed: int, method: str, base: Base | None = No
     with _stale(f"train/{method} (seed {seed})", cfg, seed,
                 _checkpoint(cfg, seed, method, "provenance"), path) as why:
         if why and not base:
-            raise DependencyError(f"{why} checkpoint {path}; run 'train --method {method}' first")
+            raise DataError(f"{why} checkpoint {path}; run 'train --method {method}' first")
         return _train_method(cfg, method, seed, base, plan) if why else M.load_model(path)
 
 
@@ -341,8 +336,7 @@ def train(cfg: RunConfig, method: str, seed: int, build_deps: bool = True) -> st
         with _stale(f"score (seed {seed})", cfg, seed, os.path.join(out, "summary.json"),
                     plan_path) as why:
             if why and not build_deps:
-                raise DependencyError(
-                    f"{plan_path} is {why}; run 'score' first or pass --build-deps")
+                raise DataError(f"{plan_path} is {why}; run 'score' first or pass --build-deps")
             plan = score(cfg, seed, base)[0] if why else CU.load_plan(plan_path)
     _labelled(f"{method} (seed {seed})", _train_method, cfg, method, seed, base, plan)
     return _checkpoint(cfg, seed, method)
@@ -378,7 +372,7 @@ def _write_report(cfg: RunConfig, seeds, stem: str, protocol: list[dict], *studi
     out = _stage_dir(cfg, seeds[0], "eval")
     _write_whole(os.path.join(out, f"{stem}.json"), lambda tmp: E.report_bundle_json(
         tmp, protocol, *studies, meta={"config_hash": cfg.config_hash(), "seeds": list(seeds)}))
-    E.report_csv(os.path.join(out, f"{stem}.csv"), protocol)
+    _write_whole(os.path.join(out, f"{stem}.csv"), partial(E.report_csv, protocol=protocol))
     return out
 
 

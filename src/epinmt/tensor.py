@@ -23,11 +23,11 @@ from typing import Callable, Iterable
 
 import numpy as np
 
+from .errors import InternalError
+
 __all__ = [
     "Tensor",
     "ParameterSet",
-    "DimensionError",
-    "ContractError",
     "add",
     "sub",
     "mul",
@@ -53,14 +53,6 @@ __all__ = [
     "sgd_step",
     "sgd_loop",
 ]
-
-
-class DimensionError(ValueError):
-    """Operand shapes are incompatible for the requested op."""
-
-
-class ContractError(RuntimeError):
-    """A caller violated an op's contract (non-scalar loss, missing grad...)."""
 
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -133,7 +125,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     try:
         data = a.data + b.data
     except ValueError:
-        raise DimensionError(f"add: incompatible shapes {a.shape} and {b.shape}")
+        raise InternalError(f"add: incompatible shapes {a.shape} and {b.shape}")
 
     def back(g):
         _accumulate(a, _unbroadcast(g, a.shape))
@@ -150,7 +142,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     try:
         data = a.data * b.data
     except ValueError:
-        raise DimensionError(f"mul: incompatible shapes {a.shape} and {b.shape}")
+        raise InternalError(f"mul: incompatible shapes {a.shape} and {b.shape}")
 
     def back(g):
         _accumulate(a, _unbroadcast(g * b.data, a.shape))
@@ -273,9 +265,9 @@ def reduce_mean(a: Tensor, axis=None, keepdims=False) -> Tensor:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product with numpy batching over leading axes."""
     if a.data.ndim < 2 or b.data.ndim < 2:
-        raise DimensionError(f"matmul needs >=2-d operands, got {a.shape} x {b.shape}")
+        raise InternalError(f"matmul needs >=2-d operands, got {a.shape} x {b.shape}")
     if a.shape[-1] != b.shape[-2]:
-        raise DimensionError(f"matmul: inner dims disagree for {a.shape} x {b.shape}")
+        raise InternalError(f"matmul: inner dims disagree for {a.shape} x {b.shape}")
     data = np.matmul(a.data, b.data)
 
     def back(g):
@@ -305,7 +297,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     if eps <= 0:
         raise ValueError("layer_norm: eps must be > 0")
     if (x.shape[-1] if x.data.ndim else 0) == 0:
-        raise DimensionError("layer_norm: empty last axis")
+        raise InternalError("layer_norm: empty last axis")
     out, cache = _ln_forward(x.data, gain.data, bias.data, eps)
 
     def back(g):
@@ -376,7 +368,7 @@ def softmax_cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     targets = np.asarray(targets, dtype=np.int64)
     n, v = logits.shape
     if targets.shape != (n,):
-        raise DimensionError(f"targets shape {targets.shape} != ({n},)")
+        raise InternalError(f"targets shape {targets.shape} != ({n},)")
     if targets.size and (targets.min() < 0 or targets.max() >= v):
         raise IndexError(f"target id out of range for {v} classes")
     z = logits.data - logits.data.max(axis=-1, keepdims=True)
@@ -404,7 +396,7 @@ def softmax_cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """x @ w (+ b) for x [..., n_in], w [n_in, n_out], b [n_out]."""
     if x.data.ndim < 2 or w.data.ndim != 2 or x.shape[-1] != w.shape[0]:
-        raise DimensionError(f"linear: cannot apply {w.shape} weight to {x.shape} input")
+        raise InternalError(f"linear: cannot apply {w.shape} weight to {x.shape} input")
     data = np.matmul(x.data, w.data)
     if b is not None:
         data += b.data
@@ -492,8 +484,8 @@ def masked_cross_entropy(logits: Tensor, targets: np.ndarray, valid: np.ndarray)
     """
     if (logits.data.ndim != 3 or np.shape(targets) != logits.shape[:2]
             or np.shape(valid) != logits.shape[:2]):
-        raise DimensionError(f"masked_cross_entropy: logits {logits.shape}, targets "
-                             f"{np.shape(targets)}, valid {np.shape(valid)}")
+        raise InternalError(f"masked_cross_entropy: logits {logits.shape}, targets "
+                            f"{np.shape(targets)}, valid {np.shape(valid)}")
     b, l, v = logits.shape
     idx = np.flatnonzero(np.asarray(valid).reshape(-1))
     t = np.asarray(targets, dtype=np.int64).reshape(-1)[idx]
@@ -532,7 +524,7 @@ def attn_block(x: Tensor, gain: Tensor, bias: Tensor, wq: Tensor, wk: Tensor | N
     reads the buffers up to x's last position. A cached block takes no gradient.
     """
     if x.data.ndim != 3 or x.shape[2] % n_heads or (kv is None) == (wk is None):
-        raise DimensionError(f"attn_block: bad input {x.shape} or K/V for {n_heads} heads")
+        raise InternalError(f"attn_block: bad input {x.shape} or K/V for {n_heads} heads")
     nx, ln_cache = _ln_forward(x.data, gain.data, bias.data)
     need_nx = _needs_grad(x, gain, bias)
     ws, kv = ((wq, wk, wv), ()) if kv is None else ((wq,), kv)
@@ -541,7 +533,7 @@ def attn_block(x: Tensor, gain: Tensor, bias: Tensor, wq: Tensor, wk: Tensor | N
     need = [need_nx or w.grad_enabled for w in ws] + [t.grad_enabled for t in kv]
     if cache is not None:
         if any(need) or kv:
-            raise ContractError("attn_block: a K/V cache is for self-attention without gradients")
+            raise InternalError("attn_block: a K/V cache is for self-attention without gradients")
         kbuf, vbuf, start = cache
         end = start + x.shape[1]
         kbuf[:, start:end], vbuf[:, start:end] = qkv[1:]
@@ -573,7 +565,7 @@ def ff_block(x: Tensor, gain: Tensor, bias: Tensor, w1: Tensor, b1: Tensor, w2: 
              b2: Tensor) -> Tensor:
     """x + gelu(LN(x) @ w1 + b1) @ w2 + b2: one pre-LN feed-forward sublayer."""
     if x.data.ndim < 2 or x.shape[-1] != w1.shape[0]:
-        raise DimensionError(f"ff_block: cannot apply {w1.shape} weight to {x.shape} input")
+        raise InternalError(f"ff_block: cannot apply {w1.shape} weight to {x.shape} input")
     nx, ln_cache = _ln_forward(x.data, gain.data, bias.data)
     a = np.matmul(nx, w1.data)
     a += b1.data
@@ -603,7 +595,7 @@ def ff_block(x: Tensor, gain: Tensor, bias: Tensor, w1: Tensor, b1: Tensor, w2: 
 def backward(loss: Tensor) -> None:
     """One reverse pass from a scalar loss; grads accumulate by summation."""
     if loss.data.ndim != 0:
-        raise ContractError(f"backward expects a scalar loss, got shape {loss.shape}")
+        raise InternalError(f"backward expects a scalar loss, got shape {loss.shape}")
     order: list[Tensor] = []
     seen: set[int] = set()
     stack: list[tuple[Tensor, bool]] = [(loss, False)]
@@ -672,7 +664,7 @@ def sgd_step(params: ParameterSet, lr: float) -> None:
         if not p.grad_enabled:
             continue
         if p.grad is None:
-            raise ContractError(f"sgd_step: parameter '{name}' has no gradient")
+            raise InternalError(f"sgd_step: parameter '{name}' has no gradient")
         p.data -= lr * p.grad
         p.grad = None
 
@@ -681,7 +673,7 @@ def sgd_loop(modules: list[ParameterSet], loss_of: Callable[[object], Tensor],
              batches: Iterable, lr: float) -> list[float]:
     """Per batch: one loss, one reverse pass, one `sgd_step` per module.
 
-    Returns the per-step loss curve. A non-finite loss raises ContractError
+    Returns the per-step loss curve. A non-finite loss raises InternalError
     before it can reach the parameters.
     """
     curve = []
@@ -689,7 +681,7 @@ def sgd_loop(modules: list[ParameterSet], loss_of: Callable[[object], Tensor],
         loss = loss_of(batch)
         value = loss.item()
         if not math.isfinite(value):
-            raise ContractError(f"non-finite loss {value} at step {step}")
+            raise InternalError(f"non-finite loss {value} at step {step}")
         backward(loss)
         for params in modules:
             sgd_step(params, lr)

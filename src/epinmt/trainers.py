@@ -21,6 +21,7 @@ from . import model as M
 from . import tensor as T
 from .corpus import SentencePair
 from .curriculum import CurriculumPlan, pairs_nll, sample_batch, stage_of, uniform_plan
+from .errors import InternalError
 
 
 @dataclass
@@ -151,8 +152,8 @@ def init_state(vanilla: M.EncoderDecoderModel, seen_ids: list[int],
 def specialist_step(state: EpisodicState, i: int, batch: list[SentencePair]) -> float:
     """One SGD step of specialist i on its own-domain batch at lr beta."""
     if any(p.domain_id != i for p in batch):
-        raise T.ContractError(f"specialist_step: batch contains foreign domain pairs "
-                              f"(expected domain {i})")
+        raise InternalError(f"specialist_step: batch contains foreign domain pairs "
+                            f"(expected domain {i})")
     spec = state.specialists[i]
     loss = pairs_nll(spec, batch)
     T.backward(loss)
@@ -259,13 +260,13 @@ def _specialist_stream(state: EpisodicState, episodes: list[_Episode], reader, w
 
 def _receive(reader, stream, ep: int):
     """The stream's next message; the exception it sent, raised here with
-    its own type; a ContractError naming episode `ep` if it died."""
+    its own type; an InternalError naming episode `ep` if it died."""
     try:
         msg = reader.recv()
     except EOFError:
         stream.join()
-        raise T.ContractError(f"the specialists' process died at episode {ep} "
-                              f"(exit code {stream.exitcode})") from None
+        raise InternalError(f"the specialists' process died at episode {ep} "
+                            f"(exit code {stream.exitcode})") from None
     if isinstance(msg, BaseException):
         raise msg
     return msg
@@ -317,7 +318,7 @@ def epi_train(state: EpisodicState) -> M.EncoderDecoderModel:
             l_dec = _episodic_backward(state, "decoder", e.batch_i, e.k)
             losses = (loss_agg.item(), spec_loss, l_enc, l_dec)
             if not all(math.isfinite(v) for v in losses):
-                raise T.ContractError(
+                raise InternalError(
                     f"non-finite loss at episode {ep}: L_agg, L_i, L_enc, L_dec = {losses}")
             T.sgd_step(state.agg.encoder, hp.alpha)
             T.sgd_step(state.agg.decoder, hp.alpha)
@@ -361,7 +362,7 @@ def maml_train(vanilla: M.EncoderDecoderModel,
         _sgd_model(adapted, hp.beta)
         loss = pairs_nll(adapted, query)
         if not math.isfinite(loss.item()):
-            raise T.ContractError(f"non-finite loss {loss.item()} at episode {ep}")
+            raise InternalError(f"non-finite loss {loss.item()} at episode {ep}")
         T.backward(loss)
         for ps, aps in ((model.encoder, adapted.encoder), (model.decoder, adapted.decoder)):
             for name, p in ps.items():

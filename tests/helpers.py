@@ -1,13 +1,17 @@
 """Shared test utilities: finite-difference oracle, tiny model builders and a
 tiny run config."""
 
+import hashlib
 import json
 import math
 import os
+import platform
 import sys
+from pathlib import Path
 
 import numpy as np
 
+from epinmt import cli
 from epinmt import model as M
 from epinmt import tensor as T
 from epinmt import trainers as TR
@@ -38,6 +42,8 @@ ACCEPTANCE_RESULTS: list[str] = []
 
 # the detail that each criterion line prints, at its printed precision
 GOLDEN_CRITERIA = os.path.join(os.path.dirname(__file__), "golden", "criteria.json")
+# each criterion's detail as printed by this process, by number ("01".."12")
+CRITERIA: dict[str, str] = {}
 
 
 def record_criterion(number: int, name: str, passed: bool, detail: str = "") -> None:
@@ -48,6 +54,7 @@ def record_criterion(number: int, name: str, passed: bool, detail: str = "") -> 
     if detail:
         line += f" ({detail})"
     ACCEPTANCE_RESULTS.append(line)
+    CRITERIA[f"{number:02d}"] = detail
     print(line, file=sys.stderr, flush=True)
     with open(GOLDEN_CRITERIA, encoding="utf-8") as f:
         golden = json.load(f)[f"{number:02d}"]
@@ -260,3 +267,47 @@ def beam_reference(model: M.EncoderDecoderModel, sources: list[list[int]],
             seq = seq[: seq.index(M.EOS) + 1]
         results.append(M.DecodeResult(seq, float(norm_final[best]), trunc))
     return results
+
+
+# the pipeline chain: perfbench's pipeline workload, in process, on a copy of
+# its config with master seed 11 and eval seeds 11 and 12
+GOLDEN_PIPELINE = Path(__file__).parent / "golden" / "pipeline.json"
+PIPELINE_CONFIG = Path(__file__).parent / "golden" / "pipeline_config.json"
+PIPELINE_CHAIN = (["gen-data"], ["score"], ["train", "--method", "epi_curriculum", "--build-deps"],
+                  ["finetune", "--method", "epi_curriculum"], ["experiment"])
+
+
+def environment() -> dict:
+    """What the chain's bytes may depend on besides the code: numpy, scipy,
+    the BLAS and the CPU model."""
+    import scipy
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):   # numpy before 1.26 prints its config only
+        blas = "unknown"
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as f:
+            cpu = next(line.split(":", 1)[1].strip() for line in f
+                       if line.startswith("model name"))
+    except (OSError, StopIteration):   # not Linux
+        cpu = platform.processor() or platform.machine()
+    return {"numpy": np.__version__, "scipy": scipy.__version__, "blas": blas, "cpu": cpu}
+
+
+def pipeline_artifacts(out: Path) -> dict:
+    """Run the pipeline chain into `out`; each file it wrote, by its path under
+    `out`: a record (`summary.json`, `<method>.provenance.json`) as its JSON
+    without `source`, the digest of src/ that every edit moves, and any other
+    file as its sha256."""
+    for argv in PIPELINE_CHAIN:
+        assert cli.main([*argv, "--config", str(PIPELINE_CONFIG), "--out", str(out)]) == 0, argv
+    files = {}
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        if path.name.endswith(("summary.json", ".provenance.json")):
+            record = json.loads(path.read_text(encoding="utf-8"))
+            del record["source"]
+            files[path.relative_to(out).as_posix()] = record
+        else:
+            files[path.relative_to(out).as_posix()] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return files

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from epinmt.tensor import (DimensionError, Tensor, _accumulate, _attn_backward,
-                           _attn_forward, _node)
+from epinmt.errors import InternalError
+from epinmt.tensor import Tensor, _accumulate, _attn_backward, _attn_forward, _node
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None,
@@ -24,8 +24,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None,
     """
     if (q.data.ndim != 3 or k.data.ndim != 3 or k.shape != v.shape
             or q.shape[0] != k.shape[0] or q.shape[2] != k.shape[2] or q.shape[2] % n_heads):
-        raise DimensionError(f"attention: shapes {q.shape}, {k.shape}, {v.shape} "
-                             f"for {n_heads} heads")
+        raise InternalError(f"attention: shapes {q.shape}, {k.shape}, {v.shape} "
+                            f"for {n_heads} heads")
     out, cache = _attn_forward(q.data, k.data, v.data, mask, n_heads)
 
     def back(g):

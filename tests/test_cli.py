@@ -1,5 +1,6 @@
 """Configuration loading and the command-line interface end to end."""
 
+import csv
 import json
 import logging
 import os
@@ -21,6 +22,7 @@ from epinmt import model as M
 from epinmt import pipeline as P
 from epinmt import tensor as T
 from epinmt import trainers as TR
+from epinmt.errors import DataError, InternalError, UsageError
 
 from helpers import TINY, child_env
 
@@ -342,6 +344,21 @@ class TestCliUsage:
         assert cli.main(["score", "--config", str(path)]) == cli.EXIT_DATA
         assert "5 kept pairs to shard, got 2 kept (0 filtered" in capsys.readouterr().err
 
+    def test_noise_in_a_one_pair_domain_is_a_data_error(self, tmp_path, capsys):
+        """A seen domain with one training pair has no other pair whose target
+        a noisy pair could take: a data error that names the domain, its pair
+        count and noise_fraction, before any file is written."""
+        cfg = {**TINY, "output_dir": str(tmp_path / "runs"),
+               "dataset": {**TINY["dataset"], "train_tokens": 5, "noise_fraction": 0.6,
+                           "trusted_count": 1}}
+        path = tmp_path / "noisy.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["gen-data", "--config", str(path)]) == cli.EXIT_DATA
+        assert capsys.readouterr().err == (
+            "data error: domain 1 has 1 training pair, so noise_fraction 0.6 asks for a "
+            "noisy pair with no other pair's target to take\n")
+        assert not (tmp_path / "runs").exists()
+
     def test_negative_seed_flag_is_usage_error(self, tiny_config_file, tmp_path, capsys):
         assert cli.main(["gen-data", "--config", tiny_config_file,
                          "--seed", "-1"]) == cli.EXIT_USAGE
@@ -496,6 +513,30 @@ class TestCliPipeline:
         assert sorted(p.name for p in (run / "train").iterdir()) == {
             "train": ["vanilla.model.json", "vanilla.provenance.json"],
             "finetune": ["agg.model.json", "agg.provenance.json"]}[command]
+
+    def test_failed_report_write_leaves_no_file(self, tmp_path, monkeypatch, capsys):
+        """A report whose csv writer fails on its third row leaves neither
+        protocol.csv nor its temporary file."""
+        path = _tiny_with_training(tmp_path, methods=["vanilla"])
+        assert cli.main(["train", "--config", path, "--method", "vanilla"]) == cli.EXIT_OK
+        writer = csv.writer
+
+        class FailsOnThirdRow:
+            def __init__(self, f):
+                self.inner, self.rows = writer(f), 0
+
+            def writerow(self, row):
+                self.rows += 1
+                if self.rows == 3:
+                    raise OSError("No space left on device")
+                self.inner.writerow(row)
+
+        monkeypatch.setattr(csv, "writer", FailsOnThirdRow)
+        assert cli.main(["eval", "--config", path]) == cli.EXIT_DATA
+        assert "No space left on device" in capsys.readouterr().err
+        run = Path(P.run_dir(cfgmod.load_config(path), 0))
+        assert list(run.rglob("*.tmp")) == []
+        assert sorted(p.name for p in (run / "eval").iterdir()) == ["protocol.json"]
 
     def test_finetune_requires_checkpoint(self, tiny_config_file, capsys):
         rc = cli.main(["finetune", "--config", tiny_config_file,
@@ -852,13 +893,17 @@ class TestReuse:
 
 class TestTaskRunner:
     @pytest.mark.parametrize("task, error, message", [
-        (("agg (seed 3)", P._trainer, cfgmod.RunConfig(), "warp_drive"), cfgmod.UsageError,
+        (("agg (seed 3)", P._trainer, cfgmod.RunConfig(), "warp_drive"), UsageError,
          "warp_drive"),
-        (("agg (seed 3)", E.corpus_bleu, [[4]], []), T.ContractError,
+        (("agg (seed 3)", CU.build_plan, [C.SentencePair([4], [4], 1, d_score=0.0)] * 4,
+          CU.uniform_policy(5)), DataError, "kept pairs to shard"),
+        (("agg (seed 3)", E.corpus_bleu, [[4]], []), InternalError,
          "^agg \\(seed 3\\): corpus_bleu"),
+        (("agg (seed 3)", T.linear, T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros((4, 5)))),
+         InternalError, "^agg \\(seed 3\\): linear"),
         (("agg (seed 3)", P._load_trained, cfgmod.RunConfig(output_dir="no-such-runs"),
-          3, "agg"), P.DependencyError, "missing checkpoint")],
-        ids=["usage", "contract", "dependency"])
+          3, "agg"), DataError, "missing checkpoint")],
+        ids=["usage", "data", "contract", "shape", "dependency"])
     def test_task_errors_keep_their_type(self, task, error, message):
         with P._pool(1) as pool, pytest.raises(error, match=message):
             P._results(P._submit(pool, [task]))

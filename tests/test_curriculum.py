@@ -9,6 +9,7 @@ from epinmt import corpus as C
 from epinmt import curriculum as cur
 from epinmt import model as M
 from epinmt import tensor as T
+from epinmt.errors import DataError, InternalError
 
 from helpers import tiny_config
 
@@ -126,7 +127,7 @@ class TestFilterNoise:
         assert [p.q_score for p in cur.filter_noise(pairs)] == [3.0, 1.0, 2.0]
 
     def test_unscored_rejected(self):
-        with pytest.raises(T.ContractError):
+        with pytest.raises(InternalError, match="filter_noise: pair without q_score"):
             cur.filter_noise([C.SentencePair([4], [4], 1)])
 
 
@@ -154,13 +155,13 @@ class TestBuildPlan:
         assert plan.shard_thresholds == [1.0, 3.0, 5.0, 7.0]
 
     def test_too_few_pairs(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError, match="at least 5 kept pairs to shard, got 4 kept"):
             cur.build_plan(_pairs_with_d([1, 2, 3, 4]), cur.uniform_policy(5))
 
     def test_missing_d_score(self):
         pairs = _pairs_with_d(range(5))
         pairs[2].d_score = None
-        with pytest.raises(T.ContractError):
+        with pytest.raises(InternalError, match="build_plan: pair without d_score"):
             cur.build_plan(pairs, cur.uniform_policy(5))
 
     def test_roundtrip(self, tmp_path):

@@ -11,6 +11,7 @@ from epinmt import evaluate as E
 from epinmt import model as M
 from epinmt import tensor as T
 from epinmt import trainers as tr
+from epinmt.errors import InternalError
 
 from helpers import degradation, protocol_mean, spearman, tiny_config
 
@@ -52,7 +53,7 @@ class TestBleu:
         assert E.corpus_bleu([[]], [[4, 5]]).score == 0.0
 
     def test_count_mismatch_rejected(self):
-        with pytest.raises(T.ContractError):
+        with pytest.raises(InternalError, match="corpus_bleu: 1 hypotheses vs 2 references"):
             E.corpus_bleu([[4]], [[4], [5]])
 
     def test_matches_independent_reimplementation(self):

@@ -12,6 +12,7 @@ from epinmt import corpus as C
 from epinmt import evaluate as E
 from epinmt import model as M
 from epinmt import tensor as T
+from epinmt.errors import InternalError
 
 import reference_ops as R
 from helpers import (beam_reference, child_env, greedy_reference, tiny_config, tiny_model,
@@ -70,7 +71,7 @@ class TestEncode:
 
     def test_overlength_rejected(self):
         model = tiny_model(3)
-        with pytest.raises(M.LengthError):
+        with pytest.raises(InternalError, match=r"sequence length 17 > max_len 16"):
             M.encode_batch(model.encoder, model.config,
                            np.array([[4] * (model.config.max_len + 1)]))
 
@@ -111,7 +112,7 @@ class TestNll:
 
     def test_empty_sequence_rejected(self):
         model = tiny_model(6)
-        with pytest.raises(T.ContractError):
+        with pytest.raises(InternalError, match="nll: empty batch or empty sequence"):
             M.nll_batch(model, [[]], [[4]])
 
     def test_matches_stepwise_oracle(self):
@@ -327,7 +328,7 @@ class TestLanguageModel:
 
     def test_empty_sentence_rejected(self):
         lm = M.init_lm(tiny_config(), _rng(18))
-        with pytest.raises(T.ContractError):
+        with pytest.raises(InternalError, match="lm_logprob: empty sentence"):
             M.lm_logprob_batch(lm, [[]])
 
 
@@ -361,7 +362,7 @@ class TestCompose:
     def test_config_mismatch_rejected(self):
         a = tiny_model(26)
         other = tiny_model(27, vocab_size=20)
-        with pytest.raises(M.CompatibilityError):
+        with pytest.raises(InternalError, match="decoder projection .* does not match config"):
             M.compose(a.encoder, other.decoder, a.config)
 
     def test_foreign_decoder_hurts_on_home_domain(self):

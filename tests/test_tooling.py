@@ -131,3 +131,43 @@ def test_readme_layout_is_the_pipeline_layout():
     readme = _layout_block(README.read_text(encoding="utf-8"))
     assert readme[0].startswith("run-<") and len(readme) > 1
     assert readme == _layout_block(pipeline.__doc__)
+
+
+ERRORS = {"UsageError", "DataError", "InternalError"}   # one per exit code
+
+
+def _name(node) -> str | None:
+    """The name a `raise` or an `except` gives: `X`, `X(...)` or `m.X`."""
+    node = node.func if isinstance(node, ast.Call) else node
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+
+def test_src_raises_only_the_three_error_classes():
+    """src/ defines three error classes, one per exit code; a `raise` names
+    one of them, a builtin error or a caught one, never another class of the
+    package."""
+    defined = {}
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module(f"epinmt.{path.stem}")
+        defined.update({name: path.stem for name, obj in vars(module).items()
+                        if isinstance(obj, type) and issubclass(obj, BaseException)
+                        and obj.__module__ == module.__name__})
+    assert defined == {name: "errors" for name in ERRORS}
+    nodes = {path.name: list(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+             for path in sorted(SRC.glob("*.py"))}
+    classes = {n.name for walk in nodes.values() for n in walk if isinstance(n, ast.ClassDef)}
+    assert [f"{name}:{n.lineno} raises {_name(n.exc)}" for name, walk in nodes.items()
+            for n in walk if isinstance(n, ast.Raise) and n.exc is not None
+            and _name(n.exc) in classes - ERRORS] == []
+
+
+def test_cli_main_maps_the_three_errors_in_one_clause():
+    """`cli.main` catches the three errors together, then OSError (a file it
+    cannot read or write) and KeyboardInterrupt; SystemExit is how argparse
+    rejects a command line, before any command runs."""
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    main = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "main")
+    clauses = [sorted(map(_name, h.type.elts if isinstance(h.type, ast.Tuple) else [h.type]))
+               for h in ast.walk(main) if isinstance(h, ast.ExceptHandler)]
+    assert clauses == [["SystemExit"], sorted(ERRORS), ["OSError"], ["KeyboardInterrupt"]]

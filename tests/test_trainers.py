@@ -14,6 +14,7 @@ from epinmt import curriculum as cur
 from epinmt import model as M
 from epinmt import tensor as T
 from epinmt import trainers as tr
+from epinmt.errors import InternalError
 
 from helpers import episodic_update_footprint, tiny_config
 
@@ -115,7 +116,8 @@ class TestSpecialistStep:
         state = tr.init_state(vanilla, ds.seen_ids, plan, _hp())
         i, j = ds.seen_ids[0], ds.seen_ids[1]
         batch = ds.splits[j].training[:4]
-        with pytest.raises(T.ContractError):
+        with pytest.raises(InternalError,
+                           match="specialist_step: batch contains foreign domain pairs"):
             tr.specialist_step(state, i, batch)
 
     def test_locality(self, world):
@@ -300,7 +302,7 @@ class TestNonFiniteLoss:
     def test_plain_training_fails_fast(self, world):
         _, ds, _, vanilla, _ = world
         with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(T.ContractError, match="non-finite loss .* at step"):
+                pytest.raises(InternalError, match="non-finite loss .* at step"):
             tr.train_agg(vanilla, ds.all_seen_training(), _hp(alpha=1e100))
 
     def test_epi_train_names_the_episode(self, world):
@@ -308,7 +310,7 @@ class TestNonFiniteLoss:
         sending episodes that the caller will never read."""
         _, ds, _, vanilla, plan = world
         with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(T.ContractError, match="non-finite loss at episode 1"):
+                pytest.raises(InternalError, match="non-finite loss at episode 1"):
             tr.epi_train(tr.init_state(vanilla, ds.seen_ids, plan,
                                        _hp(alpha=1e100, episodes=400)))
         assert multiprocessing.active_children() == []
@@ -317,7 +319,7 @@ class TestNonFiniteLoss:
         _, ds, _, vanilla, _ = world
         pools = {d: ds.splits[d].training for d in ds.seen_ids}
         with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(T.ContractError, match="non-finite loss .* at episode 1"):
+                pytest.raises(InternalError, match="non-finite loss .* at episode 1"):
             tr.maml_train(vanilla, pools, _hp(alpha=1e100, episodes=5))
 
 
@@ -375,7 +377,7 @@ class TestSpecialistStream:
         """The 7th specialist step is the first of episode 2 (3 seen domains)."""
         _, ds, _, vanilla, plan = world
         monkeypatch.setattr(tr, "specialist_step", _failing_at_call(7, lambda: os._exit(5)))
-        with pytest.raises(T.ContractError,
+        with pytest.raises(InternalError,
                            match=r"specialists' process died at episode 2 \(exit code 5\)"):
             tr.epi_train(tr.init_state(vanilla, ds.seen_ids, plan, _hp(episodes=6)))
         assert multiprocessing.active_children() == []

@@ -77,7 +77,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    print(P.experiment(_load(args))["report_dir"])
+    print(P.experiment(_load(args)))
     return EXIT_OK
 
 

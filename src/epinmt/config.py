@@ -96,6 +96,8 @@ class EvalConfig:
             raise ValueError("max_steps must be >= 1")
         if min((*self.seeds, *self.sigmas, *self.noise_seeds)) < 0:
             raise ValueError("seeds, sigmas and noise_seeds must be nonnegative")
+        if self.sigmas and not self.noise_seeds:
+            raise ValueError("noise_seeds must not be empty when sigmas is not")
 
 
 @dataclass

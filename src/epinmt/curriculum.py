@@ -216,6 +216,8 @@ class CurriculumPlan:
     shard_thresholds: list[float]
     policy: SchedulerPolicy
     filtered_count: int = 0
+    # the seen domains' test pairs with their divergence scores, for the bins study
+    test_pairs: list[SentencePair] = field(default_factory=list)
     # shards filtered to one domain, built on first use; `save_plan` skips it
     _by_domain: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -324,6 +326,8 @@ def save_plan(plan: CurriculumPlan, path) -> None:
         "shards": [[{"s": p.source, "t": p.target, "dom": p.domain_id,
                      "q": p.q_score, "d": p.d_score} for p in shard]
                    for shard in plan.shards],
+        "test_pairs": [{"s": p.source, "t": p.target, "dom": p.domain_id, "d": p.d_score}
+                       for p in plan.test_pairs],
     }
     with open(path, "w", encoding="utf-8") as f:
         json.dump(payload, f)
@@ -334,6 +338,8 @@ def load_plan(path) -> CurriculumPlan:
         payload = json.load(f)
     shards = [[SentencePair(e["s"], e["t"], e["dom"], q_score=e["q"], d_score=e["d"])
                for e in shard] for shard in payload["shards"]]
+    test_pairs = [SentencePair(e["s"], e["t"], e["dom"], d_score=e["d"])
+                  for e in payload["test_pairs"]]
     return CurriculumPlan(shards, payload["shard_thresholds"],
                           SchedulerPolicy.from_dict(payload["policy"]),
-                          payload["filtered_count"])
+                          payload["filtered_count"], test_pairs)

@@ -15,10 +15,11 @@ reproduces them byte for byte. This module alone knows the layout:
 Later commands read back three stage files, each only when its record (the
 JSON written after it) names this config hash, seed, package source and
 numpy version and the file's sha256 (`_stale`): the vanilla model and the
-plan, computed again when they are not current, and each method's
-checkpoint, which `experiment` trains again and `finetune` and `eval` refuse
-(a data error). A command always computes its own stage; delete a file or
-its stage directory to have it computed again.
+plan (the shards and the scored seen test pairs), which `_base` and `_plan`
+compute again when they are not current, and each method's checkpoint,
+which `experiment` trains again and `finetune` and `eval` refuse (a data
+error). A command always computes its own stage; delete a file or its
+stage directory to have it computed again.
 
 `experiment` and `finetune` run their independent tasks in a process pool
 with at most one worker per core this process may run on (an episodic
@@ -259,15 +260,17 @@ def build_scorers(cfg: RunConfig, dataset: C.MultiDomainDataset,
 
 
 def score(cfg: RunConfig, seed: int, base: Base | None = None):
-    """Score, filter and shard the seen-domain training corpus; returns
-    (plan, denoise scorer or None, divergence scorer). A caller that holds
-    the seed's `Base` passes it in; otherwise it is built here."""
+    """Score, filter and shard the seen-domain training corpus, and score the
+    seen test pairs for the bins study; returns (plan, denoise scorer or None,
+    divergence scorer). Without the seed's `Base` it builds one."""
     vocab, dataset, vanilla, _ = base or _base(cfg, seed)
     denoise, divergence = build_scorers(cfg, dataset, vanilla, seed)
     pairs = dataset.all_seen_training()
     CU.score_corpus(pairs, denoise, divergence)
     kept = CU.filter_noise(pairs) if cfg.curriculum.denoise else list(pairs)
     plan = CU.build_plan(kept, cfg.curriculum.policy(), len(pairs) - len(kept))
+    plan.test_pairs = CU.score_corpus([p for d in dataset.seen_ids
+                                       for p in dataset.splits[d].testing], None, divergence)
 
     out = _stage_dir(cfg, seed, "score")
     _write_whole(os.path.join(out, "scored.tsv"),
@@ -323,21 +326,22 @@ def _train_method(cfg: RunConfig, method: str, seed: int, base: Base,
     return model
 
 
+def _plan(cfg: RunConfig, seed: int, base: Base, build: bool) -> CU.CurriculumPlan:
+    """The seed's `score/plan.json` when it is current; else, with `build`,
+    scored from `base` and written, and without it a data error naming it."""
+    path, record = (os.path.join(run_dir(cfg, seed), "score", name)
+                    for name in ("plan.json", "summary.json"))
+    with _stale(f"score (seed {seed})", cfg, seed, record, path) as why:
+        if why and not build:
+            raise DataError(f"{path} is {why}; run 'score' first or pass --build-deps")
+        return score(cfg, seed, base)[0] if why else CU.load_plan(path)
+
+
 def train(cfg: RunConfig, method: str, seed: int, build_deps: bool = True) -> str:
     """Train one method end to end and write its checkpoint; returns the path.
-
-    Curriculum methods read `score/plan.json` when it is current; with
-    `build_deps` a plan that is not is built, without it that is a data error.
-    """
-    needs_plan = _trainer(cfg, method)[0]
-    base, plan, out = _base(cfg, seed), None, os.path.join(run_dir(cfg, seed), "score")
-    if needs_plan:
-        plan_path = os.path.join(out, "plan.json")
-        with _stale(f"score (seed {seed})", cfg, seed, os.path.join(out, "summary.json"),
-                    plan_path) as why:
-            if why and not build_deps:
-                raise DataError(f"{plan_path} is {why}; run 'score' first or pass --build-deps")
-            plan = score(cfg, seed, base)[0] if why else CU.load_plan(plan_path)
+    A curriculum method's plan is `_plan`'s, which scores only with `build_deps`."""
+    needs_plan, base = _trainer(cfg, method)[0], _base(cfg, seed)
+    plan = _plan(cfg, seed, base, build_deps) if needs_plan else None
     _labelled(f"{method} (seed {seed})", _train_method, cfg, method, seed, base, plan)
     return _checkpoint(cfg, seed, method)
 
@@ -353,7 +357,7 @@ def finetune(cfg: RunConfig, method: str, seed: int) -> str:
     protocol does; returns the directory of the `ft_domain` checkpoints."""
     _trainer(cfg, method)
     model = _load_trained(cfg, seed, method)
-    _, dataset, _ = gen_data(cfg, seed)
+    _, dataset = C.build_dataset(cfg.dataset, seed)
     out = _stage_dir(cfg, seed, "train")
     domains = dataset.seen_ids + dataset.unseen_ids
     with _pool(len(domains)) as pool:
@@ -380,21 +384,15 @@ def evaluate(cfg: RunConfig, seed: int) -> str:
     """The fine-tuning protocol over every configured method's checkpoint;
     returns the report directory."""
     models = {m: _load_trained(cfg, seed, m) for m in cfg.training.methods}
-    _, dataset, _ = gen_data(cfg, seed)
+    _, dataset = C.build_dataset(cfg.dataset, seed)
     return _write_report(cfg, [seed], "protocol", E.run_protocol(
         models, dataset, cfg.training.hp, seed, cfg.eval.beam_width, cfg.eval.max_steps))
 
 
-def _scored_base(cfg: RunConfig, seed: int):
-    """The seed's `Base`, plan, denoise scorer and copies of its seen test
-    pairs that carry their divergence scores."""
+def _planned_base(cfg: RunConfig, seed: int) -> tuple[Base, CU.CurriculumPlan]:
+    """The seed's `Base` and its plan, scored only when it is not current."""
     base = _base(cfg, seed)
-    plan, denoise, divergence = score(cfg, seed, base)
-    ds = base.dataset
-    test_pairs = [p for d in ds.seen_ids for p in ds.splits[d].testing]
-    return base, plan, denoise, [
-        replace(p, d_score=float(dv))
-        for p, dv in zip(test_pairs, CU.divergence_score_pairs(test_pairs, divergence))]
+    return base, _plan(cfg, seed, base, True)
 
 
 def _trained(cfg: RunConfig, method: str, seed: int, base: Base,
@@ -421,12 +419,11 @@ def _tagged(seed: int, study, *args) -> list[dict]:
     return [{**row, "seed": seed} for row in (rows if isinstance(rows, list) else [rows])]
 
 
-def experiment(cfg: RunConfig) -> dict:
+def experiment(cfg: RunConfig) -> str:
     """Train every configured method, and run the fine-tuning protocol, swap
-    study, perturbation and bins, for every eval seed; returns the report
-    directory and each seed's denoise scorer, keyed by seed.
+    study, perturbation and bins, on every eval seed; returns the report directory.
 
-    Pool tasks, in three rounds: per seed, data, vanilla and scoring; per
+    Pool tasks, in three rounds: per seed, data, vanilla and plan; per
     (seed, method), training (written to train/ as `train` writes it) and
     protocol, longest first: the episodic methods, then agg, over every seed;
     per seed, once its models are back, its swap study, perturbation and bins.
@@ -440,13 +437,13 @@ def experiment(cfg: RunConfig) -> dict:
                    key=lambda ms: ms[0] not in TR.EPISODIC)
     width, steps = ev.experiment_beam_width, ev.max_steps
     with _pool(max(len(order), 3 * len(ev.seeds))) as pool:
-        scored = dict(zip(ev.seeds, _results(_submit(
-            pool, [(f"scoring (seed {s})", _scored_base, cfg, s) for s in ev.seeds]))))
+        planned = dict(zip(ev.seeds, _results(_submit(
+            pool, [(f"scoring (seed {s})", _planned_base, cfg, s) for s in ev.seeds]))))
         trained = dict(zip(order, _submit(pool, [(f"{m} (seed {s})", _trained, cfg, m, s,
-                                                  *scored[s][:2]) for m, s in order])))
+                                                  *planned[s]) for m, s in order])))
         protocol, experiments = [], []
         for s in ev.seeds:
-            base, plan, _, test_pairs = scored[s]
+            base, plan = planned[s]
             results = _results([trained[m, s] for m in methods])
             models = {m: model for m, (model, _) in zip(methods, results)}
             protocol += [row for _, rows in results for row in rows]
@@ -456,7 +453,6 @@ def experiment(cfg: RunConfig) -> dict:
                 (f"perturbation (seed {s})", _tagged, s, E.perturb_experiment, models,
                  base.dataset, ev.sigmas, ev.noise_seeds, width, steps),
                 (f"divergence bins (seed {s})", _tagged, s, E.bin_report, models,
-                 plan.shard_thresholds, test_pairs, width, steps)]))
+                 plan.shard_thresholds, plan.test_pairs, width, steps)]))
         studies = [sum(rows, []) for rows in zip(*map(_results, experiments))]
-    return {"report_dir": _write_report(cfg, ev.seeds, "report", protocol, *studies),
-            "denoise": {s: scored[s][2] for s in ev.seeds}}
+    return _write_report(cfg, ev.seeds, "report", protocol, *studies)

@@ -413,11 +413,12 @@ def test_criterion_05_scheduler_suite():
 # ---------------------------------------------------------------------------
 # criteria 6-11: the experiment lab — full method lineup over three seeds
 #
-# One shared fixture makes one `pipeline.experiment` call, the path `epinmt
-# experiment` ships, with the lab seeds as its eval seeds; the protocol, swap,
-# perturbation and bin rows of every seed are in its report. The criterion
-# tests only read from it. Hyperparameters were calibrated by seed sweeps;
-# every number in LAB_CONFIG is part of the frozen recipe.
+# One shared fixture scores each lab seed (`pipeline.score`, in a pool) and
+# then makes one `pipeline.experiment` call, the path `epinmt experiment`
+# ships, with the lab seeds as its eval seeds, which loads those plans; the
+# protocol, swap, perturbation and bin rows of every seed are in its report.
+# The criterion tests only read from it. Hyperparameters were calibrated by
+# seed sweeps; every number in LAB_CONFIG is part of the frozen recipe.
 
 LAB_SEEDS = (0, 1, 2)
 LAB_METHODS = ("vanilla", "agg", "meta_mt", "epi_nmt", "epi_curriculum")
@@ -506,13 +507,16 @@ def _lab_seed(cfg, seed, report, denoise):
 @pytest.fixture(scope="module")
 def lab(tmp_path_factory):
     cfg = _lab_config(tmp_path_factory.mktemp("lab"))
-    result = P.experiment(cfg)
+    # score each seed in a pool, as `experiment` would, and keep the denoise
+    # scorers for criterion 06; `experiment` then loads the plans
+    with P._pool(len(LAB_SEEDS)) as pool:
+        denoise = [d for _, d, _ in P._results(P._submit(
+            pool, [(f"scoring (seed {s})", P.score, cfg, s) for s in LAB_SEEDS]))]
     # criteria 07-11 read the report file the run ships; JSON floats
     # round-trip exactly, and NaN loads back as nan
-    with open(os.path.join(result["report_dir"], "report.json"), encoding="utf-8") as f:
+    with open(os.path.join(P.experiment(cfg), "report.json"), encoding="utf-8") as f:
         report = json.load(f)
-    return {seed: _lab_seed(cfg, seed, report, result["denoise"][seed])
-            for seed in LAB_SEEDS}
+    return {seed: _lab_seed(cfg, seed, report, d) for seed, d in zip(LAB_SEEDS, denoise)}
 
 
 def _lab_mean(lab, value):
@@ -614,15 +618,15 @@ def test_criterion_12_determinism(tmp_path, capsys, monkeypatch):
 
     tracked = {}
 
-    def run_and_compare(args, artifacts, recompute=None):
+    def run_and_compare(args, artifacts, recompute=()):
         """Run a command twice; artifacts maps label -> run-dir-relative path.
         The second run overwrites the first, so bytes are snapshotted. The
-        run-dir-relative directory `recompute` is removed before the second
+        run-dir-relative directories `recompute` are removed before the second
         run, so that it computes what the first one could load from there."""
         results = []
         for i in range(2):
-            if i and recompute:
-                shutil.rmtree(os.path.join(run, recompute))
+            for rel in recompute if i else ():
+                shutil.rmtree(os.path.join(run, rel))
             assert cli.main(args) == cli.EXIT_OK
             capsys.readouterr()
             results.append({label: Path(run, rel).read_bytes()
@@ -639,7 +643,7 @@ def test_criterion_12_determinism(tmp_path, capsys, monkeypatch):
                     {"checkpoint": "train/agg.model.json"})
     run_and_compare(["experiment", "--config", str(cfg_path)],
                     {"report_json": "eval/report.json",
-                     "report_csv": "eval/report.csv"}, recompute="train")
+                     "report_csv": "eval/report.csv"}, recompute=("train", "score"))
 
     # every file `experiment` writes into a fresh directory, with a pool of
     # one worker and of two

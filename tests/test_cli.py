@@ -304,7 +304,10 @@ class TestCliUsage:
                                    "overrides": {"agg": {"beta": float("inf")}}}},
                      id="train-infinite-override"),
         pytest.param("experiment", {"eval": {**TINY["eval"], "sigmas": [0.01, float("nan")]}},
-                     id="experiment-nan-sigma")])
+                     id="experiment-nan-sigma"),
+        # a perturbation row averages over the noise seeds, so none gives NaN
+        pytest.param("experiment", {"eval": {**TINY["eval"], "noise_seeds": []}},
+                     id="experiment-sigmas-without-noise-seeds")])
     def test_invalid_config_values_are_usage_errors(self, tmp_path, capsys,
                                                      monkeypatch, command, section):
         """`command` is split on spaces into its arguments; `section` is merged
@@ -622,58 +625,46 @@ class TestExperiment:
         has no swap section."""
         log = tmp_path / "calls.log"
         monkeypatch.setattr(TR, "train_agg", _logged(log, TR.train_agg))
-        result = P.experiment(_tiny_run(tmp_path, methods=["vanilla"]))
-        report = json.loads(Path(result["report_dir"], "report.json").read_text())
+        report_dir = P.experiment(_tiny_run(tmp_path, methods=["vanilla"]))
+        report = json.loads(Path(report_dir, "report.json").read_text())
         assert "swap" not in report and not log.exists()
 
-    def test_each_seed_sends_its_denoise_scorer_back_once(self, tmp_path, monkeypatch):
-        """Each eval seed is scored in a pool task, which pickles that seed's
-        denoise scorer back once; `experiment` returns them keyed by seed."""
+    def test_no_scorer_is_pickled(self, tmp_path, monkeypatch):
+        """Each eval seed is scored in a pool task, which sends back the plan
+        and no scorer; `experiment` returns the report directory."""
         log = tmp_path / "calls.log"
         cfg = _tiny_run(tmp_path, methods=["vanilla"], seeds=[0, 1])
         monkeypatch.setattr(CU.Scorer, "__getstate__", _logged(log, vars), raising=False)
-        denoise = P.experiment(cfg)["denoise"]
-        assert log.read_text().splitlines() == ["vars", "vars"]   # one scorer per seed
-        assert list(denoise) == [0, 1]
-        for seed, scorer in denoise.items():   # scoring again, in this process
-            assert _checksums(scorer) == _checksums(P.score(cfg, seed)[1]), seed
-        assert _checksums(denoise[0]) != _checksums(denoise[1])
+        assert P.experiment(cfg) == os.path.join(P.run_dir(cfg, 0), "eval")
+        assert not log.exists()
 
     def test_a_seed_does_not_depend_on_the_other_eval_seeds(self, tmp_path):
-        """Eval seed 1's report rows, its run directory outside eval/ and its
-        denoise scorer are the same whether it runs next to seed 0 or alone.
-        The config hash covers `eval.seeds`, so the two runs' hashes, which
-        the files name, are replaced by one placeholder."""
+        """Eval seed 1's report rows and its run directory outside eval/ (its
+        plan holds both scorers' outputs) are the same whether it runs next
+        to seed 0 or alone. The config hash covers `eval.seeds`, so the two
+        runs' hashes, which the files name, are replaced by one placeholder."""
         def seed_one(seeds):
             cfg = _tiny_run(tmp_path / f"seeds{len(seeds)}",
                             methods=["vanilla", "agg", "epi_curriculum"], seeds=seeds)
-            result = P.experiment(cfg)
-            report = json.loads(Path(result["report_dir"], "report.json").read_text())
+            report = json.loads(Path(P.experiment(cfg), "report.json").read_text())
             run, tag = Path(P.run_dir(cfg, 1)), cfg.config_hash().encode()
             files = {p.relative_to(run).as_posix(): p.read_bytes().replace(tag, b"<hash>")
                      for p in sorted(run.rglob("*"))
                      if p.is_file() and p.relative_to(run).parts[0] != "eval"}
             rows = {study: [r for r in report[study] if r["seed"] == 1] for study in
                     ("protocol", "swap", "perturbation", "divergence_bins")}
-            return rows, files, _checksums(result["denoise"][1])
+            return rows, files
 
-        (rows, files, checksums), alone = seed_one([0, 1]), seed_one([1])
+        (rows, files), alone = seed_one([0, 1]), seed_one([1])
         assert all(rows.values()) and any(rel.startswith("train/") for rel in files)
         assert rows == alone[0]
         assert files == alone[1]
-        assert checksums == alone[2]
 
     def test_experiment_takes_no_seed_flag(self, tiny_config_file, tmp_path):
         """`experiment` runs every eval seed, so a --seed would name nothing."""
         assert cli.main(["experiment", "--config", tiny_config_file,
                          "--seed", "5"]) == cli.EXIT_USAGE
         assert not (tmp_path / "runs").exists()
-
-
-def _checksums(scorer: CU.Scorer) -> dict:
-    """The parameter checksum of a scorer's base model and of each domain's model."""
-    return {"base": scorer.base.checksum(),
-            **{d: m.checksum() for d, m in scorer.domains.items()}}
 
 
 @pytest.fixture(scope="class")
@@ -741,6 +732,15 @@ def _tree(root: Path) -> dict:
             for p in sorted(root.rglob("*")) if p.is_file()}
 
 
+def _seed_logged(log: Path, build_scorers):
+    """build_scorers, appending the seed it scores to `log` at each call."""
+    def logged(cfg, dataset, vanilla, seed):
+        with open(log, "a") as f:
+            f.write(f"{seed}\n")
+        return build_scorers(cfg, dataset, vanilla, seed)
+    return logged
+
+
 def _stats(directory: Path) -> dict:
     """Each file's (inode, mtime in ns): both change when a file is written again."""
     return {p.name: (p.stat().st_ino, p.stat().st_mtime_ns) for p in directory.iterdir()}
@@ -795,6 +795,61 @@ class TestReuse:
             assert cli.main([*command, *config]) == cli.EXIT_DATA
             assert capsys.readouterr().err == (
                 f"data error: damaged checkpoint {ckpt}; run 'train --method agg' first\n")
+
+    def test_experiment_after_score_scores_only_the_other_seed(self, tmp_path,
+                                                               monkeypatch):
+        """`experiment` loads the plan that `score` wrote for eval seed 0,
+        leaving every file of its score/ as it was, and scores seed 1 alone."""
+        cfg = _tiny_run(tmp_path, methods=["vanilla"], seeds=[0, 1])
+        P.score(cfg, 0)
+        scored = Path(P.run_dir(cfg, 0), "score")
+        before = _stats(scored)
+        monkeypatch.setattr(P, "build_scorers", _seed_logged(tmp_path / "seeds.log",
+                                                             P.build_scorers))
+        P.experiment(cfg)
+        assert (tmp_path / "seeds.log").read_text().split() == ["1"]
+        assert _stats(scored) == before
+
+    def test_a_second_experiment_computes_nothing(self, tmp_path, monkeypatch):
+        """A second `experiment` loads every vanilla model, plan and
+        checkpoint, and writes the same report."""
+        cfg = _tiny_run(tmp_path, methods=["vanilla", "epi_curriculum"], seeds=[0, 1])
+        report = Path(P.experiment(cfg), "report.json")
+        first = report.read_bytes()
+        log = tmp_path / "calls.log"
+        for module, name in ((P, "build_scorers"), (P, "_train_method"),
+                             (TR, "pretrain_vanilla")):
+            monkeypatch.setattr(module, name, _logged(log, getattr(module, name)))
+        P.experiment(cfg)
+        assert not log.exists()
+        assert report.read_bytes() == first
+
+    def test_experiment_scores_a_plan_of_other_sources_again(self, tmp_path, monkeypatch):
+        """After `score` by other sources on eval seed 0, `experiment` scores
+        that seed again, and only that one, and the run directory ends as
+        the fresh one it was before."""
+        cfg = _tiny_run(tmp_path, methods=["vanilla"], seeds=[0, 1])
+        P.experiment(cfg)
+        fresh = _tree(tmp_path / "runs")
+        with monkeypatch.context() as m:
+            m.setattr(P, "_source_digest", lambda: "0" * 64)
+            P.score(cfg, 0)
+        monkeypatch.setattr(P, "build_scorers", _seed_logged(tmp_path / "seeds.log",
+                                                             P.build_scorers))
+        P.experiment(cfg)
+        assert (tmp_path / "seeds.log").read_text().split() == ["0"]
+        assert _tree(tmp_path / "runs") == fresh
+
+    def test_finetune_and_eval_leave_data_as_it_was(self, tmp_path, capsys):
+        """`finetune` and `eval` need a current checkpoint, whose training
+        wrote data/ already, so they rebuild the dataset without writing it."""
+        config = ["--config", _tiny_with_training(tmp_path, methods=["agg"])]
+        assert cli.main(["train", *config, "--method", "agg"]) == cli.EXIT_OK
+        data = Path(capsys.readouterr().out.strip()).parents[1] / "data"
+        before = _stats(data)
+        for command in (["finetune", "--method", "agg"], ["eval"]):
+            assert cli.main([*command, *config]) == cli.EXIT_OK
+        assert _stats(data) == before
 
     def test_experiment_loads_a_current_checkpoint(self, tiny_config_file, tmp_path, capsys):
         """`experiment` after `train` leaves the trained checkpoint as it was,

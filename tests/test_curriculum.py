@@ -168,6 +168,7 @@ class TestBuildPlan:
         pairs = _pairs_with_d(np.random.default_rng(1).normal(size=17))
         plan = cur.build_plan(pairs, cur.SchedulerPolicy.from_variant("reversed"),
                               filtered_count=3)
+        plan.test_pairs = _pairs_with_d([0.1 / 3, -2.0])
         cur.save_plan(plan, tmp_path / "plan.json")
         loaded = cur.load_plan(tmp_path / "plan.json")
         assert loaded.policy == plan.policy
@@ -175,6 +176,7 @@ class TestBuildPlan:
         assert loaded.filtered_count == 3
         assert [[p.d_score for p in s] for s in loaded.shards] == \
             [[p.d_score for p in s] for s in plan.shards]
+        assert loaded.test_pairs == plan.test_pairs
 
 
 class TestSampling:

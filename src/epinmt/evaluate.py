@@ -71,26 +71,33 @@ def corpus_bleu(hypotheses: list[list[int]], references: list[list[int]]) -> Ble
 # decoding helpers
 
 
+def translate_corpora(model: M.EncoderDecoderModel, corpora: list[list[SentencePair]],
+                      beam_width: int, max_steps: int) -> list[list[list[int]]]:
+    """Beam-decode every corpus's sources together, DECODE_CHUNK at a time;
+    one list of hypotheses per corpus, EOS stripped."""
+    sources = [p.source for pairs in corpora for p in pairs]
+    hyps = iter([r.tokens[:-1] if r.tokens and r.tokens[-1] == M.EOS else r.tokens
+                 for start in range(0, len(sources), DECODE_CHUNK)
+                 for r in M.beam_decode_batch(model, sources[start:start + DECODE_CHUNK],
+                                              beam_width, max_steps)])
+    return [[next(hyps) for _ in pairs] for pairs in corpora]
+
+
 def translate_corpus(model: M.EncoderDecoderModel, pairs: list[SentencePair],
                      beam_width: int, max_steps: int) -> list[list[int]]:
-    """Beam-decode all sources; EOS is stripped from the returned sequences."""
-    hyps = []
-    for start in range(0, len(pairs), DECODE_CHUNK):
-        batch = pairs[start:start + DECODE_CHUNK]
-        results = M.beam_decode_batch(model, [p.source for p in batch],
-                                      beam_width, max_steps)
-        for r in results:
-            toks = r.tokens
-            if toks and toks[-1] == M.EOS:
-                toks = toks[:-1]
-            hyps.append(toks)
-    return hyps
+    return translate_corpora(model, [pairs], beam_width, max_steps)[0]
+
+
+def test_bleus(model, corpora: list[list[SentencePair]], beam_width: int,
+               max_steps: int) -> list[float]:
+    """One BLEU per corpus, from one `translate_corpora` call."""
+    return [corpus_bleu(hyps, [p.target for p in pairs]).score for hyps, pairs in
+            zip(translate_corpora(model, corpora, beam_width, max_steps), corpora)]
 
 
 def test_bleu(model, pairs: list[SentencePair], beam_width: int,
               max_steps: int) -> float:
-    hyps = translate_corpus(model, pairs, beam_width, max_steps)
-    return corpus_bleu(hyps, [p.target for p in pairs]).score
+    return test_bleus(model, [pairs], beam_width, max_steps)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -114,12 +121,12 @@ def run_protocol(models: dict[str, M.EncoderDecoderModel], dataset: MultiDomainD
     """
     rows = []
     for name, model in sorted(models.items()):
-        before_cs = model.checksum()
-        for d in dataset.seen_ids + dataset.unseen_ids:
-            sp = dataset.splits[d]
-            b_before = test_bleu(model, sp.testing, beam_width, max_steps)
-            b_after = test_bleu(adapted(model, dataset, hp, seed, d), sp.testing,
-                                beam_width, max_steps)
+        before_cs, domains = model.checksum(), dataset.seen_ids + dataset.unseen_ids
+        befores = test_bleus(model, [dataset.splits[d].testing for d in domains],
+                             beam_width, max_steps)
+        for d, b_before in zip(domains, befores):
+            b_after = test_bleu(adapted(model, dataset, hp, seed, d),
+                                dataset.splits[d].testing, beam_width, max_steps)
             rows.append({"method": name, "domain": d, "seen": d in dataset.seen_ids,
                          "seed": seed, "bleu_before": b_before, "bleu_after": b_after,
                          "delta_ft": b_after - b_before})
@@ -142,27 +149,27 @@ def swap_experiment(trained: dict[str, M.EncoderDecoderModel],
     One row per part and method, {"part": "<encoder|decoder>:<method>",
     "improvements": {"<test domain>": [(specialist domain, gain), ...]}},
     the encoder rows first, in the order of `trained`; a specialist's own
-    BLEU is decoded once per test domain and shared by every row.
+    BLEU is decoded once and shared by every row. Each specialist and each
+    of its hybrids is one batched decode over every domain but its own.
     """
     if not trained:
         return []
-    rows = {(part, m): {"part": f"{part}:{m}", "improvements": {}}
+    domains = dataset.seen_ids + dataset.unseen_ids
+    rows = {(part, m): {"part": f"{part}:{m}",
+                        "improvements": {str(d): [] for d in domains}}
             for part in ("encoder", "decoder") for m in trained}
-    for d in dataset.seen_ids + dataset.unseen_ids:
-        testing = dataset.splits[d].testing
-        for r in rows.values():
-            r["improvements"][str(d)] = []
-        for sd, spec in sorted(specialists.items()):
-            if sd == d:
-                continue  # specialist matching the target domain is excluded
-            base = test_bleu(spec, testing, beam_width, max_steps)
-            for (part, m), r in rows.items():
-                model = trained[m]
-                hybrid = (M.compose(model.encoder, spec.decoder, model.config)
-                          if part == "encoder" else
-                          M.compose(spec.encoder, model.decoder, model.config))
-                swapped = test_bleu(hybrid, testing, beam_width, max_steps)
-                r["improvements"][str(d)].append((sd, swapped - base))
+    for sd, spec in sorted(specialists.items()):
+        targets = [d for d in domains if d != sd]   # its own domain is excluded
+        tests = [dataset.splits[d].testing for d in targets]
+        base = test_bleus(spec, tests, beam_width, max_steps)
+        for (part, m), r in rows.items():
+            model = trained[m]
+            hybrid = (M.compose(model.encoder, spec.decoder, model.config)
+                      if part == "encoder" else
+                      M.compose(spec.encoder, model.decoder, model.config))
+            for d, b, swapped in zip(targets, base,
+                                     test_bleus(hybrid, tests, beam_width, max_steps)):
+                r["improvements"][str(d)].append((sd, swapped - b))
     return list(rows.values())
 
 
@@ -187,9 +194,10 @@ def perturb_experiment(models: dict[str, M.EncoderDecoderModel],
     the BLEU averaged over noise seeds, sorted by (method, sigma, domain)."""
     bleu = {}
     for name, model in sorted(models.items()):
-        for d in dataset.seen_ids:
-            testing = dataset.splits[d].testing
-            bleu[(name, 0.0, d)] = test_bleu(model, testing, beam_width, max_steps)
+        tests = [dataset.splits[d].testing for d in dataset.seen_ids]
+        for d, testing, b in zip(dataset.seen_ids, tests,
+                                 test_bleus(model, tests, beam_width, max_steps)):
+            bleu[(name, 0.0, d)] = b
             for sigma in sigmas:
                 scores = []
                 for ns in noise_seeds:
@@ -212,10 +220,13 @@ def bin_report(models: dict[str, M.EncoderDecoderModel], thresholds: list[float]
     bin 1 (lowest divergence) first: {"sizes": [...], "bleu": {method:
     [BLEU per bin, NaN if the bin is empty]}}."""
     bins = bin_testset(scored_test_pairs, thresholds)
+
+    def per_bin(model):   # one batched decode of the non-empty bins
+        bleus = iter(test_bleus(model, [b for b in bins if b], beam_width, max_steps))
+        return [next(bleus) if b else float("nan") for b in bins]
+
     return {"sizes": [len(b) for b in bins],
-            "bleu": {name: [test_bleu(model, b, beam_width, max_steps)
-                            if b else float("nan") for b in bins]
-                     for name, model in sorted(models.items())}}
+            "bleu": {name: per_bin(model) for name, model in sorted(models.items())}}
 
 
 # ---------------------------------------------------------------------------

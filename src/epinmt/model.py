@@ -371,8 +371,12 @@ def beam_decode_batch(model: EncoderDecoderModel, sources: list[list[int]],
     Only live rows are decoded: beams not finished and above NEG_INF (at the
     first step, beam 0 alone); the rest get NEG_INF log-probabilities. No
     result moves: a finished beam only extends with PAD, and the rest rank
-    below every live or finished beam's candidates. Nor do a live row's bits:
-    numpy runs a batched matmul one item at a time, and layer ops row by row.
+    below every live or finished beam's candidates. Nor do a live row's bits
+    as other rows drop out: numpy runs a batched matmul one item at a time,
+    and layer ops row by row. The sources that share the batch do count:
+    they set the padded source width, and a row's scores can move in the
+    last bits with it (a longer source added to three short ones moved about
+    a third of their logprobs, and none of their tokens).
     """
     if beam_width < 1:
         raise ValueError("beam_width must be >= 1")

@@ -423,24 +423,25 @@ def experiment(cfg: RunConfig) -> str:
     """Train every configured method, and run the fine-tuning protocol, swap
     study, perturbation and bins, on every eval seed; returns the report directory.
 
-    Pool tasks, in three rounds: per seed, data, vanilla and plan; per
-    (seed, method), training (written to train/ as `train` writes it) and
-    protocol, longest first: the episodic methods, then agg, over every seed;
-    per seed, once its models are back, its swap study, perturbation and bins.
-    Rows merge in seed order.
+    Pool tasks: first each seed's scoring (data, vanilla and plan); then, in
+    seed order, as soon as that seed's scoring is back, its trainings
+    (written to train/ as `train` writes it) and protocol, the episodic
+    methods first; then per seed, once its models are back, its swap study,
+    perturbation and bins. Rows merge in seed order.
     """
     ev, methods = cfg.eval, sorted(cfg.training.methods)
     for m in methods:
         _trainer(cfg, m)
     grafts = [m for m in ("epi_curriculum", "agg") if m in methods]   # for the swap study
-    order = sorted(((m, s) for m in methods for s in ev.seeds),
-                   key=lambda ms: ms[0] not in TR.EPISODIC)
+    order = sorted(methods, key=lambda m: m not in TR.EPISODIC)
     width, steps = ev.experiment_beam_width, ev.max_steps
-    with _pool(max(len(order), 3 * len(ev.seeds))) as pool:
-        planned = dict(zip(ev.seeds, _results(_submit(
-            pool, [(f"scoring (seed {s})", _planned_base, cfg, s) for s in ev.seeds]))))
-        trained = dict(zip(order, _submit(pool, [(f"{m} (seed {s})", _trained, cfg, m, s,
-                                                  *planned[s]) for m, s in order])))
+    with _pool(len(ev.seeds) * max(len(order), 3)) as pool:
+        planned, trained = {}, {}
+        for s, scoring in zip(ev.seeds, _submit(pool, [
+                (f"scoring (seed {s})", _planned_base, cfg, s) for s in ev.seeds])):
+            planned[s], = _results([scoring])
+            trained |= {(m, s): task for m, task in zip(order, _submit(pool, [
+                (f"{m} (seed {s})", _trained, cfg, m, s, *planned[s]) for m in order]))}
         protocol, experiments = [], []
         for s in ev.seeds:
             base, plan = planned[s]

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -637,6 +638,42 @@ class TestExperiment:
         monkeypatch.setattr(CU.Scorer, "__getstate__", _logged(log, vars), raising=False)
         assert P.experiment(cfg) == os.path.join(P.run_dir(cfg, 0), "eval")
         assert not log.exists()
+
+    def test_each_model_decodes_its_test_sets_together(self, tmp_path, monkeypatch):
+        """The studies decode all of a model's test sets (or bins) in one
+        batched beam search: 68 `beam_decode_batch` calls for three methods
+        and two eval seeds, where one per (model, test set) made 127."""
+        log = tmp_path / "calls.log"
+        monkeypatch.setattr(M, "beam_decode_batch", _logged(log, M.beam_decode_batch))
+        P.experiment(_tiny_run(tmp_path, methods=["vanilla", "agg", "epi_curriculum"],
+                               seeds=[0, 1]))
+        assert len(log.read_text().split()) == 68
+
+    def test_a_scored_seed_trains_while_the_other_is_scored(self, tmp_path, monkeypatch):
+        """Seed 0's trainings start as soon as seed 0 is scored: on two
+        workers, seed 1's scoring waits (up to 20 s) for a file that seed
+        0's training writes."""
+        monkeypatch.setattr(P, "_workers", lambda: 2)
+        marker = tmp_path / "seed0.trained"
+        base, load_trained = P._base, P._load_trained
+
+        def waits_for_seed_0(cfg, seed):
+            deadline = time.monotonic() + 20
+            while seed == 1 and not marker.exists():
+                if time.monotonic() > deadline:
+                    raise TimeoutError("seed 0 was not trained while seed 1 was scored")
+                time.sleep(0.01)
+            return base(cfg, seed)
+
+        def marks_seed_0(cfg, seed, *args):
+            if seed == 0:
+                marker.touch()
+            return load_trained(cfg, seed, *args)
+
+        monkeypatch.setattr(P, "_base", waits_for_seed_0)
+        monkeypatch.setattr(P, "_load_trained", marks_seed_0)
+        P.experiment(_tiny_run(tmp_path, methods=["vanilla"], seeds=[0, 1]))
+        assert marker.exists()
 
     def test_a_seed_does_not_depend_on_the_other_eval_seeds(self, tmp_path):
         """Eval seed 1's report rows and its run directory outside eval/ (its

@@ -186,25 +186,39 @@ class TestProtocol:
 class TestSwap:
     def test_matching_specialist_excluded(self, world, monkeypatch):
         """One row per part and method, encoder first; each covers every test
-        domain with every other specialist, and a specialist's own BLEU is
-        decoded once per domain, not once per row."""
+        domain with every other specialist. Each specialist and each of its
+        hybrids is decoded exactly once, in one batched decode over exactly
+        the domains other than the specialist's own."""
         _, ds, _, hp, vanilla, agg = world
-        specialists = {d: vanilla for d in ds.seen_ids}
+        specialists = {d: vanilla.copy() for d in ds.seen_ids}
+        trained = {"agg": agg, "vanilla": vanilla}
+        domains = ds.seen_ids + ds.unseen_ids
+        domain_of = {id(ds.splits[d].testing): d for d in domains}
         decoded = []
-        bleu = E.test_bleu
-        monkeypatch.setattr(E, "test_bleu", lambda m, *a: decoded.append(m) or bleu(m, *a))
-        swap = E.swap_experiment({"agg": agg, "vanilla": vanilla}, specialists, ds,
-                                 beam_width=1, max_steps=8)
+        translate = E.translate_corpora
+
+        def logged(model, corpora, *args):
+            decoded.append(((id(model.encoder), id(model.decoder)),
+                            [domain_of[id(c)] for c in corpora]))
+            return translate(model, corpora, *args)
+
+        monkeypatch.setattr(E, "translate_corpora", logged)
+        swap = E.swap_experiment(trained, specialists, ds, beam_width=1, max_steps=8)
         assert [r["part"] for r in swap] == ["encoder:agg", "encoder:vanilla",
                                              "decoder:agg", "decoder:vanilla"]
-        domains = ds.seen_ids + ds.unseen_ids
         for r in swap:
             assert list(r["improvements"]) == [str(d) for d in domains]
             for d, gains in zip(domains, r["improvements"].values()):
                 assert [sd for sd, _ in gains] == [sd for sd in ds.seen_ids if sd != d]
-        cells = sum(sd != d for d in domains for sd in ds.seen_ids)
-        assert sum(m is vanilla for m in decoded) == cells
-        assert len(decoded) == cells * (1 + len(swap))
+        want = []
+        for sd, spec in specialists.items():
+            others = [d for d in domains if d != sd]
+            want += [((id(enc), id(dec)), others) for enc, dec in [
+                (spec.encoder, spec.decoder),
+                *((m.encoder, spec.decoder) for m in trained.values()),
+                *((spec.encoder, m.decoder) for m in trained.values())]]
+        assert len(decoded) == len(specialists) * (1 + len(swap))
+        assert sorted(decoded) == sorted(want)
 
     def test_identity_swap_is_neutral(self, world):
         """Grafting a model's own encoder or decoder onto itself changes nothing."""

@@ -249,9 +249,14 @@ class TestDecode:
                  (random_pair(rng, model.config, n=int(n)) for n in rng.integers(1, 9, 10))]
         want = [r.tokens[:-1] if not r.truncated else r.tokens
                 for r in beam_reference(model, [p.source for p in pairs], 5, 8)]
+        # corpora of 4, 0, 1 and 5 pairs: at chunk 3 the first and the last
+        # each cross a chunk boundary, and the last shares a chunk with the one before
+        corpora = [pairs[:4], [], pairs[4:5], pairs[5:]]
         for chunk in (3, 64):
             monkeypatch.setattr(E, "DECODE_CHUNK", chunk)
             assert E.translate_corpus(model, pairs, 5, 8) == want
+            assert E.translate_corpora(model, corpora, 5, 8) == [
+                want[:4], [], want[4:5], want[5:]]
 
     def test_beam1_equals_greedy_over_seeded_cases(self):
         """Beam width 1 against the independent greedy reference: 100 cases

@@ -19,7 +19,8 @@ plan (the shards and the scored seen test pairs), which `_base` and `_plan`
 compute again when they are not current, and each method's checkpoint,
 which `experiment` trains again and `finetune` and `eval` refuse (a data
 error). A command always computes its own stage; delete a file or its
-stage directory to have it computed again.
+stage directory to have it computed again. `gen-data` always writes data/,
+a later command only when it computes base/.
 
 `experiment` and `finetune` run their independent tasks in a process pool
 with at most one worker per core this process may run on (an episodic
@@ -225,14 +226,16 @@ class Base(NamedTuple):
 def _base(cfg: RunConfig, seed: int) -> Base:
     """The seed's data, and its vanilla model: loaded from base/ when it is
     current there, else pretrained and written there (float64 values
-    round-trip exactly, so both give the same model)."""
-    vocab, dataset, _ = gen_data(cfg, seed)
+    round-trip exactly, so both give the same model). data/ is written only
+    with a new base/."""
     out = _stage_dir(cfg, seed, "base")
     path, summary = (os.path.join(out, name) for name in ("vanilla.model.json",
                                                            "summary.json"))
     with _stale(f"base (seed {seed})", cfg, seed, summary, path) as why:
         if why is None:
-            return Base(vocab, dataset, M.load_model(path), _load_json(summary)["vanilla_steps"])
+            return Base(*C.build_dataset(cfg.dataset, seed), M.load_model(path),
+                        _load_json(summary)["vanilla_steps"])
+        vocab, dataset, _ = gen_data(cfg, seed)
         vanilla, curve = TR.pretrain_vanilla(dataset.splits[dataset.generic_id].training,
                                              replace(cfg.model, vocab_size=vocab.size),
                                              cfg.training.method_hp("vanilla", seed))

@@ -58,6 +58,18 @@ __all__ = [
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
+# glibc serves an array of 128 KB or more with fresh pages and hands freed
+# heap back to the kernel, so each batch-64 step would fault in megabytes of
+# zeroed pages. A 16 MB top pad (M_TOP_PAD, mallopt(3)) keeps that much freed
+# heap in the process and serves such arrays from it; forked processes
+# inherit it. Only the allocator's bookkeeping changes.
+try:
+    if os.confstr("CS_GNU_LIBC_VERSION").startswith("glibc"):
+        import ctypes   # numpy has loaded it already
+        ctypes.CDLL(None).mallopt(-2, 16 << 20)
+except (AttributeError, ValueError, OSError):   # no confstr, or no such name
+    pass
+
 
 class Tensor:
     """A dense float64 array plus optional gradient bookkeeping."""

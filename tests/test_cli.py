@@ -178,33 +178,23 @@ class TestConfig:
         assert os.path.basename(P.run_dir(a, 0)) == os.path.basename(P.run_dir(b, 0))
 
 
-def test_cli_import_does_not_load_scipy_stats():
+@pytest.fixture(scope="module")
+def cli_import_modules() -> list[str]:
+    """The modules that `import epinmt.cli` leaves loaded, in a fresh process."""
     proc = subprocess.run(
-        [sys.executable, "-c",
-         "import epinmt.cli, sys; print('scipy.stats' in sys.modules)"],
+        [sys.executable, "-c", "import epinmt.cli, sys; print(*sys.modules)"],
         env=child_env(), capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.split()
 
 
-def test_cli_import_loads_no_process_pool():
-    """`import epinmt.cli` loads neither concurrent.futures nor multiprocessing;
-    only a command that runs a pool does."""
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import epinmt.cli, sys; print(sorted(m for m in sys.modules "
-         "if m.split('.')[0] in ('concurrent', 'multiprocessing')))"],
-        env=child_env(), capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "[]"
-
-
-def test_cli_import_loads_no_scipy_module():
-    """`import epinmt.cli` loads no scipy module (GELU loads only its erf extension)."""
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import epinmt.cli, sys; "
-         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
-        env=child_env(), capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "[]"
+@pytest.mark.parametrize("prefix", ["scipy", "concurrent", "multiprocessing", "subprocess",
+                                    "ctypes.util"])
+def test_cli_import_does_not_load(cli_import_modules, prefix):
+    """`import epinmt.cli`, which every command pays, loads no scipy module
+    (GELU loads only its erf extension), no process pool (only a command
+    that runs one does), and neither `subprocess` nor `ctypes.util` (whose
+    `find_library` starts a child process)."""
+    assert [m for m in cli_import_modules if (m + ".").startswith(prefix + ".")] == []
 
 
 class TestCliUsage:
@@ -886,6 +876,16 @@ class TestReuse:
         before = _stats(data)
         for command in (["finetune", "--method", "agg"], ["eval"]):
             assert cli.main([*command, *config]) == cli.EXIT_OK
+        assert _stats(data) == before
+
+    def test_a_second_experiment_leaves_data_as_it_was(self, tmp_path):
+        """A second `experiment`, whose base/ is current, rebuilds the
+        dataset without writing data/."""
+        cfg = _tiny_run(tmp_path, methods=["vanilla"])
+        P.experiment(cfg)
+        data = Path(P.run_dir(cfg, 0), "data")
+        before = _stats(data)
+        P.experiment(cfg)
         assert _stats(data) == before
 
     def test_experiment_loads_a_current_checkpoint(self, tiny_config_file, tmp_path, capsys):

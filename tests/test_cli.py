@@ -187,13 +187,21 @@ def cli_import_modules() -> list[str]:
     return proc.stdout.split()
 
 
-@pytest.mark.parametrize("prefix", ["scipy", "concurrent", "multiprocessing", "subprocess",
+def test_cli_import_does_not_load_scipy_stats(cli_import_modules):
+    assert "scipy.stats" not in cli_import_modules
+
+
+def test_cli_import_loads_no_scipy_module(cli_import_modules):
+    """`import epinmt.cli` loads no scipy module (GELU loads only its erf extension)."""
+    assert [m for m in cli_import_modules if m.split(".")[0] == "scipy"] == []
+
+
+@pytest.mark.parametrize("prefix", ["concurrent", "multiprocessing", "subprocess",
                                     "ctypes.util"])
 def test_cli_import_does_not_load(cli_import_modules, prefix):
-    """`import epinmt.cli`, which every command pays, loads no scipy module
-    (GELU loads only its erf extension), no process pool (only a command
-    that runs one does), and neither `subprocess` nor `ctypes.util` (whose
-    `find_library` starts a child process)."""
+    """`import epinmt.cli`, which every command pays, loads no process pool
+    (only a command that runs one does), and neither `subprocess` nor
+    `ctypes.util` (whose `find_library` starts a child process)."""
     assert [m for m in cli_import_modules if (m + ".").startswith(prefix + ".")] == []
 
 

@@ -52,7 +52,7 @@ def cmd_gen_data(args) -> int:
 
 def cmd_score(args) -> int:
     cfg = _load(args)
-    plan, _, _ = P.score(cfg, cfg.master_seed)
+    _, plan = P.planned_base(cfg, cfg.master_seed)
     print(json.dumps({"filtered_count": plan.filtered_count,
                       "shard_sizes": [len(s) for s in plan.shards]}))
     return EXIT_OK

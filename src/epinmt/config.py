@@ -111,10 +111,10 @@ class RunConfig:
     eval: EvalConfig = field(default_factory=EvalConfig)
 
     def canonical_json(self) -> str:
-        """Every field except `output_dir`, which says where results go, and
-        `master_seed`, which the run directory's name carries."""
+        """Every field but `output_dir`, where results go, `master_seed`, which
+        the run directory's name carries, and `eval`, which no stage file reads."""
         payload = asdict(self)
-        del payload["output_dir"], payload["master_seed"]
+        del payload["output_dir"], payload["master_seed"], payload["eval"]
         return json.dumps(payload, sort_keys=True, default=list)
 
     def config_hash(self) -> str:

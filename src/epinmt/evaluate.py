@@ -108,8 +108,11 @@ def adapted(model: M.EncoderDecoderModel, dataset: MultiDomainDataset, hp: Hyper
             seed: int, domain: int) -> M.EncoderDecoderModel:
     """The model that the protocol cell (training seed, domain) scores after
     fine-tuning: `model` fine-tuned on the domain's fine-tuning split."""
-    return finetune(model, dataset.splits[domain].finetune,
-                    replace(hp, seed=seed * 1000 + domain))
+    try:
+        return finetune(model, dataset.splits[domain].finetune,
+                        replace(hp, seed=seed * 1000 + domain))
+    except InternalError as e:
+        raise InternalError(f"fine-tuning on domain {domain}: {e}") from e
 
 
 def run_protocol(models: dict[str, M.EncoderDecoderModel], dataset: MultiDomainDataset,

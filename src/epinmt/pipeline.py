@@ -12,15 +12,15 @@ reproduces them byte for byte. This module alone knows the layout:
               <method>.ft_domain<d>.model.json
       eval/   protocol.json, protocol.csv (eval); report.json, report.csv (experiment)
 
-Later commands read back three stage files, each only when its record (the
-JSON written after it) names this config hash, seed, package source and
-numpy version and the file's sha256 (`_stale`): the vanilla model and the
-plan (the shards and the scored seen test pairs), which `_base` and `_plan`
-compute again when they are not current, and each method's checkpoint,
-which `experiment` trains again and `finetune` and `eval` refuse (a data
-error). A command always computes its own stage; delete a file or its
-stage directory to have it computed again. `gen-data` always writes data/,
-a later command only when it computes base/.
+Three stage files are read back: the vanilla model, the plan (the shards and
+the scored seen test pairs) and each method's checkpoint. Each is computed
+only when it is not current: when its record (the JSON written after it)
+does not name this config hash, seed, package source and numpy version and
+the file's sha256 (`_stale`). Delete a file to have it computed again;
+`finetune` and `eval` refuse a checkpoint that is not current, as `train`
+without `--build-deps` refuses a plan. The config hash leaves out `eval`, so
+eval/ holds the latest reports, their eval settings in `meta`. `gen-data`
+always writes data/, a later command only when it computes base/.
 
 `experiment` and `finetune` run their independent tasks in a process pool
 with at most one worker per core this process may run on (an episodic
@@ -37,7 +37,7 @@ import logging
 import os
 import time
 from contextlib import contextmanager
-from dataclasses import replace
+from dataclasses import asdict, replace
 from functools import cache, partial
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -220,7 +220,6 @@ class Base(NamedTuple):
     vocab: M.Vocabulary
     dataset: C.MultiDomainDataset
     vanilla: M.EncoderDecoderModel
-    vanilla_steps: int
 
 
 def _base(cfg: RunConfig, seed: int) -> Base:
@@ -233,15 +232,15 @@ def _base(cfg: RunConfig, seed: int) -> Base:
                                                            "summary.json"))
     with _stale(f"base (seed {seed})", cfg, seed, summary, path) as why:
         if why is None:
-            return Base(*C.build_dataset(cfg.dataset, seed), M.load_model(path),
-                        _load_json(summary)["vanilla_steps"])
+            return Base(*C.build_dataset(cfg.dataset, seed), M.load_model(path))
         vocab, dataset, _ = gen_data(cfg, seed)
-        vanilla, curve = TR.pretrain_vanilla(dataset.splits[dataset.generic_id].training,
-                                             replace(cfg.model, vocab_size=vocab.size),
-                                             cfg.training.method_hp("vanilla", seed))
+        vanilla, curve = _labelled(f"vanilla pretraining (seed {seed})", TR.pretrain_vanilla,
+                                   dataset.splits[dataset.generic_id].training,
+                                   replace(cfg.model, vocab_size=vocab.size),
+                                   cfg.training.method_hp("vanilla", seed))
         _write_whole(path, partial(M.save_model, vanilla))
         _write_json(summary, _record(cfg, seed, path, vanilla_steps=len(curve)))
-    return Base(vocab, dataset, vanilla, len(curve))
+    return Base(vocab, dataset, vanilla)
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +265,7 @@ def score(cfg: RunConfig, seed: int, base: Base | None = None):
     """Score, filter and shard the seen-domain training corpus, and score the
     seen test pairs for the bins study; returns (plan, denoise scorer or None,
     divergence scorer). Without the seed's `Base` it builds one."""
-    vocab, dataset, vanilla, _ = base or _base(cfg, seed)
+    vocab, dataset, vanilla = base or _base(cfg, seed)
     denoise, divergence = build_scorers(cfg, dataset, vanilla, seed)
     pairs = dataset.all_seen_training()
     CU.score_corpus(pairs, denoise, divergence)
@@ -318,14 +317,13 @@ def _load_trained(cfg: RunConfig, seed: int, method: str, base: Base | None = No
 
 def _train_method(cfg: RunConfig, method: str, seed: int, base: Base,
                   plan: CU.CurriculumPlan | None) -> M.EncoderDecoderModel:
-    log.info("training %s (seed %d)", method, seed)
     model = _trainer(cfg, method)[1](base.vanilla, base.dataset, plan,
                                      cfg.training.method_hp(method, seed))
     path = _checkpoint(cfg, seed, method)
     _stage_dir(cfg, seed, "train")
     _write_whole(path, partial(M.save_model, model))
-    _write_json(_checkpoint(cfg, seed, method, "provenance"), _record(
-        cfg, seed, path, method=method, vanilla_steps=base.vanilla_steps))
+    _write_json(_checkpoint(cfg, seed, method, "provenance"),
+                _record(cfg, seed, path, method=method))
     return model
 
 
@@ -340,12 +338,18 @@ def _plan(cfg: RunConfig, seed: int, base: Base, build: bool) -> CU.CurriculumPl
         return score(cfg, seed, base)[0] if why else CU.load_plan(path)
 
 
+def planned_base(cfg: RunConfig, seed: int) -> tuple[Base, CU.CurriculumPlan]:
+    """The seed's `Base` and its plan, scored only when it is not current."""
+    base = _base(cfg, seed)
+    return base, _plan(cfg, seed, base, True)
+
+
 def train(cfg: RunConfig, method: str, seed: int, build_deps: bool = True) -> str:
-    """Train one method end to end and write its checkpoint; returns the path.
-    A curriculum method's plan is `_plan`'s, which scores only with `build_deps`."""
+    """Train one method unless its checkpoint is current; returns its path. A
+    curriculum method's plan is `_plan`'s, which scores only with `build_deps`."""
     needs_plan, base = _trainer(cfg, method)[0], _base(cfg, seed)
     plan = _plan(cfg, seed, base, build_deps) if needs_plan else None
-    _labelled(f"{method} (seed {seed})", _train_method, cfg, method, seed, base, plan)
+    _labelled(f"{method} (seed {seed})", _load_trained, cfg, seed, method, base, plan)
     return _checkpoint(cfg, seed, method)
 
 
@@ -375,10 +379,12 @@ def finetune(cfg: RunConfig, method: str, seed: int) -> str:
 
 
 def _write_report(cfg: RunConfig, seeds, stem: str, protocol: list[dict], *studies) -> str:
-    """eval/<stem>.json and <stem>.csv, in the first seed's run directory."""
+    """eval/<stem>.json, the eval settings in its meta, and <stem>.csv, in the
+    first seed's run directory."""
     out = _stage_dir(cfg, seeds[0], "eval")
+    meta = {"config_hash": cfg.config_hash(), "seeds": list(seeds), "eval": asdict(cfg.eval)}
     _write_whole(os.path.join(out, f"{stem}.json"), lambda tmp: E.report_bundle_json(
-        tmp, protocol, *studies, meta={"config_hash": cfg.config_hash(), "seeds": list(seeds)}))
+        tmp, protocol, *studies, meta=meta))
     _write_whole(os.path.join(out, f"{stem}.csv"), partial(E.report_csv, protocol=protocol))
     return out
 
@@ -390,12 +396,6 @@ def evaluate(cfg: RunConfig, seed: int) -> str:
     _, dataset = C.build_dataset(cfg.dataset, seed)
     return _write_report(cfg, [seed], "protocol", E.run_protocol(
         models, dataset, cfg.training.hp, seed, cfg.eval.beam_width, cfg.eval.max_steps))
-
-
-def _planned_base(cfg: RunConfig, seed: int) -> tuple[Base, CU.CurriculumPlan]:
-    """The seed's `Base` and its plan, scored only when it is not current."""
-    base = _base(cfg, seed)
-    return base, _plan(cfg, seed, base, True)
 
 
 def _trained(cfg: RunConfig, method: str, seed: int, base: Base,
@@ -441,7 +441,7 @@ def experiment(cfg: RunConfig) -> str:
     with _pool(len(ev.seeds) * max(len(order), 3)) as pool:
         planned, trained = {}, {}
         for s, scoring in zip(ev.seeds, _submit(pool, [
-                (f"scoring (seed {s})", _planned_base, cfg, s) for s in ev.seeds])):
+                (f"scoring (seed {s})", planned_base, cfg, s) for s in ev.seeds])):
             planned[s], = _results([scoring])
             trained |= {(m, s): task for m, task in zip(order, _submit(pool, [
                 (f"{m} (seed {s})", _trained, cfg, m, s, *planned[s]) for m in order]))}

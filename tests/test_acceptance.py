@@ -622,7 +622,7 @@ def test_criterion_12_determinism(tmp_path, capsys, monkeypatch):
         """Run a command twice; artifacts maps label -> run-dir-relative path.
         The second run overwrites the first, so bytes are snapshotted. The
         run-dir-relative directories `recompute` are removed before the second
-        run, so that it computes what the first one could load from there."""
+        run, so that it computes what it would load from there otherwise."""
         results = []
         for i in range(2):
             for rel in recompute if i else ():
@@ -638,9 +638,10 @@ def test_criterion_12_determinism(tmp_path, capsys, monkeypatch):
                     {"manifest": "data/manifest.json",
                      "train_tsv": "data/domain_1.train.tsv"})
     run_and_compare(["score", "--config", str(cfg_path)],
-                    {"plan": "score/plan.json", "scored": "score/scored.tsv"})
+                    {"plan": "score/plan.json", "scored": "score/scored.tsv"},
+                    recompute=("score",))
     run_and_compare(["train", "--config", str(cfg_path), "--method", "agg"],
-                    {"checkpoint": "train/agg.model.json"})
+                    {"checkpoint": "train/agg.model.json"}, recompute=("train",))
     run_and_compare(["experiment", "--config", str(cfg_path)],
                     {"report_json": "eval/report.json",
                      "report_csv": "eval/report.csv"}, recompute=("train", "score"))

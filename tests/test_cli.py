@@ -8,7 +8,7 @@ import re
 import subprocess
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -37,12 +37,13 @@ def _tiny_with_training(tmp_path, **training) -> str:
     return str(path)
 
 
-def _tiny_run(tmp_path, methods, seeds=(0,)) -> cfgmod.RunConfig:
-    """TINY with its own methods and eval seeds, writing under tmp_path."""
+def _tiny_run(tmp_path, methods, seeds=(0,), **evaluation) -> cfgmod.RunConfig:
+    """TINY with its own methods, eval seeds and other eval fields, writing
+    under tmp_path."""
     return cfgmod.config_from_dict({
         **TINY, "output_dir": str(tmp_path / "runs"),
         "training": {**TINY["training"], "methods": methods},
-        "eval": {**TINY["eval"], "seeds": list(seeds)}})
+        "eval": {**TINY["eval"], "seeds": list(seeds), **evaluation}})
 
 
 def _logged(log: Path, fn):
@@ -169,6 +170,25 @@ class TestConfig:
         with pytest.raises(cfgmod.UsageError, match=key) as e:
             cfgmod.config_from_dict(raw)
         assert source in str(e.value)
+
+    def test_the_hash_leaves_out_eval_alone(self):
+        """No stage file reads `eval`, so no eval setting moves the run
+        directories; a field of any other section does."""
+        default = cfgmod.config_from_dict({})
+        evals = {"seeds": [4, 5], "sigmas": [0.5], "noise_seeds": [7], "beam_width": 2,
+                 "experiment_beam_width": 3, "max_steps": 9}
+        assert set(evals) == {f.name for f in fields(cfgmod.EvalConfig)}
+        for key, value in evals.items():
+            changed = cfgmod.config_from_dict({"eval": {key: value}})
+            assert changed.eval != default.eval
+            assert changed.config_hash() == default.config_hash(), key
+        others = {"dataset": {"n_content": 9}, "model": {"d_model": 32},
+                  "curriculum": {"lm_steps": 7}, "training": {"beta": 0.2}}
+        assert set(others) == {f.name for f in fields(cfgmod.RunConfig)} - {
+            "output_dir", "master_seed", "eval"}
+        for section, raw in others.items():
+            changed = cfgmod.config_from_dict({section: raw})
+            assert changed.config_hash() != default.config_hash(), section
 
     def test_output_dir_does_not_change_hash(self):
         a = cfgmod.config_from_dict({"output_dir": "runs"})
@@ -474,19 +494,33 @@ class TestCliPipeline:
         err = capsys.readouterr().err
         assert "non-finite loss" in err and "agg" in err and "seed 0" in err
 
+    @pytest.mark.parametrize("training, stage", [
+        ({"overrides": {"vanilla": {"alpha": 1e9}}}, "vanilla pretraining (seed 0)"),
+        ({"finetune_lr": 1e100}, "fine-tuning on domain")], ids=["pretraining", "fine-tuning"])
+    def test_a_diverged_training_names_its_stage(self, tmp_path, capsys, training, stage):
+        """A non-finite loss in vanilla pretraining or in the protocol's
+        fine-tuning names that stage, under the pool task's label."""
+        path = _tiny_with_training(tmp_path, **training)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = cli.main(["experiment", "--config", path])
+        assert rc == cli.EXIT_INTERNAL
+        err = capsys.readouterr().err
+        assert stage in err and "non-finite loss" in err
+
     def test_second_train_loads_the_vanilla(self, tiny_config_file, monkeypatch, capsys):
         """The first `train` in a run directory pretrains vanilla into base/;
-        a second one loads it and writes the same bytes."""
+        a second one loads it and the checkpoint, and trains nothing."""
         train = ["train", "--config", tiny_config_file, "--method", "agg"]
         assert cli.main(train) == cli.EXIT_OK
         ckpt = Path(capsys.readouterr().out.strip())
         written = (ckpt, ckpt.with_name("agg.provenance.json"))
         fresh = [f.read_bytes() for f in written]
 
-        def no_pretraining(*args, **kwargs):
-            raise RuntimeError("train pretrained vanilla again")
+        def no_training(*args, **kwargs):
+            raise RuntimeError("train trained again")
 
-        monkeypatch.setattr(TR, "pretrain_vanilla", no_pretraining)
+        monkeypatch.setattr(TR, "pretrain_vanilla", no_training)
+        monkeypatch.setattr(P, "_train_method", no_training)
         assert cli.main(train) == cli.EXIT_OK
         assert capsys.readouterr().out.strip() == str(ckpt)
         assert [f.read_bytes() for f in written] == fresh
@@ -674,26 +708,26 @@ class TestExperiment:
         assert marker.exists()
 
     def test_a_seed_does_not_depend_on_the_other_eval_seeds(self, tmp_path):
-        """Eval seed 1's report rows and its run directory outside eval/ (its
-        plan holds both scorers' outputs) are the same whether it runs next
-        to seed 0 or alone. The config hash covers `eval.seeds`, so the two
-        runs' hashes, which the files name, are replaced by one placeholder."""
+        """Eval seed 1's report rows, the name of its run directory and the
+        files there outside eval/ (its plan holds both scorers' outputs) are
+        the same whether it runs next to seed 0 or alone."""
         def seed_one(seeds):
             cfg = _tiny_run(tmp_path / f"seeds{len(seeds)}",
                             methods=["vanilla", "agg", "epi_curriculum"], seeds=seeds)
             report = json.loads(Path(P.experiment(cfg), "report.json").read_text())
-            run, tag = Path(P.run_dir(cfg, 1)), cfg.config_hash().encode()
-            files = {p.relative_to(run).as_posix(): p.read_bytes().replace(tag, b"<hash>")
+            run = Path(P.run_dir(cfg, 1))
+            files = {p.relative_to(run).as_posix(): p.read_bytes()
                      for p in sorted(run.rglob("*"))
                      if p.is_file() and p.relative_to(run).parts[0] != "eval"}
             rows = {study: [r for r in report[study] if r["seed"] == 1] for study in
                     ("protocol", "swap", "perturbation", "divergence_bins")}
-            return rows, files
+            return run.name, rows, files
 
-        (rows, files), alone = seed_one([0, 1]), seed_one([1])
+        (name, rows, files), alone = seed_one([0, 1]), seed_one([1])
         assert all(rows.values()) and any(rel.startswith("train/") for rel in files)
-        assert rows == alone[0]
-        assert files == alone[1]
+        assert name == alone[0]
+        assert rows == alone[1]
+        assert files == alone[2]
 
     def test_experiment_takes_no_seed_flag(self, tiny_config_file, tmp_path):
         """`experiment` runs every eval seed, so a --seed would name nothing."""
@@ -767,18 +801,25 @@ def _tree(root: Path) -> dict:
             for p in sorted(root.rglob("*")) if p.is_file()}
 
 
-def _seed_logged(log: Path, build_scorers):
-    """build_scorers, appending the seed it scores to `log` at each call."""
-    def logged(cfg, dataset, vanilla, seed):
+def _seed_logged(log: Path, fn, at: int = 3):
+    """fn, appending the seed it is called with (positional argument `at`,
+    which is 3 for `build_scorers`) to `log` at each call."""
+    def logged(*args):
         with open(log, "a") as f:
-            f.write(f"{seed}\n")
-        return build_scorers(cfg, dataset, vanilla, seed)
+            f.write(f"{args[at]}\n")
+        return fn(*args)
     return logged
 
 
 def _stats(directory: Path) -> dict:
     """Each file's (inode, mtime in ns): both change when a file is written again."""
     return {p.name: (p.stat().st_ino, p.stat().st_mtime_ns) for p in directory.iterdir()}
+
+
+def _stage_stats(cfg: cfgmod.RunConfig, seeds) -> dict:
+    """`_stats` of each seed's stage directories but eval/."""
+    return {(seed, d.name): _stats(d) for seed in seeds
+            for d in Path(P.run_dir(cfg, seed)).iterdir() if d.name != "eval"}
 
 
 class TestReuse:
@@ -847,17 +888,69 @@ class TestReuse:
 
     def test_a_second_experiment_computes_nothing(self, tmp_path, monkeypatch):
         """A second `experiment` loads every vanilla model, plan and
-        checkpoint, and writes the same report."""
-        cfg = _tiny_run(tmp_path, methods=["vanilla", "epi_curriculum"], seeds=[0, 1])
+        checkpoint, and writes the same report. So do later ones whose
+        configs differ only in `eval`: they use the same run directories,
+        and their reports hold the eval settings they ran with."""
+        methods = ["vanilla", "epi_curriculum"]
+        cfg = _tiny_run(tmp_path, methods, seeds=[0, 1])
         report = Path(P.experiment(cfg), "report.json")
-        first = report.read_bytes()
+        first, before = report.read_bytes(), _stage_stats(cfg, [0, 1])
         log = tmp_path / "calls.log"
         for module, name in ((P, "build_scorers"), (P, "_train_method"),
                              (TR, "pretrain_vanilla")):
             monkeypatch.setattr(module, name, _logged(log, getattr(module, name)))
         P.experiment(cfg)
-        assert not log.exists()
         assert report.read_bytes() == first
+        for changed in ({"sigmas": [0.01, 0.1]}, {"beam_width": 2, "experiment_beam_width": 2},
+                        {"max_steps": 4}):
+            assert P.experiment(_tiny_run(tmp_path, methods, [0, 1], **changed)) == \
+                str(report.parent)
+            assert json.loads(report.read_text())["meta"]["eval"] == {
+                **TINY["eval"], "seeds": [0, 1], **changed}
+        assert not log.exists()
+        assert _stage_stats(cfg, [0, 1]) == before
+
+    def test_a_new_eval_seed_is_scored_and_trained_alone(self, tmp_path, monkeypatch):
+        """Adding an eval seed keeps the other seeds' run directories and
+        scores and trains the new seed alone."""
+        methods = ["vanilla", "epi_curriculum"]
+        cfg = _tiny_run(tmp_path, methods, seeds=[0])
+        P.experiment(cfg)
+        before = _stage_stats(cfg, [0])
+        monkeypatch.setattr(P, "build_scorers", _seed_logged(tmp_path / "scored.log",
+                                                             P.build_scorers))
+        monkeypatch.setattr(P, "_train_method", _seed_logged(tmp_path / "trained.log",
+                                                             P._train_method, at=2))
+        P.experiment(_tiny_run(tmp_path, methods, seeds=[0, 1]))
+        assert (tmp_path / "scored.log").read_text().split() == ["1"]
+        assert (tmp_path / "trained.log").read_text().split() == ["1", "1"]
+        assert _stage_stats(cfg, [0]) == before
+
+    def test_a_second_score_and_train_compute_nothing(self, tiny_config_file, tmp_path,
+                                                      monkeypatch, capsys):
+        """`score` and `train` load a current vanilla model, plan and
+        checkpoint as `experiment` does: a second round pretrains, scores
+        and trains nothing, writes no file and prints what the first printed."""
+        commands = (["score", "--config", tiny_config_file],
+                    ["train", "--config", tiny_config_file, "--method", "epi_curriculum",
+                     "--build-deps"])
+
+        def run_all():
+            for argv in commands:
+                assert cli.main(argv) == cli.EXIT_OK
+            return capsys.readouterr().out
+
+        printed = run_all()
+        run = Path(P.run_dir(cfgmod.load_config(tiny_config_file), 0))
+        before = {d.name: _stats(d) for d in run.iterdir()}
+        assert sorted(before) == ["base", "data", "score", "train"]
+        log = tmp_path / "calls.log"
+        for module, name in ((TR, "pretrain_vanilla"), (P, "build_scorers"),
+                             (P, "_train_method")):
+            monkeypatch.setattr(module, name, _logged(log, getattr(module, name)))
+        assert run_all() == printed
+        assert not log.exists()
+        assert {d.name: _stats(d) for d in run.iterdir()} == before
 
     def test_experiment_scores_a_plan_of_other_sources_again(self, tmp_path, monkeypatch):
         """After `score` by other sources on eval seed 0, `experiment` scores
@@ -975,14 +1068,15 @@ class TestReuse:
 
         assert logged(train) == ["base (seed 0): computed in <t> s",
                                  "score (seed 0): computed in <t> s",
-                                 "training epi_curriculum (seed 0)"]
+                                 "train/epi_curriculum (seed 0): computed in <t> s"]
         with monkeypatch.context() as m:
             m.setattr(P, "_source_digest", lambda: "0" * 64)
             assert logged(["score", *config]) == [
-                "base (seed 0): stale (source), recomputed in <t> s"]
+                "base (seed 0): stale (source), recomputed in <t> s",
+                "score (seed 0): stale (source), recomputed in <t> s"]
         assert logged(train) == ["base (seed 0): stale (source), recomputed in <t> s",
                                  "score (seed 0): stale (source), recomputed in <t> s",
-                                 "training epi_curriculum (seed 0)"]
+                                 "train/epi_curriculum (seed 0): reused in <t> s"]
         assert logged(["finetune", *config, "--method", "epi_curriculum"]) == [
             "train/epi_curriculum (seed 0): reused in <t> s"]
         summary = Path(P.run_dir(cfgmod.load_config(tiny_config_file), 0), "base",

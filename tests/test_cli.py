@@ -940,17 +940,16 @@ class TestReuse:
                 assert cli.main(argv) == cli.EXIT_OK
             return capsys.readouterr().out
 
-        printed = run_all()
-        run = Path(P.run_dir(cfgmod.load_config(tiny_config_file), 0))
-        before = {d.name: _stats(d) for d in run.iterdir()}
-        assert sorted(before) == ["base", "data", "score", "train"]
+        printed, cfg = run_all(), cfgmod.load_config(tiny_config_file)
+        before = _stage_stats(cfg, [0])
+        assert sorted(stage for _, stage in before) == ["base", "data", "score", "train"]
         log = tmp_path / "calls.log"
         for module, name in ((TR, "pretrain_vanilla"), (P, "build_scorers"),
                              (P, "_train_method")):
             monkeypatch.setattr(module, name, _logged(log, getattr(module, name)))
         assert run_all() == printed
         assert not log.exists()
-        assert {d.name: _stats(d) for d in run.iterdir()} == before
+        assert _stage_stats(cfg, [0]) == before
 
     def test_experiment_scores_a_plan_of_other_sources_again(self, tmp_path, monkeypatch):
         """After `score` by other sources on eval seed 0, `experiment` scores

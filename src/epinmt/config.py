@@ -7,12 +7,13 @@ draws its seed from the master seed through a fixed counter scheme
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
-import math
+import sys
 import types
 import typing
-from dataclasses import dataclass, field, asdict, fields, replace
+from dataclasses import dataclass, field, asdict, fields, is_dataclass, replace
 
 from .corpus import DatasetConfig
 from .curriculum import SchedulerPolicy
@@ -53,24 +54,6 @@ class TrainingConfig:
     # per-method hyperparameter overrides, e.g. {"agg": {"batch_size": 64}};
     # unlisted fields fall back to `hp`
     overrides: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        for m in self.methods:
-            if m not in METHODS:
-                raise UsageError(
-                    f"unknown method '{m}'; valid methods: {', '.join(METHODS)}")
-        if not self.methods or len(set(self.methods)) != len(self.methods):
-            raise UsageError(f"training.methods must be nonempty and distinct, "
-                             f"got {list(self.methods)}")
-        for m, ov in self.overrides.items():
-            if m not in METHODS:
-                raise UsageError(
-                    f"override for unknown method '{m}'; "
-                    f"valid methods: {', '.join(METHODS)}")
-            _check_keys(Hyperparams, ov, f"training.overrides.{m}")
-            _check_ints(Hyperparams, ov, f"training.overrides.{m}")
-            _check_finite(ov, f"training.overrides.{m}")
-            _checked(f"training.overrides.{m}", lambda: self.method_hp(m, 0))
 
     def method_hp(self, method: str, seed: int) -> Hyperparams:
         return replace(self.hp, seed=seed, **self.overrides.get(method, {}))
@@ -141,51 +124,42 @@ def _check_keys(cls, payload: dict, where: str) -> None:
             raise UsageError(f"{where}.{key} cannot be set: {_DERIVED[cls, key]}")
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+# each config class's annotations, evaluated from their strings once
+_hints = functools.cache(typing.get_type_hints)
+
+# the JSON values that each scalar annotation takes: (their name, a test of one)
+_SCALARS = {
+    int: ("integers", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    # NaN, inf and an integer too large for a float all fail the bound
+    float: ("finite numbers", lambda v: isinstance(v, (int, float))
+            and not isinstance(v, bool) and abs(v) <= sys.float_info.max),
+    bool: ("true or false", lambda v: isinstance(v, bool)),
+    str: ("strings", lambda v: isinstance(v, str)),
+}
 
 
-def _ints_ok(hint, value) -> bool:
-    """Whether `value` holds an integer wherever the type `hint` names int.
-    A float or a bool is no count, and int() would quietly truncate it."""
-    if hint is int:
-        return _is_int(value)
-    args = typing.get_args(hint)
-    if isinstance(hint, types.UnionType):          # X | None
-        return value is None or any(_ints_ok(a, value) for a in args if a is not type(None))
-    if typing.get_origin(hint) is tuple and isinstance(value, tuple):
-        hints = args[:1] * len(value) if args[-1] is Ellipsis else args
-        return all(_ints_ok(h, v) for h, v in zip(hints, value))
-    return True
-
-
-def _check_ints(cls, payload: dict, where: str) -> None:
-    """Each of payload's fields of dataclass `cls` holds integers where its
-    annotation names int; otherwise a usage error."""
-    hints = typing.get_type_hints(cls)
-    for key, value in payload.items():
-        hint = hints[key]
-        if not _ints_ok(hint, value):
-            name = hint.__name__ if isinstance(hint, type) else str(hint)
-            raise UsageError(f"{where}.{key} takes integers only ({name}), "
-                             f"got {json.dumps(value)}")
-
-
-def _finite(value) -> bool:
-    """Whether no float in `value`, a tuple's included, is NaN or infinite."""
-    if isinstance(value, tuple):
-        return all(map(_finite, value))
-    return not isinstance(value, float) or math.isfinite(value)
-
-
-def _check_finite(payload: dict, where: str) -> None:
-    """Each of payload's values is free of NaN and infinities, which JSON
-    parsing lets through (`NaN`, `Infinity`, `1e999`) and which pass every
-    bound check; otherwise a usage error."""
-    for key, value in payload.items():
-        if not _finite(value):
-            raise UsageError(f"{where}.{key} takes finite numbers only, "
-                             f"got {json.dumps(value)}")
+def _value(hint, value, where: str):
+    """The JSON `value` of the field that `where` names, as its annotation
+    `hint` holds it: a list (or a Python caller's tuple) as a tuple, an object
+    as the dataclass. A value of another kind is a usage error naming the
+    field, or the item that is wrong."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is types.UnionType:                    # X | None
+        (inner,) = set(args) - {type(None)}
+        return None if value is None else _value(inner, value, where)
+    if origin is tuple:
+        sized = args[-1] is not Ellipsis
+        if not isinstance(value, (list, tuple)) or sized and len(value) != len(args):
+            size = f" of {len(args)} items" if sized else ""
+            raise UsageError(f"{where} takes lists{size} only, got {json.dumps(value)}")
+        items = args if sized else args[:1] * len(value)
+        return tuple(_value(h, v, f"{where}[{i}]") for i, (h, v) in enumerate(zip(items, value)))
+    if is_dataclass(hint):
+        return _build(hint, value, where)
+    name, fits = _SCALARS[hint]
+    if not fits(value):
+        raise UsageError(f"{where} takes {name} only, got {json.dumps(value)}")
+    return value
 
 
 def _object(value, where: str) -> dict:
@@ -195,27 +169,16 @@ def _object(value, where: str) -> dict:
     return value
 
 
-def _checked(where: str, make):
-    """make(); a TypeError, ValueError or UsageError it raises is a usage
-    error that names `where`."""
-    try:
-        return make()
-    except (TypeError, ValueError, UsageError) as e:
-        raise UsageError(f"{where}: {e}") from None
-
-
-def _frozen(value):
-    """A JSON list as a tuple, nested lists too."""
-    return tuple(map(_frozen, value)) if isinstance(value, list) else value
-
-
 def _build(cls, payload: dict, where: str):
-    """cls(**payload); unknown keys and invalid values are usage errors."""
+    """cls(**payload), each value checked against its field's annotation;
+    unknown keys and invalid values are usage errors."""
     _check_keys(cls, _object(payload, where), where)
-    values = {k: _frozen(v) for k, v in payload.items()}
-    _check_ints(cls, values, where)
-    _check_finite(values, where)
-    return _checked(where, lambda: cls(**values))
+    hints = _hints(cls)
+    values = {k: _value(hints[k], v, f"{where}.{k}") for k, v in payload.items()}
+    try:
+        return cls(**values)
+    except (ValueError, UsageError) as e:    # a rule across fields, or a bound
+        raise UsageError(f"{where}: {e}") from None
 
 
 def load_config(path) -> RunConfig:
@@ -227,32 +190,36 @@ def load_config(path) -> RunConfig:
     return config_from_dict(raw)
 
 
+def _training(t: dict) -> TrainingConfig:
+    """The `training` section: the base hyperparameters with `methods` and
+    `overrides`, each override checked as the hyperparameter set it makes."""
+    methods = _value(_hints(TrainingConfig)["methods"],
+                     t.pop("methods", list(METHODS)), "training.methods")
+    overrides = _object(t.pop("overrides", {}), "training.overrides")
+    for where, names in (("training.methods", methods), ("training.overrides", overrides)):
+        for m in names:
+            if m not in METHODS:
+                raise UsageError(f"unknown method '{m}' in {where}; "
+                                 f"valid methods: {', '.join(METHODS)}")
+    if not methods or len(set(methods)) != len(methods):
+        raise UsageError(f"training.methods must be nonempty and distinct, "
+                         f"got {list(methods)}")
+    hp = _build(Hyperparams, t, "training")
+    for m, ov in overrides.items():
+        where = f"training.overrides.{m}"
+        _build(Hyperparams, {**t, **_object(ov, where)}, where)
+    return TrainingConfig(hp, methods, {m: dict(ov) for m, ov in overrides.items()})
+
+
 def config_from_dict(raw: dict) -> RunConfig:
-    top_allowed = {"output_dir", "master_seed", "dataset", "model",
-                   "curriculum", "training", "eval"}
-    unknown = set(_object(raw, "the config")) - top_allowed
-    if unknown:
-        raise UsageError(f"unknown top-level key(s): {', '.join(sorted(unknown))}")
-    cfg = RunConfig()
-    cfg.output_dir = raw.get("output_dir", cfg.output_dir)
-    if not isinstance(cfg.output_dir, str):
-        raise UsageError(f"output_dir must be a string, got {json.dumps(cfg.output_dir)}")
-    cfg.master_seed = raw.get("master_seed", cfg.master_seed)
-    # numpy's SeedSequence takes no negative seed; 1.7 or true is no seed at all
-    if not _is_int(cfg.master_seed) or cfg.master_seed < 0:
-        raise UsageError(
-            f"master_seed must be a nonnegative integer, got {json.dumps(cfg.master_seed)}")
-    for key, cls in (("dataset", DatasetConfig), ("model", ModelConfig),
-                     ("curriculum", CurriculumConfig), ("eval", EvalConfig)):
-        if key in raw:
-            setattr(cfg, key, _build(cls, raw[key], key))
-    if "training" in raw:
-        t = dict(_object(raw["training"], "training"))
-        methods = _checked("training.methods", lambda: tuple(t.pop("methods", METHODS)))
-        overrides = {m: dict(_object(ov, f"training.overrides.{m}")) for m, ov in
-                     _object(t.pop("overrides", {}), "training.overrides").items()}
-        cfg.training = TrainingConfig(_build(Hyperparams, t, "training"), methods,
-                                      overrides)
+    raw = dict(_object(raw, "the config"))
+    _check_keys(RunConfig, raw, "the config")
+    training = _training(dict(_object(raw.pop("training", {}), "training")))
+    hints = _hints(RunConfig)
+    cfg = RunConfig(**{k: _value(hints[k], v, k) for k, v in raw.items()},
+                    training=training)
+    if cfg.master_seed < 0:   # numpy's SeedSequence takes no negative seed
+        raise UsageError(f"master_seed must be nonnegative, got {cfg.master_seed}")
     # a source is fed as its tokens + EOS, a target as BOS + its tokens
     if cfg.model.max_len < cfg.dataset.len_max + 1:
         raise UsageError(f"model.max_len {cfg.model.max_len} is below dataset.len_max + 1 "

@@ -1,6 +1,6 @@
 """The three ways a command fails, one per exit code: `cli.main` prints an
 error's prefix and message and exits with its code. Config validation also
-turns a TypeError or ValueError of a config class into a UsageError."""
+turns a ValueError of a config class into a UsageError."""
 
 
 class UsageError(Exception):

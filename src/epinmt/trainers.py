@@ -21,7 +21,7 @@ from . import model as M
 from . import tensor as T
 from .corpus import SentencePair
 from .curriculum import CurriculumPlan, pairs_nll, sample_batch, stage_of, uniform_plan
-from .errors import InternalError
+from .errors import DataError, InternalError
 
 
 @dataclass
@@ -206,9 +206,15 @@ STREAM_PIPE_BYTES = 1 << 20
 def _draw_episodes(state: EpisodicState) -> list[_Episode]:
     """Every episode's batches and partner, drawn from the one rng in the
     order of the episodic loop; a domain missing from some shard warns once
-    per call, not once per batch."""
+    per call, not once per batch, and one missing from every shard (the
+    noise filter dropped all its pairs) is a data error."""
     hp = state.hp
     seen = sorted(state.specialists)
+    emptied = [str(d) for d in seen if not any(state.plan.domain_shards(d))]
+    if emptied:
+        raise DataError(f"seen domain(s) {', '.join(emptied)} kept no training pair after "
+                        f"the noise filter ({state.plan.filtered_count} filtered as noise), "
+                        f"and episodic training draws a batch of every seen domain")
     rng = _rng(hp.seed, 5)
     warned: set[int] = set()
     total = _total_steps(sum(len(s) for s in state.plan.shards), hp)

@@ -7,11 +7,15 @@ import math
 import os
 import platform
 import sys
+import typing
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
 
 from epinmt import cli
+from epinmt import config as CF
+from epinmt import corpus as C
 from epinmt import model as M
 from epinmt import tensor as T
 from epinmt import trainers as TR
@@ -36,6 +40,30 @@ TINY = {
     "eval": {"seeds": [0], "sigmas": [0.05], "noise_seeds": [0],
              "beam_width": 1, "experiment_beam_width": 1, "max_steps": 6},
 }
+
+
+def _config_fields() -> list[tuple]:
+    """(where, name, annotation, default) of each field that a config file
+    may set: `where` is the path of its section in the file ("" at the top
+    level), and the fields that the stages set themselves are left out."""
+    sections = [("", CF.RunConfig), ("dataset", C.DatasetConfig), ("model", M.ModelConfig),
+                ("curriculum", CF.CurriculumConfig), ("training", CF.TrainingConfig),
+                ("training", TR.Hyperparams), ("training.overrides.agg", TR.Hyperparams),
+                ("eval", CF.EvalConfig)]
+    # of these two, only the fields that are no section of their own
+    only = {CF.RunConfig: {"output_dir", "master_seed"}, CF.TrainingConfig: {"methods"}}
+    out = []
+    for where, cls in sections:
+        hints = typing.get_type_hints(cls)
+        for f in fields(cls):
+            if (cls, f.name) not in CF._DERIVED and f.name in only.get(cls, {f.name}):
+                default = f.default_factory() if f.default is MISSING else f.default
+                out.append((where, f.name, hints[f.name], default))
+    return out
+
+
+CONFIG_FIELDS = _config_fields()
+
 
 # one line per acceptance criterion, replayed in the pytest terminal summary
 ACCEPTANCE_RESULTS: list[str] = []

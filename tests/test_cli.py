@@ -8,6 +8,8 @@ import re
 import subprocess
 import sys
 import time
+import types
+import typing
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -25,7 +27,7 @@ from epinmt import tensor as T
 from epinmt import trainers as TR
 from epinmt.errors import DataError, InternalError, UsageError
 
-from helpers import TINY, child_env
+from helpers import CONFIG_FIELDS, TINY, child_env
 
 
 def _tiny_with_training(tmp_path, **training) -> str:
@@ -196,6 +198,58 @@ class TestConfig:
         assert a.config_hash() == b.config_hash()
         assert P.run_dir(a, 0) != P.run_dir(b, 0)
         assert os.path.basename(P.run_dir(a, 0)) == os.path.basename(P.run_dir(b, 0))
+
+
+# one JSON value of each kind; a config field takes the kinds that its
+# annotation names and refuses every other ("huge" is an integer that no
+# float holds)
+JSON_KINDS = {"string": "x", "true": True, "zero": 0, "number": 1.5, "huge": 10 ** 400,
+              "list": [], "object": {}, "null": None, "NaN": float("nan")}
+
+
+def _kinds_taken(hint) -> set[str]:
+    """The kinds of JSON_KINDS that annotation `hint` takes; the empty list
+    has the length of a tuple[X, ...] only."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is types.UnionType:
+        return set().union(*map(_kinds_taken, args))
+    if origin is tuple:
+        return {"list"} if args[-1] is Ellipsis else set()
+    return {int: {"zero", "huge"}, float: {"zero", "number"}, bool: {"true"},
+            str: {"string"}, type(None): {"null"}}[hint]
+
+
+def _refused(hint) -> list:
+    """One value of each JSON kind that annotation `hint` refuses and, where
+    it names a tuple, a list of the tuple's length with a first item of a
+    kind that the item's annotation refuses."""
+    values = [v for kind, v in JSON_KINDS.items() if kind not in _kinds_taken(hint)]
+    for t in (h for h in (hint, *typing.get_args(hint)) if typing.get_origin(h) is tuple):
+        items = typing.get_args(t)
+        items = items[:1] if items[-1] is Ellipsis else items
+        values.append([_refused(items[0])[0],
+                       *(next(JSON_KINDS[k] for k in JSON_KINDS if k in _kinds_taken(h))
+                         for h in items[1:])])
+    return values
+
+
+@pytest.mark.parametrize("where, name, hint, default", CONFIG_FIELDS,
+                         ids=[f"{w}.{n}".lstrip(".") for w, n, _, _ in CONFIG_FIELDS])
+def test_each_config_field_takes_what_its_annotation_names(where, name, hint, default):
+    """A value of a JSON kind that the field's annotation does not name, a
+    NaN in a float field and a string for a tuple included, is a usage error
+    that names the field; the field's default is accepted."""
+    def config(value) -> dict:
+        raw = {name: value}
+        for key in reversed(where.split(".") if where else []):
+            raw = {key: raw}
+        return raw
+
+    cfgmod.config_from_dict(config(json.loads(json.dumps(default))))
+    field = f"{where}.{name}".lstrip(".")
+    for value in _refused(hint):
+        with pytest.raises(UsageError, match=re.escape(field)):
+            cfgmod.config_from_dict(config(value))
 
 
 @pytest.fixture(scope="module")
@@ -380,6 +434,28 @@ class TestCliUsage:
             "data error: domain 1 has 1 training pair, so noise_fraction 0.6 asks for a "
             "noisy pair with no other pair's target to take\n")
         assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("command", [
+        "experiment", "train --method epi_curriculum --build-deps --seed 7"])
+    def test_a_seen_domain_that_the_noise_filter_empties_is_a_data_error(
+            self, tmp_path, capsys, command):
+        """Seed 7 keeps 4, 3 and 0 training pairs of seen domains 1, 2 and 3.
+        Episodic training draws a batch of every seen domain, so it ends in a
+        data error naming domain 3 and the filtered count, before any draw."""
+        cfg = {**TINY, "output_dir": str(tmp_path / "runs"),
+               "dataset": {**TINY["dataset"], "n_seen": 3, "train_tokens": 30,
+                           "noise_fraction": 0.5, "trusted_count": 1},
+               "training": {**TINY["training"], "methods": ["epi_curriculum"]},
+               "eval": {**TINY["eval"], "seeds": [7]}}
+        path = tmp_path / "emptied.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main([*command.split(), "--config", str(path)]) == cli.EXIT_DATA
+        assert capsys.readouterr().err == (
+            "data error: seen domain(s) 3 kept no training pair after the noise filter "
+            "(7 filtered as noise), and episodic training draws a batch of every seen "
+            "domain\n")
+        assert not os.path.exists(P._checkpoint(cfgmod.config_from_dict(cfg), 7,
+                                                "epi_curriculum"))
 
     def test_negative_seed_flag_is_usage_error(self, tiny_config_file, tmp_path, capsys):
         assert cli.main(["gen-data", "--config", tiny_config_file,

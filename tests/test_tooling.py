@@ -6,14 +6,20 @@ import ast
 import importlib
 import importlib.util
 import itertools
+import json
 import sys
 import textwrap
+import types
+import typing
 from pathlib import Path
 
 import pytest
 
 from epinmt import cli
+from epinmt import config
 from epinmt import pipeline
+
+from helpers import CONFIG_FIELDS
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACER = PERFBENCH / "tracer.py"
@@ -131,6 +137,34 @@ def test_readme_layout_is_the_pipeline_layout():
     readme = _layout_block(README.read_text(encoding="utf-8"))
     assert readme[0].startswith("run-<") and len(readme) > 1
     assert readme == _layout_block(pipeline.__doc__)
+
+
+@pytest.mark.skipif(not README.exists(), reason="README.md is absent")
+def test_readme_example_config_parses():
+    """The README's example config is one that `config_from_dict` accepts,
+    so a stricter check cannot quietly reject the documented config."""
+    readme = README.read_text(encoding="utf-8")
+    block = readme.split("### Example config", 1)[1].split("```json\n", 1)[1]
+    config.config_from_dict(json.loads(block.split("```", 1)[0]))
+
+
+def _scalars(hint) -> set:
+    """The scalar types that annotation `hint` is built of, by tuple[...] and
+    `X | None`; an annotation of any other form fails the assertion."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is None:
+        return {hint}
+    assert origin is tuple or origin is types.UnionType and len(args) == 2 \
+        and type(None) in args, hint
+    return set().union(*(_scalars(a) for a in args if a not in (Ellipsis, type(None))))
+
+
+def test_the_config_check_knows_every_annotation():
+    """Each config field's annotation is one that `config._value` checks, so a
+    field annotated list[int] or dict fails here rather than go unchecked."""
+    known = set(config._SCALARS)
+    assert {f"{where}.{name}": hint for where, name, hint, _ in CONFIG_FIELDS
+            if not _scalars(hint) <= known} == {}
 
 
 ERRORS = {"UsageError", "DataError", "InternalError"}   # one per exit code

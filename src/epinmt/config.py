@@ -1,8 +1,9 @@
 """Run configuration: one JSON file drives every command.
 
-Unknown keys are rejected so typos fail fast, and every stochastic component
-draws its seed from the master seed through a fixed counter scheme
-(SeedSequence([master, component, ...])).
+Unknown keys are rejected so typos fail fast. Each stochastic component
+draws from SeedSequence([s, counters...]), s derived from the run's seed, but
+the modules' counters overlap: domain d's data and `trainers._rng(seed, d)`
+read one stream.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field, asdict, fields, is_dataclass, replace
 
 from .corpus import DatasetConfig
 from .curriculum import SchedulerPolicy
-from .errors import UsageError
+from .errors import UsageError, at_least
 from .model import ModelConfig
 from .trainers import TRAINERS, Hyperparams
 
@@ -37,10 +38,8 @@ class CurriculumConfig:
     div_lr: float = 3e-3
 
     def __post_init__(self):
-        if min(self.scorer_steps, self.lm_steps, self.div_steps) < 0:
-            raise ValueError("scorer_steps, lm_steps and div_steps must be >= 0")
-        if min(self.scorer_lr, self.lm_lr, self.div_lr) < 0:
-            raise ValueError("scorer_lr, lm_lr and div_lr must be nonnegative")
+        at_least(self, scorer_steps=0, lm_steps=0, div_steps=0, scorer_lr=0, lm_lr=0,
+                 div_lr=0)
         self.policy()
 
     def policy(self) -> SchedulerPolicy:
@@ -69,16 +68,10 @@ class EvalConfig:
     max_steps: int = 32
 
     def __post_init__(self):
-        if not self.seeds:
-            raise ValueError("seeds must not be empty")
-        if len(set(self.seeds)) != len(self.seeds):
-            raise ValueError("seeds must be distinct")
-        if self.beam_width < 1 or self.experiment_beam_width < 1:
-            raise ValueError("beam_width and experiment_beam_width must be >= 1")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
-        if min((*self.seeds, *self.sigmas, *self.noise_seeds)) < 0:
-            raise ValueError("seeds, sigmas and noise_seeds must be nonnegative")
+        at_least(self, seeds=0, sigmas=0, noise_seeds=0, beam_width=1,
+                 experiment_beam_width=1, max_steps=1)
+        if not self.seeds or len(set(self.seeds)) != len(self.seeds):
+            raise ValueError(f"seeds must be nonempty and distinct, got {list(self.seeds)}")
         if self.sigmas and not self.noise_seeds:
             raise ValueError("noise_seeds must not be empty when sigmas is not")
 
@@ -112,6 +105,10 @@ _DERIVED = {
     (Hyperparams, "seed"): "each task derives it from the run's seed (master_seed or "
                            "--seed; each of eval.seeds in experiment)",
 }
+
+# the hyperparameters that only the base block sets: fine-tuning reads
+# `training.hp` whatever the method, so an override would only move the hash
+_BASE_ONLY = ("finetune_epochs", "finetune_lr")
 
 
 def _check_keys(cls, payload: dict, where: str) -> None:
@@ -177,7 +174,7 @@ def _build(cls, payload: dict, where: str):
     values = {k: _value(hints[k], v, f"{where}.{k}") for k, v in payload.items()}
     try:
         return cls(**values)
-    except (ValueError, UsageError) as e:    # a rule across fields, or a bound
+    except ValueError as e:    # a rule across fields, or a bound
         raise UsageError(f"{where}: {e}") from None
 
 
@@ -207,7 +204,11 @@ def _training(t: dict) -> TrainingConfig:
     hp = _build(Hyperparams, t, "training")
     for m, ov in overrides.items():
         where = f"training.overrides.{m}"
-        _build(Hyperparams, {**t, **_object(ov, where)}, where)
+        for key in _BASE_ONLY:
+            if key in _object(ov, where):
+                raise UsageError(f"{where}.{key} cannot be set: every method is fine-tuned "
+                                 f"with the base block's training.{key}")
+        _build(Hyperparams, {**t, **ov}, where)
     return TrainingConfig(hp, methods, {m: dict(ov) for m, ov in overrides.items()})
 
 

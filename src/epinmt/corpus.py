@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, UsageError
+from .errors import DataError, at_least
 from .model import Vocabulary
 
 STRUCTURAL_RULES = ("identity", "reverse", "rotate", "swap")
@@ -42,11 +42,10 @@ class DomainSpec:
 
     def __post_init__(self):
         if self.rule not in STRUCTURAL_RULES:
-            raise UsageError(f"unknown structural rule '{self.rule}'")
-        if self.len_max < 5:
-            raise UsageError("degenerate length distribution: len_max < 5")
+            raise ValueError(f"unknown structural rule '{self.rule}'")
+        at_least(self, len_max=5)   # a narrower band is a degenerate length distribution
         if self.len_min > self.len_max:
-            raise UsageError("len_min > len_max")
+            raise ValueError("len_min > len_max")
 
     def build_substitution(self, vocab: Vocabulary) -> dict[int, int]:
         if self.substitution is not None:
@@ -71,7 +70,7 @@ def apply_rule(rule: str, tokens: list[int], rotate_by: int = 1) -> list[int]:
         for i in range(0, len(out) - 1, 2):
             out[i], out[i + 1] = out[i + 1], out[i]
         return out
-    raise UsageError(f"unknown structural rule '{rule}'")
+    raise ValueError(f"unknown structural rule '{rule}'")
 
 
 def domain_target(spec: DomainSpec, source: list[int], sub: dict[int, int]) -> list[int]:
@@ -82,7 +81,7 @@ def generate_domain(spec: DomainSpec, n_pairs: int, seed: int,
                     vocab: Vocabulary) -> list[SentencePair]:
     """Draw n_pairs sources from the length distribution; targets follow the rule."""
     if n_pairs <= 0:
-        raise UsageError("n_pairs must be positive")
+        raise ValueError(f"n_pairs must be positive, got {n_pairs}")
     rng = np.random.default_rng(np.random.SeedSequence([seed, spec.domain_id]))
     sub = spec.build_substitution(vocab)
     content = np.array(spec.source_ids if spec.source_ids is not None
@@ -190,29 +189,22 @@ class DatasetConfig:
     unseen_like: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if self.len_min < 1:
-            raise UsageError(f"len_min must be >= 1, got {self.len_min}")
-        if self.n_content < 4:
-            raise UsageError("n_content too small")
-        if not 0.0 <= self.noise_fraction <= 1.0:
-            raise UsageError("noise_fraction must lie in [0, 1]")
-        if min(self.n_seen, self.train_tokens, self.finetune_tokens, self.test_tokens,
-               self.generic_train_tokens) < 1 or min(self.n_unseen, self.trusted_count) < 0:
-            raise UsageError("n_seen and the token budgets must be >= 1, "
-                             "n_unseen and trusted_count >= 0")
+        at_least(self, n_content=4, len_min=1, n_seen=1, train_tokens=1, finetune_tokens=1,
+                 test_tokens=1, generic_train_tokens=1, n_unseen=0, trusted_count=0,
+                 noise_fraction=0)
+        if self.noise_fraction > 1:
+            raise ValueError(f"noise_fraction must lie in [0, 1], got {self.noise_fraction}")
         for name in ("rules", "windows", "unseen_like"):  # cycled, so never empty
             if getattr(self, name) is not None and not getattr(self, name):
-                raise UsageError(f"{name} must not be empty")
+                raise ValueError(f"{name} must not be empty")
         for rule in self.rules:  # DomainSpec checks the rule and the length band
             DomainSpec(0, rule=rule, len_min=self.len_min, len_max=self.len_max)
         for pos in self.unseen_like or ():
             if not 0 <= pos < self.n_seen:
-                raise UsageError(f"unseen_like position {pos} out of range")
-        if self.windows is not None:
-            for start, size in self.windows:
-                if start < 0 or size < 1 or start + size > self.n_content:
-                    raise UsageError(
-                        f"window ({start}, {size}) outside the content vocabulary")
+                raise ValueError(f"unseen_like position {pos} out of range")
+        for start, size in self.windows or ():
+            if start < 0 or size < 1 or start + size > self.n_content:
+                raise ValueError(f"window ({start}, {size}) outside the content vocabulary")
 
 
 def make_vocabulary(n_content: int) -> Vocabulary:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import tensor as T
-from .errors import InternalError
+from .errors import InternalError, at_least
 from .tensor import ParameterSet, Tensor
 
 PAD, BOS, EOS, UNK = 0, 1, 2, 3
@@ -71,12 +71,10 @@ class ModelConfig:
     vocab_size: int = 128
 
     def __post_init__(self):
-        if min(self.d_model, self.n_layers, self.n_heads, self.d_ff, self.max_len) < 1:
-            raise ValueError("d_model, n_layers, n_heads, d_ff and max_len must be >= 1")
+        at_least(self, d_model=1, n_layers=1, n_heads=1, d_ff=1, max_len=1,
+                 vocab_size=len(RESERVED_TOKENS) + 1)
         if self.d_model % self.n_heads != 0:
             raise ValueError("d_model must be divisible by n_heads")
-        if self.vocab_size <= len(RESERVED_TOKENS):
-            raise ValueError("vocab_size too small")
 
 
 # ---------------------------------------------------------------------------

@@ -52,11 +52,14 @@ def _config_fields() -> list[tuple]:
                 ("eval", CF.EvalConfig)]
     # of these two, only the fields that are no section of their own
     only = {CF.RunConfig: {"output_dir", "master_seed"}, CF.TrainingConfig: {"methods"}}
+    # every method is fine-tuned with the base block, so no override sets these
+    base_only = {"training.overrides.agg": CF._BASE_ONLY}
     out = []
     for where, cls in sections:
         hints = typing.get_type_hints(cls)
         for f in fields(cls):
-            if (cls, f.name) not in CF._DERIVED and f.name in only.get(cls, {f.name}):
+            if ((cls, f.name) not in CF._DERIVED and f.name in only.get(cls, {f.name})
+                    and f.name not in base_only.get(where, ())):
                 default = f.default_factory() if f.default is MISSING else f.default
                 out.append((where, f.name, hints[f.name], default))
     return out

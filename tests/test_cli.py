@@ -165,10 +165,15 @@ class TestConfig:
         ({"training": {"seed": 3}}, "training.seed", "master_seed"),
         ({"training": {"overrides": {"agg": {"seed": 3}}}}, "training.overrides.agg.seed",
          "master_seed"),
-        ({"model": {"vocab_size": 40}}, "model.vocab_size", "vocabulary")])
+        ({"model": {"vocab_size": 40}}, "model.vocab_size", "vocabulary"),
+        ({"training": {"overrides": {"agg": {"finetune_epochs": 2}}}},
+         "training.overrides.agg.finetune_epochs", "fine-tuned with the base block"),
+        ({"training": {"overrides": {"agg": {"finetune_lr": 1e100}}}},
+         "training.overrides.agg.finetune_lr", "fine-tuned with the base block")])
     def test_derived_values_cannot_be_set(self, raw, key, source):
-        """A value that every stage sets itself is refused with its source,
-        not silently overridden (it would still change the config hash)."""
+        """A value that every stage sets itself, or takes from the base block
+        whatever the method, is refused with its source, not silently
+        overridden (it would still change the config hash)."""
         with pytest.raises(cfgmod.UsageError, match=key) as e:
             cfgmod.config_from_dict(raw)
         assert source in str(e.value)
@@ -198,6 +203,18 @@ class TestConfig:
         assert a.config_hash() == b.config_hash()
         assert P.run_dir(a, 0) != P.run_dir(b, 0)
         assert os.path.basename(P.run_dir(a, 0)) == os.path.basename(P.run_dir(b, 0))
+
+
+def _config(values: dict) -> dict:
+    """The config that sets each value of `values`, keyed by its field's path."""
+    raw = {}
+    for path, value in values.items():
+        *sections, name = path.split(".")
+        node = raw
+        for section in sections:
+            node = node.setdefault(section, {})
+        node[name] = value
+    return raw
 
 
 # one JSON value of each kind; a config field takes the kinds that its
@@ -239,17 +256,86 @@ def test_each_config_field_takes_what_its_annotation_names(where, name, hint, de
     """A value of a JSON kind that the field's annotation does not name, a
     NaN in a float field and a string for a tuple included, is a usage error
     that names the field; the field's default is accepted."""
-    def config(value) -> dict:
-        raw = {name: value}
-        for key in reversed(where.split(".") if where else []):
-            raw = {key: raw}
-        return raw
-
-    cfgmod.config_from_dict(config(json.loads(json.dumps(default))))
     field = f"{where}.{name}".lstrip(".")
+    cfgmod.config_from_dict(_config({field: json.loads(json.dumps(default))}))
     for value in _refused(hint):
         with pytest.raises(UsageError, match=re.escape(field)):
-            cfgmod.config_from_dict(config(value))
+            cfgmod.config_from_dict(_config({field: value}))
+
+
+def _number(hint):
+    """The int or float that annotation `hint` holds, through `| None` and
+    tuples, or None."""
+    if hint in (int, float):
+        return hint
+    return next(filter(None, map(_number, typing.get_args(hint))), None)
+
+
+def _shaped(hint, value):
+    """`value` as a field annotated `hint` takes it: in each item of a tuple."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is types.UnionType:
+        (inner,) = set(args) - {type(None)}
+        return _shaped(inner, value)
+    if origin is tuple:
+        return [_shaped(args[0], value)] * (1 if args[-1] is Ellipsis else len(args))
+    return value
+
+
+HYPERPARAM_BOUNDS = {"alpha": 0, "beta": 0, "epochs": 0, "batch_size": 1, "episodes": 1}
+# the lower bound of each numeric config field, by its path; a tuple's items
+# each have it
+LOWER_BOUNDS = {
+    "master_seed": 0,
+    "dataset.n_content": 4, "dataset.n_seen": 1, "dataset.n_unseen": 0, "dataset.len_min": 1,
+    "dataset.len_max": 5, "dataset.train_tokens": 1, "dataset.finetune_tokens": 1,
+    "dataset.test_tokens": 1, "dataset.generic_train_tokens": 1,
+    "dataset.noise_fraction": 0, "dataset.trusted_count": 0, "dataset.unseen_like": 0,
+    "model.d_model": 1, "model.n_layers": 1, "model.n_heads": 1, "model.d_ff": 1,
+    "model.max_len": 1,
+    "curriculum.stage_boundaries": 0, "curriculum.scorer_steps": 0, "curriculum.scorer_lr": 0,
+    "curriculum.lm_steps": 0, "curriculum.lm_lr": 0, "curriculum.div_steps": 0,
+    "curriculum.div_lr": 0,
+    **{f"training.{name}": low for name, low in HYPERPARAM_BOUNDS.items()},
+    "training.finetune_epochs": 0, "training.finetune_lr": 0,
+    **{f"training.overrides.agg.{name}": low for name, low in HYPERPARAM_BOUNDS.items()},
+    "eval.seeds": 0, "eval.sigmas": 0, "eval.noise_seeds": 0, "eval.beam_width": 1,
+    "eval.experiment_beam_width": 1, "eval.max_steps": 1,
+}
+# the numeric fields that the table leaves out, and why
+NO_LOWER_BOUND = {
+    "dataset.windows": "each item is a (start, size) pair, whose start may be 0 and "
+                       "whose size may not, that must fit in dataset.n_content",
+}
+# what a config needs besides a field at its bound, to pass the rules across fields
+AT_THE_BOUND_WITH = {"dataset.trusted_count": {"curriculum.denoise": False},
+                     "model.d_model": {"model.n_heads": 1}}
+NUMERIC_FIELDS = [(f"{where}.{name}".lstrip("."), hint) for where, name, hint, _ in CONFIG_FIELDS
+                  if _number(hint)]
+
+
+def test_the_bound_table_covers_every_numeric_config_field():
+    """A numeric field added to a config class needs its bound in the table."""
+    assert set(LOWER_BOUNDS) | set(NO_LOWER_BOUND) == {path for path, _ in NUMERIC_FIELDS}
+
+
+@pytest.mark.parametrize("path, hint", [f for f in NUMERIC_FIELDS if f[0] in LOWER_BOUNDS],
+                         ids=[path for path, _ in NUMERIC_FIELDS if path in LOWER_BOUNDS])
+def test_each_numeric_config_field_refuses_a_value_below_its_bound(path, hint):
+    """One below the bound (an int) or half below it (a float) is a usage
+    error that names the field and the value; the bound itself is accepted."""
+    low = LOWER_BOUNDS[path]
+    below = low - 1 if _number(hint) is int else low - 0.5
+    with pytest.raises(UsageError) as e:
+        cfgmod.config_from_dict(_config({path: _shaped(hint, below)}))
+    section, _, name = path.rpartition(".")
+    assert str(e.value).startswith(section) and re.search(rf"\b{name}\b", str(e.value))
+    assert re.search(rf"(?<![\d.]){re.escape(str(below))}(?![\d.])", str(e.value))
+    if path == "model.max_len":   # a config's max_len must also reach dataset.len_max + 1
+        M.ModelConfig(max_len=low)
+    else:
+        cfgmod.config_from_dict(_config({path: _shaped(hint, low),
+                                         **AT_THE_BOUND_WITH.get(path, {})}))
 
 
 @pytest.fixture(scope="module")
@@ -378,6 +464,10 @@ class TestCliUsage:
                      id="train-infinite-override"),
         pytest.param("experiment", {"eval": {**TINY["eval"], "sigmas": [0.01, float("nan")]}},
                      id="experiment-nan-sigma"),
+        # every method is fine-tuned with the base block: the override was ignored
+        pytest.param("experiment", {"training": {**TINY["training"], "methods": ["vanilla", "agg"],
+                                                 "overrides": {"agg": {"finetune_lr": 1e100}}}},
+                     id="experiment-override-finetune-lr"),
         # a perturbation row averages over the noise seeds, so none gives NaN
         pytest.param("experiment", {"eval": {**TINY["eval"], "noise_seeds": []}},
                      id="experiment-sigmas-without-noise-seeds")])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from epinmt import corpus as C
-from epinmt.errors import DataError, UsageError
+from epinmt.errors import DataError
 from epinmt.model import Vocabulary
 
 from helpers import tiny_config  # noqa: F401  (kept for symmetry with other suites)
@@ -29,7 +29,7 @@ class TestRules:
         assert C.apply_rule("swap", [4, 5, 6, 7, 8]) == [5, 4, 7, 6, 8]
 
     def test_unknown_rule_rejected(self):
-        with pytest.raises(UsageError, match="unknown structural rule 'shuffle'"):
+        with pytest.raises(ValueError, match="unknown structural rule 'shuffle'"):
             C.apply_rule("shuffle", [4, 5])
 
     def test_rules_are_length_preserving_permutations(self):
@@ -110,7 +110,7 @@ class TestGenerate:
         assert [(p.source, p.target) for p in a] == [(p.source, p.target) for p in b]
 
     def test_zero_pairs_rejected(self):
-        with pytest.raises(UsageError, match="n_pairs must be positive"):
+        with pytest.raises(ValueError, match="n_pairs must be positive"):
             C.generate_domain(C.DomainSpec(domain_id=1), 0, 0, _vocab())
 
 
@@ -296,20 +296,20 @@ class TestTsv:
 
 class TestConfigValidation:
     def test_noise_fraction_range(self):
-        with pytest.raises(UsageError, match=r"noise_fraction must lie in \[0, 1\]"):
+        with pytest.raises(ValueError, match=r"noise_fraction must lie in \[0, 1\]"):
             C.DatasetConfig(noise_fraction=1.5)
 
     def test_bad_rule_in_spec(self):
-        with pytest.raises(UsageError, match="unknown structural rule 'zigzag'"):
+        with pytest.raises(ValueError, match="unknown structural rule 'zigzag'"):
             C.DomainSpec(domain_id=1, rule="zigzag")
 
     def test_bad_length_band(self):
-        with pytest.raises(UsageError, match="len_min > len_max"):
+        with pytest.raises(ValueError, match="len_min > len_max"):
             C.DomainSpec(domain_id=1, len_min=9, len_max=6)
 
     @pytest.mark.parametrize("len_min", [0, -3])
     def test_sentences_have_at_least_one_token(self, len_min):
         # a negative len_min reached rng.choice as a negative size
-        with pytest.raises(UsageError, match="len_min"):
+        with pytest.raises(ValueError, match="len_min"):
             C.DatasetConfig(len_min=len_min)
         C.DatasetConfig(len_min=1)

@@ -195,6 +195,18 @@ def test_src_raises_only_the_three_error_classes():
             and _name(n.exc) in classes - ERRORS] == []
 
 
+def test_only_the_command_modules_raise_usage_errors():
+    """`cli`, `config` and `pipeline` read the command line and the config,
+    and only they raise UsageError; a library module raises a builtin error,
+    a DataError or an InternalError, and config validation turns a config
+    class's ValueError into a UsageError."""
+    assert [f"{path.name}:{n.lineno}" for path in sorted(SRC.glob("*.py"))
+            if path.stem not in {"cli", "config", "pipeline"}
+            for n in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(n, ast.Raise) and n.exc is not None
+            and _name(n.exc) == "UsageError"] == []
+
+
 def test_cli_main_maps_the_three_errors_in_one_clause():
     """`cli.main` catches the three errors together, then OSError (a file it
     cannot read or write) and KeyboardInterrupt; SystemExit is how argparse
